@@ -16,8 +16,9 @@
 //                            parameter because Z-STM's zone protocol needs
 //                            the install globally ordered (seq_cst Dekker
 //                            pair, DESIGN.md §5.1).
-//   * prune                — bound the committed chain, retiring detached
-//                            suffixes through EBR.
+//   * prune                — bound the committed chain in O(1) per
+//                            dropped version: advance the object's tail
+//                            cursor, sever, retire through EBR.
 //   * successor_of         — chain walking: the immediate successor of a
 //                            read version (validation / snapshot-extension
 //                            helper).
@@ -179,6 +180,7 @@ class ObjectStore {
     obj->oid = object_ids_.value.fetch_add(1, std::memory_order_relaxed) + 1;
     obj->keep.store(static_cast<std::uint32_t>(retention_.initial),
                     std::memory_order_relaxed);
+    obj->tail.store(version, std::memory_order_relaxed);
     Object* raw = obj.get();
     {
       std::lock_guard<std::mutex> lk(objects_mutex_);
@@ -256,9 +258,14 @@ class ObjectStore {
         st != runtime::TxStatus::kAborted) {
       return;
     }
-    Version* current = (st == runtime::TxStatus::kCommitted)
-                           ? seen->tentative
-                           : seen->committed;
+    Version* current = seen->committed;
+    if (st == runtime::TxStatus::kCommitted) {
+      current = seen->tentative;
+      // Forward link for prune's cursor, stored before the CAS that makes
+      // `current` the committed head. Every racing settler stores the same
+      // value: one committed writer follows each committed version.
+      seen->committed->newer.store(current, std::memory_order_relaxed);
+    }
     Locator* settled = take_spare_locator(slot);
     settled->writer = nullptr;
     settled->tentative = nullptr;
@@ -301,13 +308,15 @@ class ObjectStore {
   }
 
   /// Acquire write ownership: CAS `{writer, tentative, seen->committed}`
-  /// over `seen`. On success the superseded locator is retired; on failure
-  /// nothing is consumed (the caller still owns `tentative`, and the
-  /// speculative locator goes back to the slot's spare cache for the next
-  /// retry). `order` lets Z-STM make the install seq_cst (Dekker pair with
-  /// zone claims).
+  /// over `seen`. The caller has linked `tentative->prev` to
+  /// `seen->committed`; install numbers it one past that base. On success
+  /// the superseded locator is retired; on failure nothing is consumed (the
+  /// caller still owns `tentative`, and the speculative locator goes back
+  /// to the slot's spare cache for the next retry). `order` lets Z-STM make
+  /// the install seq_cst (Dekker pair with zone claims).
   bool install(Object& o, Locator* seen, Desc* writer, Version* tentative,
                int slot, std::memory_order order = std::memory_order_acq_rel) {
+    tentative->seq = seen->committed->seq + 1;
     Locator* nl = take_spare_locator(slot);
     nl->writer = writer;
     nl->tentative = tentative;
@@ -326,37 +335,27 @@ class ObjectStore {
     return false;
   }
 
-  /// Bound the committed chain at the object's current retention bound and
-  /// retire any detached suffix. Concurrent pruners obtain disjoint
-  /// suffixes because the severing exchange hands out each link exactly
-  /// once.
+  /// Bound the committed chain at the object's current retention bound:
+  /// while the tail cursor is `bound` or more versions behind the head,
+  /// advance it one version, sever the link to the old tail and retire it.
+  /// The cursor CAS hands each old tail to exactly one pruner (DESIGN.md
+  /// §7, "Pruning").
   void prune(Object& o, int slot) {
     note_quiescent(o, slot);
-    Locator* l = o.loc.load(std::memory_order_acquire);
-    Version* v = l->committed;
-    if (v == nullptr) return;
+    const Version* head = o.loc.load(std::memory_order_acquire)->committed;
     const std::uint32_t bound = kept_bound(o);
-    for (std::uint32_t depth = 1; depth < bound && v != nullptr; ++depth) {
-      v = v->prev.load(std::memory_order_acquire);
-    }
-    if (v == nullptr) return;
-    Version* suffix = v->prev.exchange(nullptr, std::memory_order_acq_rel);
-    if (suffix == nullptr) return;
-    // Retire the whole detached suffix as one unit.
-    if (pool_.enabled()) {
-      epochs_.retire_raw(slot, suffix, [](void* p, int s) {
-        Version* v2 = static_cast<Version*>(p);
-        while (v2 != nullptr) {
-          Version* older = v2->prev.load(std::memory_order_relaxed);
-          v2->~Version();
-          NodePool::release_block(v2, s);
-          v2 = older;
-        }
-      });
-    } else {
-      epochs_.retire_raw(slot, suffix, [](void* p, int) {
-        destroy_chain(static_cast<Version*>(p));
-      });
+    Version* tail = o.tail.load(std::memory_order_acquire);
+    while (tail->seq + bound <= head->seq) {
+      Version* next = tail->newer.load(std::memory_order_acquire);
+      if (!o.tail.compare_exchange_weak(tail, next,
+                                        std::memory_order_acq_rel)) {
+        continue;  // another pruner moved the cursor; `tail` is reloaded
+      }
+      // seq_cst: orders the sever before retire's epoch sample, so a reader
+      // that pins in a later epoch cannot still step onto `tail`.
+      next->prev.store(nullptr, std::memory_order_seq_cst);
+      retire_version(slot, tail);
+      tail = next;
     }
   }
 
@@ -399,14 +398,6 @@ class ObjectStore {
 
   const RetentionPolicy& retention() const { return retention_; }
   NodePool& pool() { return pool_; }
-
-  static void destroy_chain(Version* v) {
-    while (v != nullptr) {
-      Version* p = v->prev.load(std::memory_order_relaxed);
-      delete v;
-      v = p;
-    }
-  }
 
   /// Retire a version/locator through EBR with the matching free path
   /// (pool return or delete). Exposed for runtimes retiring descriptors

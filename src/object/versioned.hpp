@@ -16,8 +16,9 @@
 //                           ct, S-STM ct + reader lists).
 //   * Locator<Desc, Ver>  — the immutable DSTM locator triple.
 //   * Object<Meta, Loc>   — one atomic locator pointer, the object id, the
-//                           adaptive-retention state, and per-runtime object
-//                           metadata (Z-STM's zone stamp `zc`).
+//                           retention state (bound and pruning cursor), and
+//                           per-runtime object metadata (Z-STM's zone stamp
+//                           `zc`).
 //   * Var<T, Obj>         — the typed user-facing handle.
 //
 // ObjectStore (object_store.hpp) owns the objects and implements the
@@ -76,25 +77,37 @@ struct Version : Meta {
 
   runtime::Payload* data;
   std::uint64_t vid = 0;  // history version id (0 when recording disabled)
-  /// Next-older committed version; atomically severed when pruning.
+  /// Position in the object's history: 0 for the initial version, and
+  /// ObjectStore::install gives each tentative version its base's seq + 1,
+  /// so seq is consecutive along `prev` (DESIGN.md §7, "Pruning").
+  std::uint64_t seq = 0;
+  /// Next-older committed version; severed when pruning.
   std::atomic<Version*> prev{nullptr};
 
  private:
   alignas(runtime::Payload::kInlineAlign) unsigned char sbo_[kPayloadSboBytes];
+
+ public:
+  /// Next-newer committed version. ObjectStore::settle stores it before the
+  /// CAS that publishes the successor; the pruning cursor follows it. It
+  /// sits past the payload: it is the one field written after publication,
+  /// and this keeps that store off the lines readers load.
+  std::atomic<Version*> newer{nullptr};
 };
 
 /// Immutable locator (DSTM [4]). The logically current committed version is
 /// `tentative` if `writer` is non-null and committed, otherwise `committed`.
 template <typename Desc, typename Ver>
 struct Locator {
+  using Version = Ver;
   Desc* writer = nullptr;
   Ver* tentative = nullptr;
   Ver* committed = nullptr;
 };
 
 /// Transactional object: one atomic locator pointer, the object id, the
-/// per-object retention state (ObjectStore's adaptive mode), and whatever
-/// per-runtime metadata Meta adds (e.g. Z-STM's zone stamp `zc`).
+/// per-object retention state (ObjectStore's bound and pruning cursor), and
+/// whatever per-runtime metadata Meta adds (e.g. Z-STM's zone stamp `zc`).
 template <typename Meta, typename Loc>
 struct Object : Meta {
   Object() = default;
@@ -109,6 +122,9 @@ struct Object : Meta {
   std::atomic<std::uint32_t> keep{0};
   /// Prunes since the last too-old abort; drives adaptive decay.
   std::atomic<std::uint32_t> quiet{0};
+  /// Oldest retained committed version (the chain's last node). Set by
+  /// ObjectStore::allocate; ObjectStore::prune advances it by CAS.
+  std::atomic<typename Loc::Version*> tail{nullptr};
 };
 
 /// Empty per-runtime metadata (runtimes that need nothing extra).

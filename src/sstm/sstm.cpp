@@ -46,7 +46,11 @@ std::size_t Runtime::descriptor_count() {
   return descs_.live.size();
 }
 
-std::size_t Runtime::trim_descriptors() {
+// The public entry may run on a thread with no slot (a housekeeper, a
+// test's main thread), so its defensive settle borrows slot 0.
+std::size_t Runtime::trim_descriptors() { return trim(/*slot=*/0); }
+
+std::size_t Runtime::trim(int slot) {
   std::scoped_lock lk(descs_mutex_, commit_mutex_);
   // Failpoints stay out of maintenance: an injected settle-CAS failure
   // here would leave a locator referencing a descriptor we free below.
@@ -105,7 +109,7 @@ std::size_t Runtime::trim_descriptors() {
     // so no locator keeps a writer pointer into the freed descriptors.
     Locator* l = o.loc.load(std::memory_order_acquire);
     if (l->writer != nullptr) {
-      store_.settle(o, l, /*slot=*/0);
+      store_.settle(o, l, slot);
       l = o.loc.load(std::memory_order_acquire);
     }
     for (Version* v = l->committed; v != nullptr;
@@ -167,6 +171,11 @@ ThreadCtx::ThreadCtx(Runtime& rt, util::ThreadRegistry::Registration reg)
 
 ThreadCtx::~ThreadCtx() {
   if (in_transaction()) abort_attempt();
+  // The settle inside the trim runs on this thread's still-registered slot:
+  // slot 0's owner may be detaching at the same moment.
+  if (rt_.descriptor_count() >= Runtime::kDetachTrimWatermark) {
+    rt_.trim(slot());
+  }
 }
 
 Tx& ThreadCtx::begin() {

@@ -295,9 +295,17 @@ class Runtime {
   /// Retained (not yet trimmed) descriptor count — test introspection.
   std::size_t descriptor_count();
 
+  /// A detaching thread trims once this many descriptors are retained, so
+  /// users that never call maintain() stay bounded (DESIGN.md §11.5).
+  static constexpr std::size_t kDetachTrimWatermark = 4096;
+
  private:
   friend class ThreadCtx;
   friend class Tx;
+
+  /// trim_descriptors() body; `slot` is the slot whose pool and EBR lists
+  /// the defensive settle uses, and the caller must own it.
+  std::size_t trim(int slot);
 
   void settle(Object& o, Locator* seen, int slot) {
     store_.settle(o, seen, slot);

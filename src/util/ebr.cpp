@@ -4,6 +4,16 @@
 
 namespace zstm::util {
 
+namespace {
+
+// Single-writer counter increment: a plain load and store, no RMW.
+void bump(std::atomic<std::uint64_t>& counter, std::uint64_t by) {
+  counter.store(counter.load(std::memory_order_relaxed) + by,
+                std::memory_order_relaxed);
+}
+
+}  // namespace
+
 EpochManager::EpochManager(ThreadRegistry& registry, int collect_period)
     : registry_(registry),
       collect_period_(collect_period > 0 ? collect_period : 1),
@@ -42,7 +52,7 @@ void EpochManager::retire_raw(int slot, void* p, Deleter deleter) {
   auto& st = slots_[static_cast<std::size_t>(slot)];
   garbage_[static_cast<std::size_t>(slot)].value.push_back(
       Retired{p, deleter, global_epoch_.value.load(std::memory_order_acquire)});
-  retired_total_.value.fetch_add(1, std::memory_order_relaxed);
+  bump(st.retired, 1);
   if (++st.since_collect >= collect_period_) {
     st.since_collect = 0;
     collect(slot);
@@ -83,24 +93,41 @@ void EpochManager::collect(int slot) {
     // started after the retire was published.
     if (list[i].epoch + 2 <= e) {
       list[i].deleter(list[i].ptr, slot);
-      freed_total_.value.fetch_add(1, std::memory_order_relaxed);
     } else {
       list[kept++] = list[i];
     }
   }
+  bump(slots_[static_cast<std::size_t>(slot)].freed, list.size() - kept);
   list.resize(kept);
 }
 
 void EpochManager::drain_all() {
   for (std::size_t s = 0; s < garbage_.size(); ++s) {
-    for (auto& item : garbage_[s].value) {
+    auto& list = garbage_[s].value;
+    for (auto& item : list) {
       // Single-threaded teardown: free on behalf of the retiring slot so
       // pooled nodes land back on their owner's free list.
       item.deleter(item.ptr, static_cast<int>(s));
-      freed_total_.value.fetch_add(1, std::memory_order_relaxed);
     }
-    garbage_[s].value.clear();
+    bump(slots_[s].freed, list.size());
+    list.clear();
   }
+}
+
+std::uint64_t EpochManager::retired_count() const {
+  std::uint64_t total = 0;
+  for (const auto& st : slots_) {
+    total += st.retired.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+std::uint64_t EpochManager::freed_count() const {
+  std::uint64_t total = 0;
+  for (const auto& st : slots_) {
+    total += st.freed.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 }  // namespace zstm::util

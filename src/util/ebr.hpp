@@ -113,12 +113,10 @@ class EpochManager {
   std::uint64_t global_epoch() const {
     return global_epoch_.value.load(std::memory_order_acquire);
   }
-  std::uint64_t retired_count() const {
-    return retired_total_.value.load(std::memory_order_relaxed);
-  }
-  std::uint64_t freed_count() const {
-    return freed_total_.value.load(std::memory_order_relaxed);
-  }
+  /// Totals over all slots. Each slot's counts are exact; a sum taken
+  /// while threads retire or collect is a snapshot, not a fixed point.
+  std::uint64_t retired_count() const;
+  std::uint64_t freed_count() const;
 
  private:
   struct Retired {
@@ -134,6 +132,10 @@ class EpochManager {
     int nesting = 0;
     /// Retire counter since the last collect(); owner-only.
     int since_collect = 0;
+    /// Lifetime totals; written only by the owner (or by drain_all), read
+    /// by any thread through retired_count()/freed_count().
+    std::atomic<std::uint64_t> retired{0};
+    std::atomic<std::uint64_t> freed{0};
   };
 
   static constexpr std::uint64_t kQuiescent = ~std::uint64_t{0};
@@ -149,10 +151,6 @@ class EpochManager {
   std::vector<SlotState> slots_;
   // Garbage lists are single-owner; one vector per slot, padded apart.
   std::vector<Padded<std::vector<Retired>>> garbage_;
-  // Every retire/free touches these; padded so the two write-hot words do
-  // not share a line with each other or with neighbors.
-  PaddedCounter retired_total_;
-  PaddedCounter freed_total_;
 };
 
 }  // namespace zstm::util

@@ -117,6 +117,46 @@ TEST(Ebr, CountsAreMonotone) {
   EXPECT_LE(ebr.freed_count(), ebr.retired_count());
 }
 
+// Per-slot tallies: concurrent retirers never lose a count, and a reader
+// summing the slots mid-run sees a monotone total that never overshoots.
+TEST(Ebr, CountsAreExactUnderConcurrentRetires) {
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 20000;
+  ThreadRegistry reg(kThreads + 1);
+  EpochManager ebr(reg);
+  std::atomic<int> alive{0};
+  std::atomic<bool> stop{false};
+  std::thread watcher([&] {
+    std::uint64_t last = 0;
+    while (!stop.load(std::memory_order_acquire)) {
+      const std::uint64_t now = ebr.retired_count();
+      ASSERT_GE(now, last);
+      ASSERT_LE(now, kThreads * kPerThread);
+      last = now;
+    }
+  });
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      auto r = reg.attach();
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        auto g = ebr.pin_guard(r.slot());
+        ebr.retire(r.slot(), new Tracked(alive));
+      }
+      ebr.flush(r.slot());
+    });
+  }
+  for (auto& th : threads) th.join();
+  stop.store(true, std::memory_order_release);
+  watcher.join();
+  EXPECT_EQ(ebr.retired_count(), kThreads * kPerThread);
+  EXPECT_EQ(ebr.freed_count(),
+            kThreads * kPerThread - static_cast<std::uint64_t>(alive.load()));
+  ebr.drain_all();
+  EXPECT_EQ(ebr.freed_count(), ebr.retired_count());
+  EXPECT_EQ(alive.load(), 0);
+}
+
 // Multi-threaded hunt: readers traverse a shared atomic pointer under pin
 // while a writer continuously swaps and retires nodes. TSAN/ASAN builds
 // turn latent bugs into hard failures; in plain builds the payload check

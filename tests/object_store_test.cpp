@@ -1,16 +1,21 @@
 // Unit tests for the shared versioned-object substrate (src/object/):
-// chain walking, locator settling, prune-vs-pinned-reader interaction
-// through EBR, and the adaptive-retention grow/decay transitions.
+// chain walking, locator settling, exact pruning (fixed, adaptive, and
+// concurrent), prune-vs-pinned-reader interaction through EBR, and the
+// adaptive-retention grow/decay transitions.
 //
 // CTest label: `unit` (DESIGN.md §6).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "object/object_store.hpp"
 #include "runtime/payload.hpp"
 #include "runtime/txdesc.hpp"
+#include "stress_env.hpp"
 #include "util/ebr.hpp"
 #include "util/stats.hpp"
 #include "util/thread_registry.hpp"
@@ -213,9 +218,176 @@ TEST(ObjectStore, PruneBoundsChainAtFixedDepth) {
                            runtime::TxClass::kShort);
     descs.push_back(d);
     commit_version(rig, *o, *d, static_cast<std::uint64_t>(10 * i), s, i);
-    EXPECT_LE(chain_length(*o), 3);
+    EXPECT_EQ(chain_length(*o), std::min(3, i + 1));
+    Version* tail = o->tail.load(std::memory_order_acquire);
+    EXPECT_EQ(tail->prev.load(std::memory_order_acquire), nullptr);
+    EXPECT_EQ(tail->seq, static_cast<std::uint64_t>(std::max(0, i - 2)));
   }
   for (auto* d : descs) delete d;
+}
+
+TEST(ObjectStore, AdaptivePruneMatchesBoundAfterEveryPrune) {
+  // The chain follows the bound both ways: it grows one version per commit
+  // up to a raised bound, and sheds the surplus as the bound decays.
+  RetentionPolicy p{RetentionMode::kAdaptive, /*initial=*/2, /*min=*/1,
+                    /*max=*/16, /*decay_period=*/8};
+  Rig rig(p);
+  auto reg = rig.registry.attach();
+  const int s = reg.slot();
+  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
+
+  std::vector<TestDesc*> descs;
+  int expected = 1;  // the initial version
+  auto commit_and_check = [&](int i) {
+    auto* d = new TestDesc(static_cast<std::uint64_t>(i + 1), s,
+                           runtime::TxClass::kShort);
+    descs.push_back(d);
+    commit_version(rig, *o, *d, static_cast<std::uint64_t>(i + 1), s, i);
+    const int bound = static_cast<int>(rig.store.kept_bound(*o));
+    expected = std::min(expected + 1, bound);
+    EXPECT_EQ(chain_length(*o), expected) << "commit " << i;
+  };
+
+  int i = 0;
+  for (; i < 4; ++i) commit_and_check(i);
+  EXPECT_EQ(expected, 2);
+  for (int k = 0; k < 3; ++k) rig.store.note_too_old(*o, s);
+  ASSERT_EQ(rig.store.kept_bound(*o), 16u);
+  for (; i < 20; ++i) commit_and_check(i);  // grows into the raised bound
+  EXPECT_EQ(expected, static_cast<int>(rig.store.kept_bound(*o)));
+  EXPECT_GT(expected, 2);
+  for (; i < 140; ++i) commit_and_check(i);  // decays to the floor
+  EXPECT_EQ(rig.store.kept_bound(*o), 1u);
+  EXPECT_EQ(chain_length(*o), 1);
+  EXPECT_GT(rig.stats.snapshot()[util::Counter::kRetentionDecays], 0u);
+  for (auto* d : descs) delete d;
+}
+
+/// Payload that counts its live copies, so a version retired twice (or
+/// never) shows up as a wrong count.
+struct Counted {
+  static inline std::atomic<long> live{0};
+  explicit Counted(long v) : value(v) { live.fetch_add(1); }
+  Counted(const Counted& other) : value(other.value) { live.fetch_add(1); }
+  Counted& operator=(const Counted&) = delete;
+  ~Counted() { live.fetch_sub(1); }
+  long value;
+};
+
+long counted_value(const Version* v) {
+  return runtime::payload_as<Counted>(*v->data).value;
+}
+
+/// One increment of `o` through the locator protocol, retried until its
+/// install wins. Finished writers found on the way are settled; an active
+/// one (another thread between install and commit) is waited out.
+void concurrent_increment(Rig& rig, Object& o, int slot, std::uint64_t id) {
+  auto* d = new TestDesc(id, slot, runtime::TxClass::kShort);
+  for (;;) {
+    auto guard = rig.epochs.pin_guard(slot);
+    Locator* l = o.loc.load(std::memory_order_acquire);
+    if (l->writer != nullptr) {
+      rig.store.settle(o, l, slot);
+      std::this_thread::yield();
+      continue;
+    }
+    const runtime::TypedPayload<Counted> pv(
+        Counted(counted_value(l->committed) + 1));
+    Version* tent = rig.store.clone_version(slot, pv);
+    tent->prev.store(l->committed, std::memory_order_relaxed);
+    if (!rig.store.install(o, l, d, tent, slot)) {
+      rig.store.discard_version(slot, tent);
+      continue;
+    }
+    d->finish_commit();
+    rig.store.release(o, d, slot);
+    break;
+  }
+  // Stale settlers may still read the status; EBR outlives them.
+  rig.epochs.retire(slot, d);
+}
+
+/// Walk the chain from the head under a pin: values and seqs both step
+/// down by exactly one per link, however far a pruner has cut.
+void check_chain_walk(Rig& rig, Object& o, int slot) {
+  auto guard = rig.epochs.pin_guard(slot);
+  const Version* v = o.loc.load(std::memory_order_acquire)->committed;
+  const long top = counted_value(v);
+  const std::uint64_t top_seq = v->seq;
+  for (long depth = 0; v != nullptr; ++depth) {
+    ASSERT_EQ(counted_value(v), top - depth);
+    ASSERT_EQ(v->seq, top_seq - static_cast<std::uint64_t>(depth));
+    v = v->prev.load(std::memory_order_acquire);
+  }
+}
+
+TEST(ObjectStore, ConcurrentPrunesKeepExactChains) {
+  // Four threads commit to two objects, so settles and prunes race on both;
+  // each keeps walking the chains. The end state must be exact: chains of
+  // exactly min(bound, commits + 1) versions, every other version retired
+  // exactly once, and nothing left in EBR after a flush of every slot.
+  constexpr int kThreads = 4;
+  constexpr int kObjects = 2;
+  // Even, so the alternating threads split commits evenly over the objects.
+  const int per_thread = 2 * test_env::stress_rounds(750);
+  for (const RetentionMode mode :
+       {RetentionMode::kFixed, RetentionMode::kAdaptive}) {
+    for (const int bound : {1, 3, 8}) {
+      SCOPED_TRACE(testing::Message()
+                   << "mode " << static_cast<int>(mode) << " bound " << bound);
+      // Adaptive: start above the floor and decay while the threads race.
+      const RetentionPolicy p =
+          mode == RetentionMode::kFixed
+              ? fixed_policy(bound)
+              : RetentionPolicy{mode, bound, 1, 16, /*decay_period=*/32};
+      {
+        Rig rig(p);
+        std::vector<Object*> objs;
+        for (int k = 0; k < kObjects; ++k) {
+          objs.push_back(rig.store.allocate(
+              new runtime::TypedPayload<Counted>(Counted(0))));
+        }
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+          threads.emplace_back([&, t] {
+            auto reg = rig.registry.attach();
+            for (int i = 0; i < per_thread; ++i) {
+              Object& o = *objs[static_cast<std::size_t>((i + t) % kObjects)];
+              concurrent_increment(
+                  rig, o, reg.slot(),
+                  static_cast<std::uint64_t>(t) * per_thread + i + 1);
+              if (i % 16 == 0) check_chain_walk(rig, o, reg.slot());
+            }
+          });
+        }
+        for (auto& th : threads) th.join();
+
+        auto reg = rig.registry.attach();
+        long versions = 0;
+        for (Object* o : objs) {
+          long commits = counted_value(
+              o->loc.load(std::memory_order_acquire)->committed);
+          EXPECT_EQ(commits, static_cast<long>(kThreads) * per_thread / 2);
+          if (mode == RetentionMode::kAdaptive) {
+            // Racing decays make the last racing prune's bound a snapshot;
+            // one quiescent commit prunes at the settled bound.
+            concurrent_increment(rig, *o, reg.slot(), 1u << 30);
+            ++commits;
+          }
+          const long kept = rig.store.kept_bound(*o);
+          EXPECT_EQ(chain_length(*o), std::min(kept, commits + 1));
+          EXPECT_EQ(o->tail.load()->prev.load(), nullptr);
+          versions += chain_length(*o);
+        }
+        for (int slot = 0; slot < rig.registry.capacity(); ++slot) {
+          rig.epochs.flush(slot);
+        }
+        EXPECT_EQ(rig.epochs.freed_count(), rig.epochs.retired_count());
+        EXPECT_EQ(Counted::live.load(), versions);
+      }
+      EXPECT_EQ(Counted::live.load(), 0);
+    }
+  }
 }
 
 TEST(ObjectStore, PrunedSuffixSurvivesWhileReaderIsPinned) {

@@ -127,6 +127,37 @@ TEST(SstmTrim, MaintainEveryNCommitsKeepsCountBounded) {
           [&](auto& tx) { EXPECT_EQ(tx.read(x), 500); });
 }
 
+TEST(SstmTrim, DetachingThreadsTrimPastWatermark) {
+  // A façade user that never calls maintain(): threads that commit more
+  // than a watermark's worth of transactions and then exit leave nothing
+  // retained, because the last detach finds the runtime quiescent.
+  api::SStm stm;
+  auto x = stm.make_var<long>(0);
+  constexpr int kThreads = 4;
+  const int per_thread =
+      static_cast<int>(Runtime::kDetachTrimWatermark) / kThreads + 64;
+  std::atomic<int> finished{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < per_thread; ++i) {
+        stm.run(api::TxKind::kUpdate,
+                [&](auto& tx) { tx.write(x, tx.read(x) + 1); });
+      }
+      // Nobody detaches before every commit is in: the trim must not find
+      // a sibling mid-attempt.
+      finished.fetch_add(1);
+      while (finished.load() < kThreads) std::this_thread::yield();
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(stm.runtime().descriptor_count(), 0u);
+  stm.run(api::TxKind::kReadOnly, [&](auto& tx) {
+    EXPECT_EQ(tx.read(x), static_cast<long>(kThreads) * per_thread);
+  });
+}
+
 TEST(SstmTrim, FoldedStampsPreserveSerializability) {
   // Concurrent history with trims interleaved at quiescent points between
   // rounds; the offline checker must still certify serializability — the
