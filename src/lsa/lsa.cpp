@@ -61,7 +61,7 @@ Runtime::Runtime(Config cfg)
 
 // All worker threads must be detached by now; the store tears down the live
 // objects single-threaded, and the EpochManager's destructor (drain_all)
-// frees retired locators/versions/descriptors — disjoint sets.
+// frees retired versions/descriptors — disjoint sets.
 Runtime::~Runtime() {
   if (timebase_listener_ >= 0) {
     registry_.remove_release_listener(timebase_listener_);
@@ -91,6 +91,15 @@ Tx& ThreadCtx::begin(bool read_only) {
                                       runtime::TxClass::kShort);
   tx.desc_->set_start_ticks(rt_.next_tick());
   epoch_guard_ = rt_.epochs_.pin_guard(slot());
+  if (rt_.recorder_.enabled()) {
+    // Ticked before the snapshot is taken: a commit the snapshot cannot see
+    // must not look real-time-earlier than this transaction's begin.
+    tx.rec_ = history::TxRecord{};
+    tx.rec_.tx_id = next_tx_id_;
+    tx.rec_.thread_slot = slot();
+    tx.rec_.tx_class = runtime::TxClass::kShort;
+    tx.rec_.begin_seq = rt_.recorder_.tick();
+  }
   tx.lb_ = 0;
   tx.ub_ = rt_.timebase_.now_snapshot(slot());
   // Program order: never snapshot before this thread's last serialization
@@ -103,13 +112,6 @@ Tx& ThreadCtx::begin(bool read_only) {
   force_track_reads_once_ = false;
   tx.read_set_.clear();
   tx.write_set_.clear();
-  if (rt_.recorder_.enabled()) {
-    tx.rec_ = history::TxRecord{};
-    tx.rec_.tx_id = next_tx_id_;
-    tx.rec_.thread_slot = slot();
-    tx.rec_.tx_class = runtime::TxClass::kShort;
-    tx.rec_.begin_seq = rt_.recorder_.tick();
-  }
   return tx;
 }
 
@@ -141,7 +143,7 @@ void ThreadCtx::abort_attempt() {
   finish_attempt(false);
 }
 
-void ThreadCtx::commit() {
+void ThreadCtx::commit(CommitCheck* check) {
   Tx& tx = tx_;
   TxDesc* d = tx.desc_;
   Runtime& rt = rt_;
@@ -154,6 +156,10 @@ void ThreadCtx::commit() {
   }
 
   if (!tx.write_set_.empty()) {
+    if (check != nullptr && !check->admit(tx.write_set_)) {
+      abort_attempt();
+      throw TxAborted{};
+    }
     // Commit stamp strictly above every version we are superseding, so the
     // per-object chains stay monotone even under clock skew.
     std::uint64_t floor = 0;
@@ -329,7 +335,7 @@ runtime::Payload& Tx::write_object(Object& o) {
     // seq_cst: Z-STM's zone protocol requires this install to be globally
     // ordered against long transactions' zone-stamp writes (Dekker pair
     // with zl::LongTx::claim_zone; see zl::ShortTx::verify_zone_after_write).
-    if (rt.store_.install(o, l, desc_, tent, s, std::memory_order_seq_cst)) {
+    if (rt.store_.install(o, l, desc_, tent, std::memory_order_seq_cst)) {
       write_set_.push_back({&o, tent});
       if (base->ts > lb_) lb_ = base->ts;
       desc_->add_work();

@@ -161,6 +161,18 @@ struct WriteEntry {
   Version* tentative;
 };
 
+/// Commit-time admission test for an update attempt. ThreadCtx::commit
+/// runs it once the attempt is kCommitting and before it draws a commit
+/// stamp; returning false aborts the attempt. Z-STM's short transactions
+/// re-check their zone here (DESIGN.md §5.4).
+class CommitCheck {
+ public:
+  virtual bool admit(const std::vector<WriteEntry>& writes) = 0;
+
+ protected:
+  ~CommitCheck() = default;
+};
+
 /// One in-flight transaction attempt. Obtained from ThreadCtx::begin();
 /// reads/writes throw TxAborted on conflict, ThreadCtx::commit() throws on
 /// validation failure. Runtime::run wraps this in a retry loop.
@@ -237,8 +249,9 @@ class ThreadCtx {
   Tx& begin(bool read_only = false);
 
   /// Commit the current attempt; throws TxAborted on validation failure
-  /// (the attempt is already cleaned up when it throws).
-  void commit();
+  /// or when `check` (may be null) refuses an update attempt (the attempt
+  /// is already cleaned up when it throws).
+  void commit(CommitCheck* check = nullptr);
 
   /// Abort the current attempt without throwing (for explicit control in
   /// tests and schedulers).

@@ -72,7 +72,6 @@ class NodePool {
   static bool env_enabled();
 
   bool enabled() const { return enabled_; }
-  int capacity() const { return static_cast<int>(local_.size()); }
 
   /// Construct a T from the slot's pool (plain `new` when disabled).
   /// `slot` may be −1 (unregistered thread): the node then bypasses the

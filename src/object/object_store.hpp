@@ -5,17 +5,19 @@
 // lifetime and centralizes the logic that used to be copy-pasted per
 // runtime:
 //
-//   * allocate / make_var  — object + initial version + settled locator.
+//   * allocate / make_var  — object + initial version, publishing the
+//                            version's settled locator.
 //   * resolve              — settle-on-open: find the logically current
 //                            committed version, settling finished writers'
 //                            locators along the way.
-//   * settle               — replace a finished writer's locator with a
-//                            settled one (CAS; loser frees its copy).
-//   * install              — CAS a fresh writer locator in (encounter-time
-//                            ownership acquisition); memory order is a
-//                            parameter because Z-STM's zone protocol needs
-//                            the install globally ordered (seq_cst Dekker
-//                            pair, DESIGN.md §5.1).
+//   * settle               — replace a finished writer's locator with the
+//                            settled locator of the now-current version
+//                            (CAS; a loser has nothing to free).
+//   * install              — CAS the tentative version's owned locator in
+//                            (encounter-time ownership acquisition); memory
+//                            order is a parameter because Z-STM's zone
+//                            protocol needs the install globally ordered
+//                            (seq_cst Dekker pair, DESIGN.md §5.1).
 //   * prune                — bound the committed chain in O(1) per
 //                            dropped version: advance the object's tail
 //                            cursor, sever, retire through EBR.
@@ -23,18 +25,17 @@
 //                            read version (validation / snapshot-extension
 //                            helper).
 //
-// All version/locator retirement flows through the one EpochManager passed
-// at construction — the single EBR integration point (DESIGN.md §3,
+// All version retirement flows through the one EpochManager passed at
+// construction — the single EBR integration point (DESIGN.md §3,
 // substitutions table: EBR stands in for the paper's JVM garbage
 // collector).
 //
-// Memory (DESIGN.md §7): every Version and Locator is carved from the
-// NodePool passed at construction, and retirement returns nodes to the
-// pool's per-slot free lists instead of the global heap. Speculative
-// locators (settle/install CAS candidates) additionally bounce through a
-// per-slot spare cache so a failed CAS costs a field rewrite, not a
-// delete+new. With the pool disabled (ZSTM_POOL=0) everything degrades to
-// plain new/delete.
+// Memory (DESIGN.md §7): every Version is carved from the NodePool passed
+// at construction, and retirement returns nodes to the pool's per-slot free
+// lists instead of the global heap. Locators are embedded in the versions
+// they name ("Embedded locators"), so they cost no allocation and no
+// retire of their own. With the pool disabled (ZSTM_POOL=0) everything
+// degrades to plain new/delete.
 //
 // Version retention (paper §4.4) is a per-store policy. kFixed keeps the
 // classic global bound (Config::versions_kept). kAdaptive replaces it with
@@ -51,7 +52,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "fault/failpoint.hpp"
 #include "object/node_pool.hpp"
@@ -107,8 +107,8 @@ template <typename Traits>
 class ObjectStore {
  public:
   using Desc = typename Traits::Desc;
-  using Version = object::Version<typename Traits::VersionMeta>;
-  using Locator = object::Locator<Desc, Version>;
+  using Version = object::Version<typename Traits::VersionMeta, Desc>;
+  using Locator = typename Version::Locator;
   using Object = object::Object<typename Traits::ObjectMeta, Locator>;
   template <typename T>
   using Var = object::Var<T, Object>;
@@ -118,8 +118,7 @@ class ObjectStore {
       : pool_(pool),
         epochs_(epochs),
         stats_(stats),
-        retention_(retention),
-        spare_(static_cast<std::size_t>(pool.capacity())) {
+        retention_(retention) {
     // Normalize so the unsigned bound arithmetic below stays sane: at least
     // one version is always kept (matching the old per-runtime prune loops,
     // which degraded to single-version for versions_kept <= 0).
@@ -137,30 +136,25 @@ class ObjectStore {
   ObjectStore& operator=(const ObjectStore&) = delete;
 
   /// Single-threaded teardown: all worker threads must be detached. Retired
-  /// locators/versions are freed by the EpochManager's destructor
-  /// (drain_all) — disjoint from the live structures destroyed here. The
-  /// NodePool outlives both (declared before the EpochManager in every
-  /// runtime), so returning nodes here is safe.
+  /// versions are freed by the EpochManager's destructor (drain_all) —
+  /// disjoint from the live structures destroyed here. The NodePool
+  /// outlives both (declared before the EpochManager in every runtime), so
+  /// returning nodes here is safe. `l` lives inside one of the versions
+  /// freed here (the head's `settled` or a tentative's `owned`), so its
+  /// fields are read before that version is destroyed.
   ~ObjectStore() {
-    for (auto& padded : spare_) {
-      if (padded.value != nullptr) pool_.destroy(-1, padded.value);
-    }
     for (auto& obj : objects_) {
       Locator* l = obj->loc.load(std::memory_order_relaxed);
-      if (l == nullptr) continue;
-      if (l->writer != nullptr && l->tentative != nullptr) {
+      Version* head = l->committed;
+      if (l->writer != nullptr) {
         if (l->writer->status(std::memory_order_relaxed) ==
             runtime::TxStatus::kCommitted) {
-          // The tentative version heads the chain (its prev is `committed`).
-          free_chain_now(l->tentative);
+          head = l->tentative;  // its prev is `committed`
         } else {
           pool_.destroy(-1, l->tentative);
-          free_chain_now(l->committed);
         }
-      } else {
-        free_chain_now(l->committed);
       }
-      pool_.destroy(-1, l);
+      free_chain_now(head);
     }
   }
 
@@ -173,10 +167,8 @@ class ObjectStore {
     // ts/ct = zero-state, vid = 0: the initial state.
     auto* version =
         pool_.create<Version>(-1, initial, std::forward<MetaArgs>(meta_args)...);
-    auto* locator = pool_.create<Locator>(-1);
-    locator->committed = version;
     auto obj = std::make_unique<Object>();
-    obj->loc.store(locator, std::memory_order_release);
+    obj->loc.store(&version->settled, std::memory_order_release);
     obj->oid = object_ids_.value.fetch_add(1, std::memory_order_relaxed) + 1;
     obj->keep.store(static_cast<std::uint32_t>(retention_.initial),
                     std::memory_order_relaxed);
@@ -249,8 +241,10 @@ class ObjectStore {
   /// install) straight to the pool — no grace period needed.
   void discard_version(int slot, Version* v) { pool_.destroy(slot, v); }
 
-  /// Replace a finished (committed/aborted) writer's locator with a settled
-  /// one. Safe to call concurrently; no-op if the locator moved on.
+  /// Replace a finished (committed/aborted) writer's locator with the
+  /// settled locator of the version that is now current: the tentative one
+  /// on commit, the base again on abort. Safe to call concurrently; no-op
+  /// if the locator moved on.
   void settle(Object& o, Locator* seen, int slot) {
     if (seen->writer == nullptr) return;
     const runtime::TxStatus st = seen->writer->status();
@@ -266,28 +260,21 @@ class ObjectStore {
       // value: one committed writer follows each committed version.
       seen->committed->newer.store(current, std::memory_order_relaxed);
     }
-    Locator* settled = take_spare_locator(slot);
-    settled->writer = nullptr;
-    settled->tentative = nullptr;
-    settled->committed = current;
     if (fault::poke(fault::Site::kStoreSettleCas) ==
         fault::Effect::kCasFail) {
-      put_spare_locator(slot, settled);  // behave exactly like a lost CAS
-      return;
+      return;  // behave exactly like a lost CAS
     }
     Locator* expected = seen;
-    if (o.loc.compare_exchange_strong(expected, settled,
-                                      std::memory_order_acq_rel)) {
-      if (st == runtime::TxStatus::kAborted) {
-        // The tentative version never became visible; only the settling
-        // winner retires it, so it is retired exactly once.
-        retire_version(slot, seen->tentative);
-      }
-      retire_locator(slot, seen);
-      prune(o, slot);
-    } else {
-      put_spare_locator(slot, settled);
+    if (!o.loc.compare_exchange_strong(expected, &current->settled,
+                                       std::memory_order_acq_rel)) {
+      return;
     }
+    if (st == runtime::TxStatus::kAborted) {
+      // The tentative version (which holds `seen`) never became visible;
+      // only the settling winner retires it, so it is retired exactly once.
+      retire_version(slot, seen->tentative);
+    }
+    prune(o, slot);
   }
 
   /// Release an ownership at transaction finish: settle until the locator
@@ -307,32 +294,26 @@ class ObjectStore {
     }
   }
 
-  /// Acquire write ownership: CAS `{writer, tentative, seen->committed}`
-  /// over `seen`. The caller has linked `tentative->prev` to
-  /// `seen->committed`; install numbers it one past that base. On success
-  /// the superseded locator is retired; on failure nothing is consumed (the
-  /// caller still owns `tentative`, and the speculative locator goes back
-  /// to the slot's spare cache for the next retry). `order` lets Z-STM make
-  /// the install seq_cst (Dekker pair with zone claims).
+  /// Acquire write ownership: write `{writer, tentative, seen->committed}`
+  /// into the tentative version's owned locator and CAS it over `seen`.
+  /// Precondition: `seen` is a settled locator (writer null), i.e. the
+  /// current head's own `settled` — every open-for-write settles a finished
+  /// writer before it installs, so nothing is superseded that needs
+  /// retiring. The caller has linked `tentative->prev` to `seen->committed`;
+  /// install numbers it one past that base. On failure the caller still
+  /// owns `tentative`. `order` lets Z-STM make the install seq_cst (Dekker
+  /// pair with zone claims).
   bool install(Object& o, Locator* seen, Desc* writer, Version* tentative,
-               int slot, std::memory_order order = std::memory_order_acq_rel) {
-    tentative->seq = seen->committed->seq + 1;
-    Locator* nl = take_spare_locator(slot);
-    nl->writer = writer;
-    nl->tentative = tentative;
-    nl->committed = seen->committed;
+               std::memory_order order = std::memory_order_acq_rel) {
+    Version* base = seen->committed;
+    tentative->seq = base->seq + 1;
+    tentative->owned = Locator{writer, tentative, base};
     if (fault::poke(fault::Site::kStoreInstallCas) ==
         fault::Effect::kCasFail) {
-      put_spare_locator(slot, nl);  // behave exactly like a lost CAS
-      return false;
+      return false;  // behave exactly like a lost CAS
     }
     Locator* expected = seen;
-    if (o.loc.compare_exchange_strong(expected, nl, order)) {
-      retire_locator(slot, seen);
-      return true;
-    }
-    put_spare_locator(slot, nl);
-    return false;
+    return o.loc.compare_exchange_strong(expected, &tentative->owned, order);
   }
 
   /// Bound the committed chain at the object's current retention bound:
@@ -399,9 +380,9 @@ class ObjectStore {
   const RetentionPolicy& retention() const { return retention_; }
   NodePool& pool() { return pool_; }
 
-  /// Retire a version/locator through EBR with the matching free path
-  /// (pool return or delete). Exposed for runtimes retiring descriptors
-  /// alongside (lsa/cs pool those through the same NodePool).
+ private:
+  /// Retire a version through EBR with the matching free path (pool return
+  /// or delete).
   void retire_version(int slot, Version* v) {
     if (pool_.enabled()) {
       epochs_.retire_raw(slot, v, &NodePool::ebr_destroy<Version>);
@@ -409,15 +390,7 @@ class ObjectStore {
       epochs_.retire(slot, v);
     }
   }
-  void retire_locator(int slot, Locator* l) {
-    if (pool_.enabled()) {
-      epochs_.retire_raw(slot, l, &NodePool::ebr_destroy<Locator>);
-    } else {
-      epochs_.retire(slot, l);
-    }
-  }
 
- private:
   /// One more prune without a too-old abort; after decay_period of them the
   /// adaptive bound shrinks by one (floor min_kept). The counters race
   /// benignly: both are bounded and monotone between resets.
@@ -433,30 +406,6 @@ class ObjectStore {
     }
   }
 
-  /// One cached speculative locator per slot: a failed settle/install CAS
-  /// parks its locator here and the next attempt reuses it, so retry churn
-  /// costs three field stores instead of an allocate/free round trip.
-  Locator* take_spare_locator(int slot) {
-    if (slot < 0) return pool_.create<Locator>(slot);
-    Locator*& sp = spare_[static_cast<std::size_t>(slot)].value;
-    if (sp != nullptr) {
-      Locator* l = sp;
-      sp = nullptr;
-      return l;
-    }
-    return pool_.create<Locator>(slot);
-  }
-  void put_spare_locator(int slot, Locator* l) {
-    if (slot >= 0) {
-      Locator*& sp = spare_[static_cast<std::size_t>(slot)].value;
-      if (sp == nullptr) {
-        sp = l;
-        return;
-      }
-    }
-    pool_.destroy(slot, l);
-  }
-
   void free_chain_now(Version* v) {
     while (v != nullptr) {
       Version* p = v->prev.load(std::memory_order_relaxed);
@@ -469,7 +418,6 @@ class ObjectStore {
   util::EpochManager& epochs_;
   util::StatsDomain& stats_;
   RetentionPolicy retention_;
-  std::vector<util::Padded<Locator*>> spare_;
   util::PaddedCounter object_ids_;
   std::mutex objects_mutex_;
   std::deque<std::unique_ptr<Object>> objects_;

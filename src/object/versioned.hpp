@@ -7,13 +7,16 @@
 // transaction's whole write set becomes visible atomically when its status
 // word flips — the single-CAS commit. Committed versions form a newest-first
 // chain whose retention is bounded by an ObjectStore policy (paper §4.4).
+// Locators are not separate nodes: each version embeds the two that can
+// point at it (DESIGN.md §7, "Embedded locators").
 //
 // The structures here are parameterized over per-runtime metadata instead of
 // being re-declared per runtime:
 //
-//   * Version<Meta>       — chain node; Meta carries the runtime's stamp
+//   * Version<Meta, Desc> — chain node; Meta carries the runtime's stamp
 //                           (LSA scalar ts + Z-STM zone, CS-STM clock-domain
-//                           ct, S-STM ct + reader lists).
+//                           ct, S-STM ct + reader lists). Embeds its settled
+//                           and owned locators.
 //   * Locator<Desc, Ver>  — the immutable DSTM locator triple.
 //   * Object<Meta, Loc>   — one atomic locator pointer, the object id, the
 //                           retention state (bound and pruning cursor), and
@@ -40,12 +43,24 @@ namespace zstm::object {
 /// entirely (DESIGN.md §7).
 inline constexpr std::size_t kPayloadSboBytes = 64 + sizeof(void*);
 
+/// Immutable locator (DSTM [4]). The logically current committed version is
+/// `tentative` if `writer` is non-null and committed, otherwise `committed`.
+template <typename Desc, typename Ver>
+struct Locator {
+  using Version = Ver;
+  Desc* writer = nullptr;
+  Ver* tentative = nullptr;
+  Ver* committed = nullptr;
+};
+
 /// A committed (or tentative) object version. `vid` and the Meta fields are
 /// written by the owning transaction before its commit CAS and read by
 /// others only after they observe kCommitted (release/acquire through the
 /// writer's status word).
-template <typename Meta>
+template <typename Meta, typename Desc>
 struct Version : Meta {
+  using Locator = object::Locator<Desc, Version>;
+
   /// Adopt a heap payload (ownership transfers; freed with delete).
   template <typename... MetaArgs>
   explicit Version(runtime::Payload* payload, MetaArgs&&... meta_args)
@@ -83,6 +98,13 @@ struct Version : Meta {
   std::uint64_t seq = 0;
   /// Next-older committed version; severed when pruning.
   std::atomic<Version*> prev{nullptr};
+  /// The locator an object holds while this version is its settled head.
+  Locator settled{nullptr, nullptr, this};
+  /// The locator an object holds while this tentative version's writer
+  /// owns it; ObjectStore::install writes it before the CAS that
+  /// publishes it. Both are immutable once published (DESIGN.md §7,
+  /// "Embedded locators").
+  Locator owned;
 
  private:
   alignas(runtime::Payload::kInlineAlign) unsigned char sbo_[kPayloadSboBytes];
@@ -93,16 +115,6 @@ struct Version : Meta {
   /// sits past the payload: it is the one field written after publication,
   /// and this keeps that store off the lines readers load.
   std::atomic<Version*> newer{nullptr};
-};
-
-/// Immutable locator (DSTM [4]). The logically current committed version is
-/// `tentative` if `writer` is non-null and committed, otherwise `committed`.
-template <typename Desc, typename Ver>
-struct Locator {
-  using Version = Ver;
-  Desc* writer = nullptr;
-  Ver* tentative = nullptr;
-  Ver* committed = nullptr;
 };
 
 /// Transactional object: one atomic locator pointer, the object id, the

@@ -62,10 +62,12 @@ class TxDescBase {
   }
 
   /// Self transition kActive → kCommitting; fails if an enemy won the race.
+  /// seq_cst: Z-STM's commit-time zone re-check orders its zone-stamp loads
+  /// after this CAS (Dekker pair, DESIGN.md §5.4).
   bool begin_commit() {
     TxStatus expected = TxStatus::kActive;
     return status_.compare_exchange_strong(expected, TxStatus::kCommitting,
-                                           std::memory_order_acq_rel);
+                                           std::memory_order_seq_cst);
   }
 
   /// The linearization point: release-publishes every field written during

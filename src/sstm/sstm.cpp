@@ -533,7 +533,7 @@ runtime::Payload& Tx::write_object(Object& o) {
         rt.domain_.zero_in(rt.pool_.enabled() ? &rt.pool_ : nullptr, s));
     tent->prev.store(base, std::memory_order_relaxed);
     if (rt.recorder_.enabled()) tent->vid = rt.recorder_.new_version_id();
-    if (rt.store_.install(o, l, desc_, tent, s)) {
+    if (rt.store_.install(o, l, desc_, tent)) {
       write_set_.push_back({&o, tent});
       desc_->add_work();
       rt.stats_.add(s, util::Counter::kWrites);

@@ -47,7 +47,7 @@ void ThreadCtx::commit_short() {
   // from their own zone (see LongTx::read_object).
   short_tx_.inner_->set_history_zone(short_tx_.zc_);
   short_tx_.inner_->set_publish_zone(short_tx_.zc_);
-  inner_->commit();  // throws TxAborted on validation failure
+  inner_->commit(&short_tx_);  // throws TxAborted on validation failure
   // Commitshort lines 27-28: remember the zone we committed in.
   if (!short_tx_.first_open_pending_) {
     rt_.set_lzc(inner_->slot(), short_tx_.zc_);
@@ -118,23 +118,40 @@ runtime::Payload& ShortTx::write_object(lsa::Object& o) {
 }
 
 void ShortTx::verify_zone_after_write(lsa::Object& o) {
-  Runtime& rt = ctx_.rt_;
   // seq_cst load after our seq_cst locator install (in lsa::Tx::
   // write_object): pairs with LongTx::claim_zone + acquire_ready_locator.
+  if (!zone_holds(o)) inner_->abort();
+}
+
+bool ShortTx::admit(const std::vector<lsa::WriteEntry>& writes) {
+  // We are kCommitting (seq_cst CAS) and nothing is published yet. A long
+  // transaction stores o.zc and then loads its writer's status (seq_cst):
+  // either it sees kCommitting and waits us out, so our writes serialize
+  // before it, or we see its claim here (DESIGN.md §5.4).
+  for (const auto& w : writes) {
+    if (!zone_holds(*w.obj)) return false;
+  }
+  // A slide moved zc_: publish and record the zone we now commit in.
+  inner_->set_history_zone(zc_);
+  inner_->set_publish_zone(zc_);
+  return true;
+}
+
+bool ShortTx::zone_holds(lsa::Object& o) {
+  Runtime& rt = ctx_.rt_;
   const std::uint64_t ozc = o.zc.load(std::memory_order_seq_cst);
-  if (ozc == zc_) return;
-  // A long transaction claimed this object between our zone check and our
-  // locator install. If every involved zone is already committed we can
-  // slide to the current commit time (Algorithm 3 line 20 semantics);
-  // otherwise we must not keep a write the long transaction may have
-  // already read past — abort.
+  if (ozc == zc_) return true;
+  // A long transaction claimed this object after our zone check. If every
+  // involved zone is already committed we can slide to the current commit
+  // time (Algorithm 3 line 20 semantics); otherwise we must not keep a
+  // write the long transaction may have already read past.
   const std::uint64_t ct = rt.commit_time();
   if (zc_ <= ct && ozc <= ct) {
     zc_ = ct;
-    return;
+    return true;
   }
   rt.lsa_.stats_domain().add(ctx_.slot(), util::Counter::kZoneConflicts);
-  inner_->abort();
+  return false;
 }
 
 // --- long transactions -------------------------------------------------------
@@ -315,10 +332,11 @@ lsa::Locator* LongTx::acquire_ready_locator(lsa::Object& o) {
       ctx_.abort_long_attempt();
       throw TxAborted{};
     }
-    // seq_cst: second half of the Dekker pair started in claim_zone.
+    // seq_cst: second half of the Dekker pairs started in claim_zone, with
+    // a short's install (DESIGN.md §5.1) and with its commit (§5.4).
     lsa::Locator* l = o.loc.load(std::memory_order_seq_cst);
     if (l->writer == nullptr || l->writer == desc_) return l;
-    switch (l->writer->status()) {
+    switch (l->writer->status(std::memory_order_seq_cst)) {
       case runtime::TxStatus::kCommitted:
       case runtime::TxStatus::kAborted:
         sub.settle(o, l, s);
@@ -410,7 +428,7 @@ runtime::Payload& LongTx::write_object(lsa::Object& o) {
     lsa::Version* tent = sub.store().clone_version(s, *base->data);
     tent->prev.store(base, std::memory_order_relaxed);
     if (sub.recorder().enabled()) tent->vid = sub.recorder().new_version_id();
-    if (sub.store().install(o, l, desc_, tent, s)) {
+    if (sub.store().install(o, l, desc_, tent)) {
       write_set_.push_back({&o, tent});
       desc_->add_work();
       sub.stats_domain().add(s, util::Counter::kWrites);

@@ -110,7 +110,7 @@ class LongTx {
 };
 
 /// A short transaction attempt (Algorithm 3): LSA plus zone checks.
-class ShortTx {
+class ShortTx : private lsa::CommitCheck {
  public:
   template <typename T>
   const T& read(const lsa::Var<T>& var) {
@@ -150,6 +150,12 @@ class ShortTx {
 
   void check_zone(lsa::Object& o);
   void verify_zone_after_write(lsa::Object& o);
+  /// Re-reads o.zc (seq_cst): true while it still matches our zone, or
+  /// once both zones are committed (sliding to CT); false, counting a zone
+  /// conflict, when a still-active long transaction claimed o.
+  bool zone_holds(lsa::Object& o);
+  /// Commit-time zone re-check of every written object (DESIGN.md §5.4).
+  bool admit(const std::vector<lsa::WriteEntry>& writes) override;
 
   ThreadCtx& ctx_;
   lsa::Tx* inner_ = nullptr;

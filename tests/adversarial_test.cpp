@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -27,8 +28,11 @@ TEST(Adversarial, SstmRoundsStaySerializable) {
     cfg.record_history = true;
     sstm::Runtime rt(cfg);
     constexpr int kObjects = 6;
-    std::vector<sstm::Var<long>> vars;
-    for (int i = 0; i < kObjects; ++i) vars.push_back(rt.make_var<long>(0));
+    // Unsigned: the checksum below grows without bound and must wrap.
+    std::vector<sstm::Var<std::uint64_t>> vars;
+    for (int i = 0; i < kObjects; ++i) {
+      vars.push_back(rt.make_var<std::uint64_t>(0));
+    }
     std::vector<std::thread> workers;
     for (int t = 0; t < 4; ++t) {
       workers.emplace_back([&, t] {
@@ -114,8 +118,10 @@ TEST(Adversarial, LsaRoundsStayStrictlySerializable) {
     }
     lsa::Runtime rt(cfg);
     constexpr int kObjects = 6;
-    std::vector<lsa::Var<long>> vars;
-    for (int i = 0; i < kObjects; ++i) vars.push_back(rt.make_var<long>(0));
+    std::vector<lsa::Var<std::uint64_t>> vars;
+    for (int i = 0; i < kObjects; ++i) {
+      vars.push_back(rt.make_var<std::uint64_t>(0));
+    }
     std::vector<std::thread> workers;
     for (int t = 0; t < 4; ++t) {
       workers.emplace_back([&, t] {
@@ -165,8 +171,10 @@ TEST(Adversarial, CsRoundsSatisfyCausalConditions) {
     cfg.record_history = true;
     auto rt = cs::make_rev_runtime(1 + round % 4, cfg);
     constexpr int kObjects = 6;
-    std::vector<cs::RevRuntime::Var<long>> vars;
-    for (int i = 0; i < kObjects; ++i) vars.push_back(rt->make_var<long>(0));
+    std::vector<cs::RevRuntime::Var<std::uint64_t>> vars;
+    for (int i = 0; i < kObjects; ++i) {
+      vars.push_back(rt->make_var<std::uint64_t>(0));
+    }
     std::vector<std::thread> workers;
     for (int t = 0; t < 4; ++t) {
       workers.emplace_back([&, t] {

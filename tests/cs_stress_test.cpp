@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -120,8 +121,11 @@ TEST(CsStress, RecordedHistorySatisfiesCausalConditions) {
   cfg.record_history = true;
   auto rt = make_vc_runtime(cfg);
   constexpr int kObjects = 6;
-  std::vector<VcRuntime::Var<long>> vars;
-  for (int i = 0; i < kObjects; ++i) vars.push_back(rt->make_var<long>(0));
+  // Unsigned: the checksum below grows without bound and must wrap.
+  std::vector<VcRuntime::Var<std::uint64_t>> vars;
+  for (int i = 0; i < kObjects; ++i) {
+    vars.push_back(rt->make_var<std::uint64_t>(0));
+  }
 
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -134,8 +135,11 @@ TEST_P(LsaStress, RecordedHistoryIsStrictlySerializable) {
   cfg.record_history = true;
   Runtime rt(cfg);
   constexpr int kObjects = 8;
-  std::vector<Var<long>> vars;
-  for (int i = 0; i < kObjects; ++i) vars.push_back(rt.make_var<long>(0));
+  // Unsigned: the checksum below grows without bound and must wrap.
+  std::vector<Var<std::uint64_t>> vars;
+  for (int i = 0; i < kObjects; ++i) {
+    vars.push_back(rt.make_var<std::uint64_t>(0));
+  }
 
   std::vector<std::thread> workers;
   for (int t = 0; t < GetParam().threads; ++t) {
@@ -145,7 +149,7 @@ TEST_P(LsaStress, RecordedHistoryIsStrictlySerializable) {
       for (int i = 0, n = test_env::stress_rounds(800); i < n; ++i) {
         if (rng.chance(0.3)) {
           rt.run(*th, [&](Tx& tx) {  // read-only scan of three objects
-            long sink = 0;
+            std::uint64_t sink = 0;
             for (int k = 0; k < 3; ++k) {
               sink += tx.read(vars[rng.next_below(kObjects)]);
             }
@@ -156,7 +160,7 @@ TEST_P(LsaStress, RecordedHistoryIsStrictlySerializable) {
           auto b = rng.next_below(kObjects);
           if (b == a) b = (b + 1) % kObjects;
           rt.run(*th, [&](Tx& tx) {
-            const long v = tx.read(vars[a]);
+            const std::uint64_t v = tx.read(vars[a]);
             tx.write(vars[b]) += v + 1;
           });
         }

@@ -20,6 +20,7 @@
 #include "object/node_pool.hpp"
 #include "object/versioned.hpp"
 #include "runtime/payload.hpp"
+#include "runtime/txdesc.hpp"
 #include "stress_env.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -166,7 +167,7 @@ TEST(NodePool, OversizeAndSlotlessAllocationsBypassTheLists) {
 
 // --- inline payload storage (SBO) ------------------------------------------
 
-using TestVersion = Version<NoMeta>;
+using TestVersion = Version<NoMeta, runtime::TxDescBase>;
 
 TEST(NodePool, SmallTriviallyCopyablePayloadIsStoredInline) {
   const runtime::TypedPayload<long> src(42);

@@ -1,6 +1,7 @@
 // Unit tests for the shared versioned-object substrate (src/object/):
-// chain walking, locator settling, exact pruning (fixed, adaptive, and
-// concurrent), prune-vs-pinned-reader interaction through EBR, and the
+// chain walking, locator settling and the embedded locators' allocation
+// and teardown, exact pruning (fixed, adaptive, and concurrent),
+// prune-vs-pinned-reader interaction through EBR, and the
 // adaptive-retention grow/decay transitions.
 //
 // CTest label: `unit` (DESIGN.md §6).
@@ -69,7 +70,7 @@ Version* commit_version(Rig& rig, Object& o, TestDesc& d, std::uint64_t ts,
   const runtime::TypedPayload<long> pv(value);
   Version* tent = rig.store.clone_version(slot, pv);
   tent->prev.store(l->committed, std::memory_order_relaxed);
-  EXPECT_TRUE(rig.store.install(o, l, &d, tent, slot));
+  EXPECT_TRUE(rig.store.install(o, l, &d, tent));
   tent->ts = ts;
   d.finish_commit();
   Locator* owned = o.loc.load(std::memory_order_acquire);
@@ -100,6 +101,7 @@ TEST(ObjectStore, AllocateCreatesSettledInitialState) {
   EXPECT_EQ(l->tentative, nullptr);
   ASSERT_NE(l->committed, nullptr);
   EXPECT_EQ(runtime::payload_as<long>(*l->committed->data), 7);
+  EXPECT_EQ(l, &l->committed->settled);  // embedded, not a separate node
   EXPECT_EQ(o->oid, 1u);
   EXPECT_EQ(rig.store.kept_bound(*o), 4u);
 }
@@ -132,7 +134,7 @@ TEST(ObjectStore, SettleAbortedWriterKeepsCommittedAndRetiresTentative) {
   const runtime::TypedPayload<long> pv(6);
   Version* tent = rig.store.clone_version(s, pv);
   tent->prev.store(base, std::memory_order_relaxed);
-  ASSERT_TRUE(rig.store.install(*o, initial, &d, tent, s));
+  ASSERT_TRUE(rig.store.install(*o, initial, &d, tent));
   d.finish_abort();
 
   const std::uint64_t retired_before = rig.epochs.retired_count();
@@ -140,8 +142,65 @@ TEST(ObjectStore, SettleAbortedWriterKeepsCommittedAndRetiresTentative) {
   Locator* l = o->loc.load(std::memory_order_acquire);
   EXPECT_EQ(l->writer, nullptr);
   EXPECT_EQ(l->committed, base);  // the tentative version never published
-  // Both the tentative version and the superseded locator were retired.
-  EXPECT_GE(rig.epochs.retired_count(), retired_before + 2);
+  // Only the tentative version (which held the writer's locator) retires.
+  EXPECT_EQ(rig.epochs.retired_count(), retired_before + 1);
+}
+
+TEST(ObjectStore, AbortRepublishesBaseLocatorAndInstallSucceedsOverIt) {
+  Rig rig(fixed_policy(8));
+  auto reg = rig.registry.attach();
+  const int s = reg.slot();
+  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(5));
+  Locator* initial = o->loc.load(std::memory_order_acquire);
+  Version* base = initial->committed;
+
+  TestDesc d1(1, s, runtime::TxClass::kShort);
+  const runtime::TypedPayload<long> pv(6);
+  Version* t1 = rig.store.clone_version(s, pv);
+  t1->prev.store(base, std::memory_order_relaxed);
+  ASSERT_TRUE(rig.store.install(*o, initial, &d1, t1));
+  EXPECT_EQ(o->loc.load(std::memory_order_acquire), &t1->owned);
+  d1.finish_abort();
+  rig.store.settle(*o, &t1->owned, s);
+  // The same pointer as before the install: a benign ABA, since the
+  // contents are immutable and `base` is still the head.
+  EXPECT_EQ(o->loc.load(std::memory_order_acquire), initial);
+
+  // A writer that loaded `initial` before the aborted install still wins.
+  TestDesc d2(2, s, runtime::TxClass::kShort);
+  Version* t2 = rig.store.clone_version(s, pv);
+  t2->prev.store(base, std::memory_order_relaxed);
+  ASSERT_TRUE(rig.store.install(*o, initial, &d2, t2));
+  EXPECT_EQ(t2->seq, base->seq + 1);
+  d2.finish_commit();
+  rig.store.release(*o, &d2, s);
+  Locator* l = o->loc.load(std::memory_order_acquire);
+  EXPECT_EQ(l, &t2->settled);
+  EXPECT_EQ(runtime::payload_as<long>(*l->committed->data), 6);
+  EXPECT_EQ(chain_length(*o), 2);
+}
+
+TEST(ObjectStore, CommittedWriteCostsOnePoolAllocation) {
+  Rig rig(fixed_policy(8));
+  auto reg = rig.registry.attach();
+  const int s = reg.slot();
+  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
+  auto allocations = [&] {
+    const util::StatsSnapshot snap = rig.stats.snapshot();
+    return snap[util::Counter::kPoolHits] + snap[util::Counter::kPoolMisses];
+  };
+
+  std::vector<TestDesc*> descs;
+  for (int i = 1; i <= 3; ++i) {
+    descs.push_back(new TestDesc(static_cast<std::uint64_t>(i), s,
+                                 runtime::TxClass::kShort));
+    const std::uint64_t before = allocations();
+    commit_version(rig, *o, *descs.back(), static_cast<std::uint64_t>(i), s,
+                   i);
+    // The tentative version; install and settle allocate nothing.
+    EXPECT_EQ(allocations(), before + 1) << "commit " << i;
+  }
+  for (auto* d : descs) delete d;
 }
 
 TEST(ObjectStore, InstallFailsOnStaleLocatorWithoutConsuming) {
@@ -157,7 +216,7 @@ TEST(ObjectStore, InstallFailsOnStaleLocatorWithoutConsuming) {
   TestDesc d2(2, s, runtime::TxClass::kShort);
   const runtime::TypedPayload<long> pv(2);
   Version* tent = rig.store.clone_version(s, pv);
-  EXPECT_FALSE(rig.store.install(*o, stale, &d2, tent, s));
+  EXPECT_FALSE(rig.store.install(*o, stale, &d2, tent));
   rig.store.discard_version(s, tent);  // caller still owns it on failure
 }
 
@@ -173,7 +232,7 @@ TEST(ObjectStore, ResolveSkipsOwnLocatorToPreWriteVersion) {
   const runtime::TypedPayload<long> pv(4);
   Version* tent = rig.store.clone_version(s, pv);
   tent->prev.store(base, std::memory_order_relaxed);
-  ASSERT_TRUE(rig.store.install(*o, l, &d, tent, s));
+  ASSERT_TRUE(rig.store.install(*o, l, &d, tent));
 
   // The owner resolves to its pre-write base; a stranger sees the same
   // because the writer is still active (invisible tentative state).
@@ -295,7 +354,7 @@ void concurrent_increment(Rig& rig, Object& o, int slot, std::uint64_t id) {
         Counted(counted_value(l->committed) + 1));
     Version* tent = rig.store.clone_version(slot, pv);
     tent->prev.store(l->committed, std::memory_order_relaxed);
-    if (!rig.store.install(o, l, d, tent, slot)) {
+    if (!rig.store.install(o, l, d, tent)) {
       rig.store.discard_version(slot, tent);
       continue;
     }
@@ -318,6 +377,35 @@ void check_chain_walk(Rig& rig, Object& o, int slot) {
     ASSERT_EQ(counted_value(v), top - depth);
     ASSERT_EQ(v->seq, top_seq - static_cast<std::uint64_t>(depth));
     v = v->prev.load(std::memory_order_acquire);
+  }
+}
+
+TEST(ObjectStore, TeardownFreesUnsettledWriters) {
+  // The store is destroyed while each object still holds its writer's
+  // owned locator, which lives inside the tentative version: teardown must
+  // read the locator before it frees that version (an ASan target with
+  // ZSTM_POOL=0), and every version must be freed exactly once.
+  for (const runtime::TxStatus st :
+       {runtime::TxStatus::kAborted, runtime::TxStatus::kCommitted,
+        runtime::TxStatus::kActive}) {
+    SCOPED_TRACE(testing::Message() << "status " << static_cast<int>(st));
+    TestDesc d(1, 0, runtime::TxClass::kShort);  // outlives the store
+    {
+      Rig rig(fixed_policy(8));
+      auto reg = rig.registry.attach();
+      const int s = reg.slot();
+      Object* o = rig.store.allocate(
+          new runtime::TypedPayload<Counted>(Counted(0)));
+      Locator* l = o->loc.load(std::memory_order_acquire);
+      const runtime::TypedPayload<Counted> pv(Counted(1));
+      Version* tent = rig.store.clone_version(s, pv);
+      tent->prev.store(l->committed, std::memory_order_relaxed);
+      ASSERT_TRUE(rig.store.install(*o, l, &d, tent));
+      if (st == runtime::TxStatus::kAborted) d.finish_abort();
+      if (st == runtime::TxStatus::kCommitted) d.finish_commit();
+      EXPECT_EQ(Counted::live.load(), 3);  // initial, tentative, pv
+    }
+    EXPECT_EQ(Counted::live.load(), 0);
   }
 }
 

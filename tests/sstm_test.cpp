@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -169,8 +170,11 @@ TEST(Sstm, ConcurrentHistoryIsSerializable) {
   cfg.record_history = true;
   Runtime rt(cfg);
   constexpr int kObjects = 6;
-  std::vector<Var<long>> vars;
-  for (int i = 0; i < kObjects; ++i) vars.push_back(rt.make_var<long>(0));
+  // Unsigned: the checksum below grows without bound and must wrap.
+  std::vector<Var<std::uint64_t>> vars;
+  for (int i = 0; i < kObjects; ++i) {
+    vars.push_back(rt.make_var<std::uint64_t>(0));
+  }
 
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {

@@ -5,6 +5,8 @@
 // CTest label: `unit` (DESIGN.md §6).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <thread>
 
 #include "history/checkers.hpp"
@@ -269,6 +271,49 @@ TEST(ZShort, ZoneWaitModeProceedsAfterLongCommits) {
   int seen = 0;
   rt.run_short(*th, [&](ShortTx& tx) { seen = tx.read(o2); });
   EXPECT_EQ(seen, 1);
+}
+
+TEST(ZShort, WriterWaitedOutByLongCannotCommitIntoClaimedZone) {
+  // DESIGN.md §5.4. S2 owns o2 when the long transaction L claims it, and
+  // Karma makes L wait S2 out instead of killing it. Meanwhile S1 adopts
+  // L's zone through o2, reads the pre-S2 version and writes o1, which L
+  // read first. Were S2 to commit now, L would read its write:
+  // L →rw S1 →rw S2 →wr L. S2's commit-time zone re-check must refuse.
+  Config cfg = quiet_config();
+  cfg.lsa.cm_policy = cm::Policy::kKarma;
+  cfg.lsa.record_history = true;
+  Runtime rt(cfg);
+  auto o1 = rt.make_var<long>(0);
+  auto o2 = rt.make_var<long>(0);
+  auto c1 = rt.attach();
+  auto c2 = rt.attach();
+
+  ShortTx& s2 = c2->begin_short();
+  s2.write(o2, 2L);
+  s2.inner().descriptor()->add_work(1u << 30);  // outweighs L under Karma
+
+  std::atomic<std::uint64_t> long_zone{0};
+  long long_saw_o2 = -1;
+  std::thread long_thread([&] {
+    auto cl = rt.attach();
+    rt.run_long(*cl, [&](LongTx& tx) {
+      long_zone.store(tx.zone());
+      (void)tx.read(o1);
+      long_saw_o2 = tx.read(o2);  // waits until S2 finishes
+    });
+  });
+  while (long_zone.load() == 0 ||
+         o2.object()->zc.load() != long_zone.load()) {
+    std::this_thread::yield();
+  }
+
+  rt.run_short(*c1, [&](ShortTx& tx) { tx.write(o1, tx.read(o2) + 1); });
+  EXPECT_THROW(c2->commit_short(), TxAborted);
+  long_thread.join();
+  EXPECT_EQ(long_saw_o2, 0);
+
+  auto res = history::check_z_linearizable(rt.collect_history());
+  EXPECT_TRUE(res) << res.reason;
 }
 
 TEST(ZHistory, DeterministicMixIsZLinearizable) {
