@@ -2,12 +2,13 @@
 //
 // "Conflict arbitration is performed by a configurable module called
 // contention manager, which is responsible for the liveness of the system"
-// (§4.1, following DSTM [4]). Every STM here consults one when a
-// transaction finds an object write-owned by another live transaction.
+// (§4.1, following DSTM [4]). Each object runtime's ObjectStore owns one
+// and consults it when a transaction opening an object finds it
+// write-owned by another live transaction (ObjectStore::acquire).
 //
-// The manager only *decides*; the caller performs the decision (enemy abort
-// via TxDescBase::abort_by_enemy, waiting via Backoff, or self-abort), so a
-// policy can never corrupt protocol state.
+// The manager only *decides*; ObjectStore::acquire performs the decision
+// (enemy abort via TxDescBase::abort_by_enemy, waiting via Backoff, or
+// self-abort), so a policy can never corrupt protocol state.
 #pragma once
 
 #include <cstdint>

@@ -164,12 +164,6 @@ class RuntimeT {
     friend class RuntimeT;
     explicit Tx(ThreadCtx& ctx) : ctx_(ctx) {}
 
-    [[noreturn]] void fail(util::Counter reason) {
-      ctx_.rt_.stats_.add(ctx_.slot(), reason);
-      ctx_.abort_attempt();
-      throw TxAborted{};
-    }
-
     ThreadCtx& ctx_;
     TxDesc* desc_ = nullptr;
     std::vector<ReadEntry> read_set_;
@@ -218,11 +212,11 @@ class RuntimeT {
         pool_(registry_, &stats_, cfg.use_node_pool),
         epochs_(registry_, cfg.ebr_collect_period),
         recorder_(cfg.record_history, cfg.max_threads),
-        cm_(cm::make_manager(cfg.cm_policy)),
         id_clock_(cfg.max_threads, /*shards=*/cfg.max_threads),
         sharded_ids_(timebase::sharded_ids_enabled(cfg.sharded_tx_ids)),
         spare_ct_(static_cast<std::size_t>(registry_.capacity())),
-        store_(pool_, epochs_, stats_, object::retention_policy(cfg)) {}
+        store_(pool_, epochs_, stats_, object::retention_policy(cfg),
+               cfg.cm_policy) {}
 
   RuntimeT(const RuntimeT&) = delete;
   RuntimeT& operator=(const RuntimeT&) = delete;
@@ -275,20 +269,12 @@ class RuntimeT {
   friend class ThreadCtx;
   friend class Tx;
 
-  Version* resolve(Object& o, const TxDesc* self, OnCommitting mode,
-                   int slot) {
-    return store_.resolve(o, self, mode, slot);
-  }
-
-  void settle(Object& o, Locator* seen, int slot) {
-    store_.settle(o, seen, slot);
-  }
-
   /// Validation core (Algorithm 1 lines 20-26): returns false if some read
   /// version has a committed successor whose stamp strictly precedes ct.
   bool validate(Tx& tx, int slot) {
     for (const auto& r : tx.read_set_) {
-      Version* cur = resolve(*r.obj, tx.desc_, OnCommitting::kFail, slot);
+      Version* cur =
+          store_.resolve(*r.obj, tx.desc_, OnCommitting::kFail, slot);
       if (cur == nullptr) return false;  // mid-commit writer: conservative
       if (cur == r.version) continue;
       // Locate the immediate successor v_{i+1} of the version we read.
@@ -354,7 +340,6 @@ class RuntimeT {
   object::NodePool pool_;
   util::EpochManager epochs_;
   history::Recorder recorder_;
-  std::unique_ptr<cm::ContentionManager> cm_;
   util::PaddedCounter tx_ids_;
   util::PaddedCounter ticks_;
   timebase::ShardedClock id_clock_;
@@ -485,7 +470,7 @@ const runtime::Payload& RuntimeT<D>::Tx::read_object(Object& o) {
   desc_->add_work();
   rt.stats_.add(s, util::Counter::kReads);
 
-  Version* v = rt.resolve(o, desc_, OnCommitting::kWait, s);
+  Version* v = rt.store_.resolve(o, desc_, OnCommitting::kWait, s);
   desc_->ct.merge(v->ct);  // line 8
   read_set_.push_back({&o, v});
   if (rt.recorder_.enabled()) rec_.reads.push_back({o.oid, v->vid});
@@ -500,62 +485,22 @@ runtime::Payload& RuntimeT<D>::Tx::write_object(Object& o) {
   RuntimeT& rt = ctx_.rt_;
   const int s = ctx_.slot();
 
-  util::Backoff bo;
-  std::uint32_t attempt = 0;
-  for (;;) {
-    if (fault::poke(fault::Site::kCsAcquire) == fault::Effect::kAbort) {
-      fail(util::Counter::kAborts);
-    }
-    Locator* l = o.loc.load(std::memory_order_acquire);
-    if (l->writer != nullptr && l->writer != desc_) {
-      switch (l->writer->status()) {
-        case runtime::TxStatus::kCommitted:
-        case runtime::TxStatus::kAborted:
-          rt.settle(o, l, s);
-          continue;
-        case runtime::TxStatus::kCommitting:
-          bo.pause();
-          continue;
-        case runtime::TxStatus::kActive: {
-          // Lines 10-12: a single writer per object; the contention
-          // manager resolves the conflict.
-          const cm::Decision dec =
-              rt.cm_->arbitrate(*desc_, *l->writer, attempt++);
-          if (dec == cm::Decision::kAbortOther) {
-            if (l->writer->abort_by_enemy()) {
-              rt.stats_.add(s, util::Counter::kCmKills);
-              rt.settle(o, l, s);
-            }
-            continue;
-          }
-          if (dec == cm::Decision::kAbortSelf) fail(util::Counter::kAborts);
-          rt.stats_.add(s, util::Counter::kCmWaits);
-          desc_->set_waiting(true);
-          bo.pause();
-          desc_->set_waiting(false);
-          continue;
-        }
-      }
-      continue;
-    }
-    Version* base = l->committed;
-    desc_->ct.merge(base->ct);  // line 8 applies to writes as well
-    // The written version's stamp storage comes from the slab pool too
-    // (PoolAllocator): this was the last hidden per-commit heap malloc on
-    // the update path — see bench_cs_alloc.
-    Version* tent = rt.store_.clone_version(
-        s, *base->data,
-        rt.domain_.zero_in(rt.pool_.enabled() ? &rt.pool_ : nullptr, s));
-    tent->prev.store(base, std::memory_order_relaxed);
-    if (rt.recorder_.enabled()) tent->vid = rt.recorder_.new_version_id();
-    if (rt.store_.install(o, l, desc_, tent)) {
-      write_set_.push_back({&o, tent});
-      desc_->add_work();
-      rt.stats_.add(s, util::Counter::kWrites);
-      return *tent->data;
-    }
-    rt.store_.discard_version(s, tent);
-  }
+  // Lines 10-14: a single writer per object (the store's contention
+  // manager resolves conflicts), then duplicate the current version.
+  Version* tent = rt.store_.open_for_write(
+      o, desc_, s, fault::Site::kCsAcquire, [&](Version* base) {
+        desc_->ct.merge(base->ct);  // line 8 applies to writes as well
+        // The written version's stamp storage comes from the slab pool too
+        // (PoolAllocator): this was the last hidden per-commit heap malloc
+        // on the update path — see bench_cs_alloc.
+        return rt.store_.clone_version(
+            s, *base->data,
+            rt.domain_.zero_in(rt.pool_.enabled() ? &rt.pool_ : nullptr, s));
+      });
+  if (tent == nullptr) abort();
+  if (rt.recorder_.enabled()) tent->vid = rt.recorder_.new_version_id();
+  write_set_.push_back({&o, tent});
+  return *tent->data;
 }
 
 using VcRuntime = RuntimeT<timebase::VcDomain>;

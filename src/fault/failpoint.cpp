@@ -37,9 +37,10 @@ constexpr std::uint32_t kCasDelay = effect_bit(Effect::kCasFail) | kDelayBit;
 //  - settle/install run with a tentative version already linked into a
 //    locator the caller must recycle on failure — unwinding out of them
 //    (abort/exit) leaks it, so only CasFail/Delay are legal.
-//  - the acquire/arbitrate loops sit at the top of write_object where the
-//    runtimes' own abort paths (and the ThreadCtx unwind) already clean up
-//    everything, so Abort/Delay/ExitThread are all fair game.
+//  - the acquire sites sit at the top of each ObjectStore::acquire
+//    iteration, before anything is cloned, where the runtimes' own abort
+//    paths (and the ThreadCtx unwind) already clean up everything, so
+//    Abort/Delay/ExitThread are all fair game.
 //  - tl2 stripe-lock is mid-acquisition: the caller's failure path releases
 //    what it holds, so CasFail is safe but unwinding would strand stripes.
 //  - revalidation happens with stripes held but has an abort path that

@@ -3,11 +3,11 @@
 //
 // A *failpoint site* is a named place in a protocol where the rare
 // interleaving lives: the settle/install CAS races in the object substrate,
-// the per-runtime acquire/arbitrate loops, tl2's stripe-lock acquisition
-// and commit revalidation, the timebase lease fence, EBR retirement, and
-// node-pool allocation. Each site calls `fault::poke(Site)`; the registry
-// decides — deterministically, from a seed and the site's hit ordinal —
-// whether to inject an *effect*:
+// its acquire/arbitrate loop (one site per runtime), tl2's stripe-lock
+// acquisition and commit revalidation, the timebase lease fence, EBR
+// retirement, and node-pool allocation. Each site calls `fault::poke(Site)`;
+// the registry decides — deterministically, from a seed and the site's hit
+// ordinal — whether to inject an *effect*:
 //
 //   kAbort      the caller aborts the current transaction attempt
 //   kCasFail    the caller takes its CAS-failed / lock-busy path
@@ -52,10 +52,10 @@ namespace zstm::fault {
 enum class Site : int {
   kStoreSettleCas = 0,  ///< ObjectStore::settle, before the locator CAS
   kStoreInstallCas,     ///< ObjectStore::install, before the locator CAS
-  kLsaAcquire,          ///< lsa::Tx::write_object arbitrate loop
-  kCsAcquire,           ///< cs RuntimeT::Tx::write_object arbitrate loop
-  kSstmAcquire,         ///< sstm::Tx::write_object arbitrate loop
-  kZlAcquire,           ///< zl::LongTx::acquire_ready_locator loop
+  kLsaAcquire,          ///< ObjectStore::acquire, lsa and zl short writes
+  kCsAcquire,           ///< ObjectStore::acquire, cs writes
+  kSstmAcquire,         ///< ObjectStore::acquire, sstm writes
+  kZlAcquire,           ///< ObjectStore::acquire, zl long reads and writes
   kTl2StripeLock,       ///< tl2 commit: per-stripe lock acquisition
   kTl2Revalidate,       ///< tl2 commit: read-set revalidation
   kTimebaseLeaseFence,  ///< BatchedCounter::fence_after (delay only)

@@ -49,10 +49,10 @@ Runtime::Runtime(Config cfg)
       epochs_(registry_, cfg.ebr_collect_period),
       recorder_(cfg.record_history, cfg.max_threads),
       timebase_(make_time_base(cfg)),
-      cm_(cm::make_manager(cfg.cm_policy)),
       id_clock_(cfg.max_threads, /*shards=*/cfg.max_threads),
       sharded_ids_(timebase::sharded_ids_enabled(cfg.sharded_tx_ids)),
-      store_(pool_, epochs_, stats_, object::retention_policy(cfg)) {
+      store_(pool_, epochs_, stats_, object::retention_policy(cfg),
+             cfg.cm_policy) {
   // A detaching thread abandons its timebase lease (batched counter);
   // otherwise a dead slot's low lease would pin now_floor() forever.
   timebase_listener_ = registry_.add_release_listener(
@@ -117,7 +117,7 @@ Tx& ThreadCtx::begin(bool read_only) {
 
 void ThreadCtx::release_ownerships() {
   for (auto& w : tx_.write_set_) {
-    rt_.release(*w.obj, tx_.desc_, slot());
+    rt_.store_.release(*w.obj, tx_.desc_, slot());
   }
 }
 
@@ -181,7 +181,7 @@ void ThreadCtx::commit(CommitCheck* check) {
         abort_attempt();
         throw TxAborted{};
       }
-      Version* cur = rt.resolve(*r.obj, d, OnCommitting::kFail, s);
+      Version* cur = rt.store_.resolve(*r.obj, d, OnCommitting::kFail, s);
       if (cur != r.version) {
         rt.stats_.add(s, util::Counter::kValidationFails);
         abort_attempt();
@@ -203,7 +203,7 @@ void ThreadCtx::commit(CommitCheck* check) {
     d->finish_commit();
     // Eagerly settle our own locators to shorten other threads' waits.
     for (auto& w : tx.write_set_) {
-      rt.release(*w.obj, d, s);
+      rt.store_.release(*w.obj, d, s);
     }
     if (ct > last_serialization_) last_serialization_ = ct;
   } else {
@@ -248,9 +248,9 @@ const runtime::Payload& Tx::read_object(Object& o) {
   desc_->add_work();
   rt.stats_.add(s, util::Counter::kReads);
 
-  Version* v = rt.resolve(o, desc_, OnCommitting::kWait, s);
+  Version* v = rt.store_.resolve(o, desc_, OnCommitting::kWait, s);
   if (v->ts > ub_ && track_reads_ && try_extend()) {
-    v = rt.resolve(o, desc_, OnCommitting::kWait, s);
+    v = rt.store_.resolve(o, desc_, OnCommitting::kWait, s);
   }
   std::uint64_t valid_until = kOpenEnded;
   if (v->ts > ub_) {
@@ -284,66 +284,26 @@ runtime::Payload& Tx::write_object(Object& o) {
     // A declared read-only transaction took the no-readsets fast path but
     // turned out to write: retry once with read tracking enabled.
     ctx_.force_track_reads_once_ = true;
-    fail(util::Counter::kAborts);
+    abort();
   }
 
-  util::Backoff bo;
-  std::uint32_t attempt = 0;
-  for (;;) {
-    if (fault::poke(fault::Site::kLsaAcquire) == fault::Effect::kAbort) {
-      fail(util::Counter::kAborts);
-    }
-    Locator* l = o.loc.load(std::memory_order_acquire);
-    if (l->writer != nullptr && l->writer != desc_) {
-      switch (l->writer->status()) {
-        case runtime::TxStatus::kCommitted:
-        case runtime::TxStatus::kAborted:
-          rt.settle(o, l, s);
-          continue;
-        case runtime::TxStatus::kCommitting:
-          bo.pause();  // short window; its outcome decides our base version
-          continue;
-        case runtime::TxStatus::kActive: {
-          const cm::Decision d =
-              rt.cm_->arbitrate(*desc_, *l->writer, attempt++);
-          if (d == cm::Decision::kAbortOther) {
-            if (l->writer->abort_by_enemy()) {
-              rt.stats_.add(s, util::Counter::kCmKills);
-              rt.settle(o, l, s);
-            }
-            continue;
+  Version* tent = rt.store_.open_for_write(
+      o, desc_, s, fault::Site::kLsaAcquire, [&](Version* base) -> Version* {
+        if (base->ts > ub_) {
+          // The head postdates our snapshot: extend over it and look again.
+          if (!(track_reads_ && try_extend())) {
+            fail(util::Counter::kValidationFails);
           }
-          if (d == cm::Decision::kAbortSelf) fail(util::Counter::kAborts);
-          rt.stats_.add(s, util::Counter::kCmWaits);
-          desc_->set_waiting(true);
-          bo.pause();
-          desc_->set_waiting(false);
-          continue;
+          return nullptr;
         }
-      }
-      continue;
-    }
-
-    Version* base = l->committed;
-    if (base->ts > ub_) {
-      if (!(track_reads_ && try_extend())) fail(util::Counter::kValidationFails);
-      continue;  // re-resolve after extension
-    }
-    Version* tent = rt.store_.clone_version(s, *base->data);
-    tent->prev.store(base, std::memory_order_relaxed);
-    if (rt.recorder_.enabled()) tent->vid = rt.recorder_.new_version_id();
-    // seq_cst: Z-STM's zone protocol requires this install to be globally
-    // ordered against long transactions' zone-stamp writes (Dekker pair
-    // with zl::LongTx::claim_zone; see zl::ShortTx::verify_zone_after_write).
-    if (rt.store_.install(o, l, desc_, tent, std::memory_order_seq_cst)) {
-      write_set_.push_back({&o, tent});
-      if (base->ts > lb_) lb_ = base->ts;
-      desc_->add_work();
-      rt.stats_.add(s, util::Counter::kWrites);
-      return *tent->data;
-    }
-    rt.store_.discard_version(s, tent);
-  }
+        return rt.store_.clone_version(s, *base->data);
+      });
+  if (tent == nullptr) abort();
+  if (rt.recorder_.enabled()) tent->vid = rt.recorder_.new_version_id();
+  const Version* base = tent->prev.load(std::memory_order_relaxed);
+  if (base->ts > lb_) lb_ = base->ts;
+  write_set_.push_back({&o, tent});
+  return *tent->data;
 }
 
 bool Tx::try_extend() {
@@ -361,7 +321,7 @@ bool Tx::try_extend() {
   }
   for (auto& r : read_set_) {
     if (r.valid_until != kOpenEnded) continue;
-    Version* cur = rt.resolve(*r.obj, desc_, OnCommitting::kWait, s);
+    Version* cur = rt.store_.resolve(*r.obj, desc_, OnCommitting::kWait, s);
     if (cur == r.version) continue;
     // Find the direct successor of the version we read to learn when its
     // validity ended.

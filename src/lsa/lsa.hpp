@@ -330,34 +330,12 @@ class Runtime {
 
   // --- internals shared with Z-STM (stable within this library) ---------
 
-  /// Resolve the logically current committed version of `o`, settling
-  /// finished writers' locators along the way. Returns nullptr only in
-  /// OnCommitting::kFail mode when a foreign writer is mid-commit.
-  /// `self` (may be null) marks the caller's descriptor: an object whose
-  /// locator the caller owns resolves to its pre-write committed version.
-  Version* resolve(Object& o, const TxDesc* self, OnCommitting mode,
-                   int slot) {
-    return store_.resolve(o, self, mode, slot);
-  }
-
-  /// Replace a finished (committed/aborted) writer's locator with a settled
-  /// one. Safe to call concurrently; no-op if the locator moved on.
-  void settle(Object& o, Locator* seen, int slot) {
-    store_.settle(o, seen, slot);
-  }
-
-  /// Ownership release at transaction finish: settles until the locator no
-  /// longer references `writer` (see ObjectStore::release for why a single
-  /// settle is not enough under the settle-CAS failpoint).
-  void release(Object& o, const TxDesc* writer, int slot) {
-    store_.release(o, writer, slot);
-  }
-
   Object* allocate_object(runtime::Payload* initial) {
     return store_.allocate(initial);
   }
 
-  /// The shared versioned-object substrate (object/object_store.hpp).
+  /// The shared versioned-object substrate (object/object_store.hpp):
+  /// resolve, open-for-write and release go through it directly.
   Store& store() { return store_; }
 
   util::ThreadRegistry& registry() { return registry_; }
@@ -375,7 +353,6 @@ class Runtime {
   }
   history::Recorder& recorder() { return recorder_; }
   timebase::ScalarTimeBase& time_base() { return timebase_; }
-  cm::ContentionManager& contention_manager() { return *cm_; }
   std::uint64_t next_tick() {
     return ticks_.value.fetch_add(1, std::memory_order_relaxed);
   }
@@ -403,7 +380,6 @@ class Runtime {
   util::EpochManager epochs_;
   history::Recorder recorder_;
   timebase::ScalarTimeBase timebase_;
-  std::unique_ptr<cm::ContentionManager> cm_;
   util::PaddedCounter ticks_;  // CM start-time ordering
   util::PaddedCounter tx_ids_;
   timebase::ShardedClock id_clock_;

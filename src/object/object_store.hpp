@@ -1,8 +1,9 @@
 // ObjectStore — ownership and protocol core of the versioned-object
 // substrate (versioned.hpp), shared by all four runtimes.
 //
-// One store per runtime owns every transactional object for the runtime's
-// lifetime and centralizes the logic that used to be copy-pasted per
+// One store per runtime owns every transactional object and the runtime's
+// contention manager (built from its Config::cm_policy) for the runtime's
+// lifetime, and centralizes the logic that used to be copy-pasted per
 // runtime:
 //
 //   * allocate / make_var  — object + initial version, publishing the
@@ -10,14 +11,22 @@
 //   * resolve              — settle-on-open: find the logically current
 //                            committed version, settling finished writers'
 //                            locators along the way.
+//   * acquire              — the open-for-write arbitration loop (Algorithm
+//                            1 lines 10-13, Algorithm 2 Openlong lines
+//                            8-11): settle finished writers, wait out
+//                            committing ones, and let the store's contention
+//                            manager arbitrate an active one.
+//   * open_for_write       — acquire, run the runtime's pre-write hook on
+//                            the settled head, install the duplicate; the
+//                            one write path of lsa, cs, sstm and zl.
 //   * settle               — replace a finished writer's locator with the
 //                            settled locator of the now-current version
 //                            (CAS; a loser has nothing to free).
-//   * install              — CAS the tentative version's owned locator in
-//                            (encounter-time ownership acquisition); memory
-//                            order is a parameter because Z-STM's zone
-//                            protocol needs the install globally ordered
-//                            (seq_cst Dekker pair, DESIGN.md §5.1).
+//   * install              — link and CAS the tentative version's owned
+//                            locator in (encounter-time ownership
+//                            acquisition), seq_cst because Z-STM's zone
+//                            protocol needs it globally ordered (Dekker
+//                            pair, DESIGN.md §5.1).
 //   * prune                — bound the committed chain in O(1) per
 //                            dropped version: advance the object's tail
 //                            cursor, sever, retire through EBR.
@@ -53,6 +62,7 @@
 #include <memory>
 #include <mutex>
 
+#include "cm/contention_manager.hpp"
 #include "fault/failpoint.hpp"
 #include "object/node_pool.hpp"
 #include "object/versioned.hpp"
@@ -99,7 +109,8 @@ RetentionPolicy retention_policy(const Cfg& cfg) {
 
 /// Traits must provide:
 ///   Desc        — the runtime's transaction descriptor (derives
-///                 runtime::TxDescBase; only status() is used here).
+///                 runtime::TxDescBase; its status and contention-
+///                 management inputs are used here).
 ///   VersionMeta — per-version metadata (aggregate; brace-initialized from
 ///                 the trailing arguments of allocate/make_var).
 ///   ObjectMeta  — per-object metadata (default-constructed).
@@ -114,11 +125,13 @@ class ObjectStore {
   using Var = object::Var<T, Object>;
 
   ObjectStore(NodePool& pool, util::EpochManager& epochs,
-              util::StatsDomain& stats, RetentionPolicy retention)
+              util::StatsDomain& stats, RetentionPolicy retention,
+              cm::Policy cm_policy)
       : pool_(pool),
         epochs_(epochs),
         stats_(stats),
-        retention_(retention) {
+        retention_(retention),
+        cm_(cm::make_manager(cm_policy)) {
     // Normalize so the unsigned bound arithmetic below stays sane: at least
     // one version is always kept (matching the old per-runtime prune loops,
     // which degraded to single-version for versions_kept <= 0).
@@ -294,18 +307,88 @@ class ObjectStore {
     }
   }
 
-  /// Acquire write ownership: write `{writer, tentative, seen->committed}`
-  /// into the tentative version's owned locator and CAS it over `seen`.
-  /// Precondition: `seen` is a settled locator (writer null), i.e. the
-  /// current head's own `settled` — every open-for-write settles a finished
-  /// writer before it installs, so nothing is superseded that needs
-  /// retiring. The caller has linked `tentative->prev` to `seen->committed`;
-  /// install numbers it one past that base. On failure the caller still
-  /// owns `tentative`. `order` lets Z-STM make the install seq_cst (Dekker
-  /// pair with zone claims).
-  bool install(Object& o, Locator* seen, Desc* writer, Version* tentative,
-               std::memory_order order = std::memory_order_acq_rel) {
+  /// Open-for-write arbitration: loop until `o`'s locator has no foreign
+  /// writer, settling finished writers, waiting out kCommitting ones (their
+  /// outcome decides our base version) and putting an active one to the
+  /// contention manager. Returns that locator (writer null or `self`), or
+  /// nullptr when the caller must abort: the manager chose kAbortSelf or
+  /// failpoint `site` (the caller's own acquire site) injected an abort.
+  /// Backoff and the manager's `attempt` count restart per call, i.e. per
+  /// conflict. Loads are seq_cst: Z-STM's long transactions pair them with
+  /// their zone claims (DESIGN.md §5.1, §5.4).
+  Locator* acquire(Object& o, Desc* self, int slot, fault::Site site) {
+    util::Backoff bo;
+    std::uint32_t attempt = 0;
+    for (;;) {
+      if (fault::poke(site) == fault::Effect::kAbort) return nullptr;
+      Locator* l = o.loc.load(std::memory_order_seq_cst);
+      Desc* owner = l->writer;
+      if (owner == nullptr || owner == self) return l;
+      switch (owner->status(std::memory_order_seq_cst)) {
+        case runtime::TxStatus::kCommitted:
+        case runtime::TxStatus::kAborted:
+          settle(o, l, slot);
+          continue;
+        case runtime::TxStatus::kCommitting:
+          bo.pause();
+          continue;
+        case runtime::TxStatus::kActive:
+          break;
+      }
+      switch (cm_->arbitrate(*self, *owner, attempt++)) {
+        case cm::Decision::kAbortOther:
+          if (owner->abort_by_enemy()) {
+            stats_.add(slot, util::Counter::kCmKills);
+            settle(o, l, slot);
+          }
+          continue;
+        case cm::Decision::kAbortSelf:
+          return nullptr;
+        case cm::Decision::kWait:
+          stats_.add(slot, util::Counter::kCmWaits);
+          self->set_waiting(true);
+          bo.pause();
+          self->set_waiting(false);
+          continue;
+      }
+    }
+  }
+
+  /// Open `o` for writing (DSTM-style, Algorithm 1 lines 10-14): acquire,
+  /// then `clone(base)` — the runtime's pre-write hook on the settled head
+  /// — returns the private duplicate to install, or nullptr to look again
+  /// (lsa after a snapshot extension); it may also throw to abort. A lost
+  /// install CAS discards the duplicate and retries. Returns the installed
+  /// tentative version, counting kWrites and one unit of the writer's work,
+  /// or nullptr when acquire said abort (nothing cloned).
+  template <typename Clone>
+  Version* open_for_write(Object& o, Desc* self, int slot, fault::Site site,
+                          Clone&& clone) {
+    for (;;) {
+      Locator* l = acquire(o, self, slot, site);
+      if (l == nullptr) return nullptr;
+      Version* tentative = clone(l->committed);
+      if (tentative == nullptr) continue;
+      if (install(o, l, self, tentative)) {
+        self->add_work();
+        stats_.add(slot, util::Counter::kWrites);
+        return tentative;
+      }
+      discard_version(slot, tentative);
+    }
+  }
+
+  /// Take write ownership: link `tentative` after `seen->committed`,
+  /// number it one past that base, write `{writer, tentative, base}` into
+  /// its owned locator and CAS that over `seen`. Precondition: `seen` is a
+  /// settled locator (writer null), i.e. the current head's own `settled` —
+  /// open_for_write installs only over what acquire returned, so nothing is
+  /// superseded that needs retiring. On failure the caller still owns
+  /// `tentative`. seq_cst: the Dekker pair with Z-STM's zone claims
+  /// (DESIGN.md §5.1).
+  bool install(Object& o, Locator* seen, Desc* writer, Version* tentative) {
     Version* base = seen->committed;
+    tentative->prev.store(base, std::memory_order_relaxed);
     tentative->seq = base->seq + 1;
     tentative->owned = Locator{writer, tentative, base};
     if (fault::poke(fault::Site::kStoreInstallCas) ==
@@ -313,7 +396,8 @@ class ObjectStore {
       return false;  // behave exactly like a lost CAS
     }
     Locator* expected = seen;
-    return o.loc.compare_exchange_strong(expected, &tentative->owned, order);
+    return o.loc.compare_exchange_strong(expected, &tentative->owned,
+                                         std::memory_order_seq_cst);
   }
 
   /// Bound the committed chain at the object's current retention bound:
@@ -418,6 +502,7 @@ class ObjectStore {
   util::EpochManager& epochs_;
   util::StatsDomain& stats_;
   RetentionPolicy retention_;
+  std::unique_ptr<cm::ContentionManager> cm_;
   util::PaddedCounter object_ids_;
   std::mutex objects_mutex_;
   std::deque<std::unique_ptr<Object>> objects_;

@@ -25,7 +25,8 @@
 //   * Var<T, Obj>         — the typed user-facing handle.
 //
 // ObjectStore (object_store.hpp) owns the objects and implements the
-// install/settle/resolve/prune protocol over these types.
+// acquire/open_for_write/install/settle/resolve/prune protocol over these
+// types.
 #pragma once
 
 #include <atomic>

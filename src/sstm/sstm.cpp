@@ -18,10 +18,10 @@ Runtime::Runtime(Config cfg)
       pool_(registry_, &stats_, cfg.use_node_pool),
       epochs_(registry_, cfg.ebr_collect_period),
       recorder_(cfg.record_history, cfg.max_threads),
-      cm_(cm::make_manager(cfg.cm_policy)),
       id_clock_(cfg.max_threads, /*shards=*/cfg.max_threads),
       sharded_ids_(timebase::sharded_ids_enabled(cfg.sharded_tx_ids)),
-      store_(pool_, epochs_, stats_, object::retention_policy(cfg)) {}
+      store_(pool_, epochs_, stats_, object::retention_policy(cfg),
+             cfg.cm_policy) {}
 
 // The store tears down the live objects; runtime-retained descriptors are
 // freed with descs_.
@@ -280,7 +280,7 @@ void ThreadCtx::commit() {
     // CS-STM validation (Algorithm 1, lines 20-26) on the merged stamp.
     bool valid = true;
     for (const auto& r : tx.read_set_) {
-      Version* cur = rt_.resolve(*r.obj, d, OnCommitting::kFail, s);
+      Version* cur = rt_.store_.resolve(*r.obj, d, OnCommitting::kFail, s);
       if (cur == nullptr) {
         valid = false;
         break;
@@ -394,12 +394,6 @@ void Tx::abort() {
   throw TxAborted{};
 }
 
-void Tx::fail(util::Counter reason) {
-  ctx_.rt_.stats_.add(ctx_.slot(), reason);
-  ctx_.abort_attempt();
-  throw TxAborted{};
-}
-
 void Tx::note_predecessor(TxDesc* p) {
   if (p == desc_) return;
   // Worklist over committed transactions: absorbing a committed
@@ -457,7 +451,7 @@ const runtime::Payload& Tx::read_object(Object& o) {
   rt.stats_.add(s, util::Counter::kReads);
 
   for (;;) {
-    Version* v = rt.resolve(o, desc_, OnCommitting::kWait, s);
+    Version* v = rt.store_.resolve(o, desc_, OnCommitting::kWait, s);
     desc_->ct.merge(v->ct);
     absorb_past_readers(v);
     {
@@ -468,7 +462,7 @@ const runtime::Payload& Tx::read_object(Object& o) {
     // insertion must have published a successor by now; re-checking the
     // current version guarantees either the writer saw us or we see its
     // version and retry.
-    Version* recheck = rt.resolve(o, desc_, OnCommitting::kWait, s);
+    Version* recheck = rt.store_.resolve(o, desc_, OnCommitting::kWait, s);
     if (recheck == v) {
       read_set_.push_back({&o, v});
       if (rt.recorder_.enabled()) rec_.reads.push_back({o.oid, v->vid});
@@ -487,60 +481,20 @@ runtime::Payload& Tx::write_object(Object& o) {
   Runtime& rt = ctx_.rt_;
   const int s = ctx_.slot();
 
-  util::Backoff bo;
-  std::uint32_t attempt = 0;
-  for (;;) {
-    if (fault::poke(fault::Site::kSstmAcquire) == fault::Effect::kAbort) {
-      fail(util::Counter::kAborts);
-    }
-    Locator* l = o.loc.load(std::memory_order_acquire);
-    if (l->writer != nullptr && l->writer != desc_) {
-      switch (l->writer->status()) {
-        case runtime::TxStatus::kCommitted:
-        case runtime::TxStatus::kAborted:
-          rt.settle(o, l, s);
-          continue;
-        case runtime::TxStatus::kCommitting:
-          bo.pause();
-          continue;
-        case runtime::TxStatus::kActive: {
-          const cm::Decision dec =
-              rt.cm_->arbitrate(*desc_, *l->writer, attempt++);
-          if (dec == cm::Decision::kAbortOther) {
-            if (l->writer->abort_by_enemy()) {
-              rt.stats_.add(s, util::Counter::kCmKills);
-              rt.settle(o, l, s);
-            }
-            continue;
-          }
-          if (dec == cm::Decision::kAbortSelf) fail(util::Counter::kAborts);
-          rt.stats_.add(s, util::Counter::kCmWaits);
-          desc_->set_waiting(true);
-          bo.pause();
-          desc_->set_waiting(false);
-          continue;
-        }
-      }
-      continue;
-    }
-    Version* base = l->committed;
-    desc_->ct.merge(base->ct);
-    absorb_past_readers(base);
-    // Pool-backed stamp storage, mirroring cs.hpp: keeps the update path
-    // free of hidden per-commit heap mallocs.
-    Version* tent = rt.store_.clone_version(
-        s, *base->data,
-        rt.domain_.zero_in(rt.pool_.enabled() ? &rt.pool_ : nullptr, s));
-    tent->prev.store(base, std::memory_order_relaxed);
-    if (rt.recorder_.enabled()) tent->vid = rt.recorder_.new_version_id();
-    if (rt.store_.install(o, l, desc_, tent)) {
-      write_set_.push_back({&o, tent});
-      desc_->add_work();
-      rt.stats_.add(s, util::Counter::kWrites);
-      return *tent->data;
-    }
-    rt.store_.discard_version(s, tent);
-  }
+  Version* tent = rt.store_.open_for_write(
+      o, desc_, s, fault::Site::kSstmAcquire, [&](Version* base) {
+        desc_->ct.merge(base->ct);
+        absorb_past_readers(base);
+        // Pool-backed stamp storage, mirroring cs.hpp: keeps the update
+        // path free of hidden per-commit heap mallocs.
+        return rt.store_.clone_version(
+            s, *base->data,
+            rt.domain_.zero_in(rt.pool_.enabled() ? &rt.pool_ : nullptr, s));
+      });
+  if (tent == nullptr) abort();
+  if (rt.recorder_.enabled()) tent->vid = rt.recorder_.new_version_id();
+  write_set_.push_back({&o, tent});
+  return *tent->data;
 }
 
 }  // namespace zstm::sstm

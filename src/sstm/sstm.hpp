@@ -190,7 +190,6 @@ class Tx {
   friend class Runtime;
   explicit Tx(ThreadCtx& ctx) : ctx_(ctx) {}
 
-  [[noreturn]] void fail(util::Counter reason);
   /// Merge committed past readers of `v`, record active ones as preds.
   void absorb_past_readers(Version* v);
   /// Record that `p` must serialize before this transaction: live `p`
@@ -307,14 +306,6 @@ class Runtime {
   /// the defensive settle uses, and the caller must own it.
   std::size_t trim(int slot);
 
-  void settle(Object& o, Locator* seen, int slot) {
-    store_.settle(o, seen, slot);
-  }
-  Version* resolve(Object& o, const TxDesc* self, OnCommitting mode,
-                   int slot) {
-    return store_.resolve(o, self, mode, slot);
-  }
-
   TxDesc* allocate_desc(int slot);
 
   /// True if `target` is reachable from `from` along predecessor edges of
@@ -329,7 +320,6 @@ class Runtime {
   object::NodePool pool_;
   util::EpochManager epochs_;
   history::Recorder recorder_;
-  std::unique_ptr<cm::ContentionManager> cm_;
   util::PaddedCounter tx_ids_;
   util::PaddedCounter ticks_;
   timebase::ShardedClock id_clock_;

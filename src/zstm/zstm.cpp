@@ -118,8 +118,8 @@ runtime::Payload& ShortTx::write_object(lsa::Object& o) {
 }
 
 void ShortTx::verify_zone_after_write(lsa::Object& o) {
-  // seq_cst load after our seq_cst locator install (in lsa::Tx::
-  // write_object): pairs with LongTx::claim_zone + acquire_ready_locator.
+  // seq_cst load after our seq_cst locator install (ObjectStore::install):
+  // pairs with LongTx::claim_zone + ObjectStore::acquire.
   if (!zone_holds(o)) inner_->abort();
 }
 
@@ -187,7 +187,7 @@ LongTx& ThreadCtx::begin_long() {
 
 void ThreadCtx::release_long_ownerships() {
   for (auto& w : long_tx_.write_set_) {
-    rt_.lsa_.release(*w.obj, long_tx_.desc_, slot());
+    rt_.lsa_.store().release(*w.obj, long_tx_.desc_, slot());
   }
 }
 
@@ -280,7 +280,7 @@ void ThreadCtx::commit_long() {
   d->commit_ts = ct;
   d->finish_commit();  // the single CAS/store that publishes everything
   for (auto& w : tx.write_set_) {
-    sub.release(*w.obj, d, s);
+    sub.store().release(*w.obj, d, s);
   }
 
   rt_.set_lzc(s, tx.zc_);  // line 27: LZCp ← T.zc
@@ -300,7 +300,7 @@ void LongTx::abort() {
 
 void LongTx::claim_zone(lsa::Object& o) {
   // seq_cst: this store and the subsequent locator load in
-  // acquire_ready_locator form one half of a Dekker pair with short
+  // ObjectStore::acquire form one half of a Dekker pair with short
   // transactions' locator-install + zone-re-check (ShortTx::
   // verify_zone_after_write). At least one side must observe the other or
   // a short could commit writes that straddle our snapshot frontier.
@@ -312,62 +312,11 @@ void LongTx::claim_zone(lsa::Object& o) {
       // beat us to the object — we were passed and must abort.
       ctx_.rt_.lsa_.stats_domain().add(ctx_.slot(),
                                        util::Counter::kZonePassed);
-      ctx_.abort_long_attempt();
-      throw TxAborted{};
+      abort();
     }
     if (o.zc.compare_exchange_weak(cur, zc_, std::memory_order_seq_cst)) {
       zone_claimed_ = true;
       return;  // line 7: oi.zc ← T.zc
-    }
-  }
-}
-
-lsa::Locator* LongTx::acquire_ready_locator(lsa::Object& o) {
-  lsa::Runtime& sub = ctx_.rt_.lsa_;
-  const int s = ctx_.slot();
-  util::Backoff bo;
-  std::uint32_t attempt = 0;
-  for (;;) {
-    if (fault::poke(fault::Site::kZlAcquire) == fault::Effect::kAbort) {
-      ctx_.abort_long_attempt();
-      throw TxAborted{};
-    }
-    // seq_cst: second half of the Dekker pairs started in claim_zone, with
-    // a short's install (DESIGN.md §5.1) and with its commit (§5.4).
-    lsa::Locator* l = o.loc.load(std::memory_order_seq_cst);
-    if (l->writer == nullptr || l->writer == desc_) return l;
-    switch (l->writer->status(std::memory_order_seq_cst)) {
-      case runtime::TxStatus::kCommitted:
-      case runtime::TxStatus::kAborted:
-        sub.settle(o, l, s);
-        continue;
-      case runtime::TxStatus::kCommitting:
-        bo.pause();
-        continue;
-      case runtime::TxStatus::kActive: {
-        // Openlong lines 8-11: arbitrate with the current writer. A long
-        // transaction must not leave active writers behind on objects it
-        // reads — a short transaction that already owns the object could
-        // otherwise commit writes serialized both before and after us.
-        const cm::Decision dec =
-            sub.contention_manager().arbitrate(*desc_, *l->writer, attempt++);
-        if (dec == cm::Decision::kAbortOther) {
-          if (l->writer->abort_by_enemy()) {
-            sub.stats_domain().add(s, util::Counter::kCmKills);
-            sub.settle(o, l, s);
-          }
-          continue;
-        }
-        if (dec == cm::Decision::kAbortSelf) {
-          ctx_.abort_long_attempt();
-          throw TxAborted{};
-        }
-        sub.stats_domain().add(s, util::Counter::kCmWaits);
-        desc_->set_waiting(true);
-        bo.pause();
-        desc_->set_waiting(false);
-        continue;
-      }
     }
   }
 }
@@ -387,7 +336,14 @@ const runtime::Payload& LongTx::read_object(lsa::Object& o) {
   sub.stats_domain().add(s, util::Counter::kReads);
 
   claim_zone(o);
-  lsa::Locator* l = acquire_ready_locator(o);
+  // Openlong lines 8-11: arbitrate away any current writer. A long
+  // transaction must not leave active writers behind on objects it reads —
+  // a short transaction that already owns the object could otherwise commit
+  // writes serialized both before and after us. The store's seq_cst loads
+  // are the second half of the Dekker pairs started in claim_zone, with a
+  // short's install (DESIGN.md §5.1) and with its commit (§5.4).
+  lsa::Locator* l = sub.store().acquire(o, desc_, s, fault::Site::kZlAcquire);
+  if (l == nullptr) abort();
   // The paper's Openlong is one atomic step; in our implementation a short
   // transaction can adopt our zone (it read o.zc after our claim), commit
   // a write to o, and only then do we load the version — returning state
@@ -402,8 +358,7 @@ const runtime::Payload& LongTx::read_object(lsa::Object& o) {
     // current: we cannot recover a consistent pre-claim state.
     if (v == nullptr) sub.store().note_too_old(o, s);
     sub.stats_domain().add(s, util::Counter::kZonePassed);
-    ctx_.abort_long_attempt();
-    throw TxAborted{};
+    abort();
   }
   if (sub.recorder().enabled()) rec_.reads.push_back({o.oid, v->vid});
   return *v->data;
@@ -415,27 +370,21 @@ runtime::Payload& LongTx::write_object(lsa::Object& o) {
   const int s = ctx_.slot();
 
   claim_zone(o);
-  for (;;) {
-    lsa::Locator* l = acquire_ready_locator(o);
-    lsa::Version* base = l->committed;
-    if (base->zone >= zc_) {
-      // A commit from our own zone (serialized after us) or a later long
-      // is already current: our write can no longer be inserted before it.
-      sub.stats_domain().add(s, util::Counter::kZoneConflicts);
-      ctx_.abort_long_attempt();
-      throw TxAborted{};
-    }
-    lsa::Version* tent = sub.store().clone_version(s, *base->data);
-    tent->prev.store(base, std::memory_order_relaxed);
-    if (sub.recorder().enabled()) tent->vid = sub.recorder().new_version_id();
-    if (sub.store().install(o, l, desc_, tent)) {
-      write_set_.push_back({&o, tent});
-      desc_->add_work();
-      sub.stats_domain().add(s, util::Counter::kWrites);
-      return *tent->data;
-    }
-    sub.store().discard_version(s, tent);
-  }
+  lsa::Version* tent = sub.store().open_for_write(
+      o, desc_, s, fault::Site::kZlAcquire, [&](lsa::Version* base) {
+        if (base->zone >= zc_) {
+          // A commit from our own zone (serialized after us) or a later
+          // long is already current: our write can no longer be inserted
+          // before it.
+          sub.stats_domain().add(s, util::Counter::kZoneConflicts);
+          abort();
+        }
+        return sub.store().clone_version(s, *base->data);
+      });
+  if (tent == nullptr) abort();
+  if (sub.recorder().enabled()) tent->vid = sub.recorder().new_version_id();
+  write_set_.push_back({&o, tent});
+  return *tent->data;
 }
 
 }  // namespace zstm::zl

@@ -1,8 +1,9 @@
 // The failpoint registry (src/fault/, DESIGN.md §11): site registration and
 // allowed-effect masks, deterministic triggering under a fixed seed, the
 // zero-cost disabled path, OOM injection surfacing as a clean abort, effect
-// delivery through real runtimes, and the façade's serial-irrevocable
-// fallback committing every transaction under 100% abort injection.
+// delivery through real runtimes, one abort counted per aborted
+// open-for-write attempt, and the façade's serial-irrevocable fallback
+// committing every transaction under 100% abort injection.
 //
 // The registry is process-global, so every test arms inside a
 // disarm_all() bracket.
@@ -16,6 +17,8 @@
 #include <vector>
 
 #include "api/stm_api.hpp"
+#include "cm/contention_manager.hpp"
+#include "cs/cs.hpp"
 #include "fault/failpoint.hpp"
 #include "lsa/lsa.hpp"
 #include "sstm/sstm.hpp"
@@ -247,6 +250,93 @@ TEST(FaultEffects, DelayInjectionOnlyWidensWindows) {
   // delay changed timing only.
   EXPECT_GT(registry().hits(Site::kEbrRetire), 0u);
   rt.run(*th, [&](lsa::Tx& tx) { EXPECT_EQ(tx.read(x), 50); });
+}
+
+// --- one kAborts per aborted attempt ----------------------------------------
+
+/// The native runtimes whose writes open through ObjectStore::open_for_write,
+/// each with its own acquire failpoint site and contention-manager policy.
+struct LsaRig {
+  using Aborted = lsa::TxAborted;
+  static constexpr Site kAcquire = Site::kLsaAcquire;
+  static std::unique_ptr<lsa::Runtime> make(cm::Policy p) {
+    lsa::Config cfg = small_lsa();
+    cfg.cm_policy = p;
+    return std::make_unique<lsa::Runtime>(cfg);
+  }
+};
+struct CsVcRig {
+  using Aborted = cs::TxAborted;
+  static constexpr Site kAcquire = Site::kCsAcquire;
+  static std::unique_ptr<cs::VcRuntime> make(cm::Policy p) {
+    return cs::make_vc_runtime(cs::Config{.max_threads = 4, .cm_policy = p});
+  }
+};
+struct CsRevRig {
+  using Aborted = cs::TxAborted;
+  static constexpr Site kAcquire = Site::kCsAcquire;
+  static std::unique_ptr<cs::RevRuntime> make(cm::Policy p) {
+    return cs::make_rev_runtime(
+        2, cs::Config{.max_threads = 4, .cm_policy = p});
+  }
+};
+struct SstmRig {
+  using Aborted = sstm::TxAborted;
+  static constexpr Site kAcquire = Site::kSstmAcquire;
+  static std::unique_ptr<sstm::Runtime> make(cm::Policy p) {
+    return std::make_unique<sstm::Runtime>(
+        sstm::Config{.max_threads = 4, .cm_policy = p});
+  }
+};
+
+template <typename R>
+class OneAbortPerAttempt : public ::testing::Test {};
+
+using ObjectRigs = ::testing::Types<LsaRig, CsVcRig, CsRevRig, SstmRig>;
+TYPED_TEST_SUITE(OneAbortPerAttempt, ObjectRigs);
+
+TYPED_TEST(OneAbortPerAttempt, InjectedAcquireAbort) {
+  Clean c;
+  auto rt = TypeParam::make(cm::Policy::kPolite);
+  auto x = rt->template make_var<long>(0);
+  auto th = rt->attach();
+  ASSERT_TRUE(registry().arm(TypeParam::kAcquire, 1.0));
+  auto& tx = th->begin();
+  EXPECT_THROW(tx.write(x, 1L), typename TypeParam::Aborted);
+  EXPECT_EQ(registry().triggers(TypeParam::kAcquire), 1u);
+  EXPECT_EQ(rt->stats()[util::Counter::kAborts], 1u);
+}
+
+TYPED_TEST(OneAbortPerAttempt, SuicideCmConflict) {
+  Clean c;
+  auto rt = TypeParam::make(cm::Policy::kSuicide);
+  auto x = rt->template make_var<long>(0);
+  // Two contexts on one thread: the owner holds x while the requester
+  // opens it, so the conflict is certain and the requester self-aborts.
+  auto owner = rt->attach();
+  auto requester = rt->attach();
+  owner->begin().write(x, 1L);
+  auto& tx = requester->begin();
+  EXPECT_THROW(tx.write(x, 2L), typename TypeParam::Aborted);
+  EXPECT_EQ(rt->stats()[util::Counter::kAborts], 1u);
+  owner->commit();  // the owner was left untouched
+  EXPECT_EQ(rt->stats()[util::Counter::kAborts], 1u);
+}
+
+TEST(FaultEffects, LsaNorsReadOnlyWriteAbortsOnce) {
+  Clean c;
+  lsa::Config cfg = small_lsa();
+  cfg.track_readonly_readsets = false;  // lsa-nors
+  lsa::Runtime rt(cfg);
+  auto x = rt.make_var<long>(0);
+  auto th = rt.attach();
+  lsa::Tx& tx = th->begin(/*read_only=*/true);
+  EXPECT_THROW(tx.write(x, 1L), lsa::TxAborted);
+  EXPECT_EQ(rt.stats()[util::Counter::kAborts], 1u);
+  // The retry tracks reads and commits the write.
+  th->begin(/*read_only=*/true).write(x, 1L);
+  th->commit();
+  EXPECT_EQ(rt.stats()[util::Counter::kAborts], 1u);
 }
 
 // --- the façade's serial-irrevocable fallback -------------------------------

@@ -1,7 +1,8 @@
 // Unit tests for the shared versioned-object substrate (src/object/):
 // chain walking, locator settling and the embedded locators' allocation
-// and teardown, exact pruning (fixed, adaptive, and concurrent),
-// prune-vs-pinned-reader interaction through EBR, and the
+// and teardown, the open-for-write path (acquire's arbitration and
+// open_for_write's hook/install loop), exact pruning (fixed, adaptive, and
+// concurrent), prune-vs-pinned-reader interaction through EBR, and the
 // adaptive-retention grow/decay transitions.
 //
 // CTest label: `unit` (DESIGN.md §6).
@@ -13,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "cm/contention_manager.hpp"
+#include "fault/failpoint.hpp"
 #include "object/object_store.hpp"
 #include "runtime/payload.hpp"
 #include "runtime/txdesc.hpp"
@@ -44,13 +47,14 @@ using Version = Store::Version;
 using Locator = Store::Locator;
 using Object = Store::Object;
 
-/// Test rig: registry + stats + pool + EBR + a store with the given policy
-/// (same member order as the runtimes: the pool outlives the EpochManager,
-/// whose drain returns nodes to it).
+/// Test rig: registry + stats + pool + EBR + a store with the given
+/// retention and contention-management policies (same member order as the
+/// runtimes: the pool outlives the EpochManager, whose drain returns nodes
+/// to it).
 struct Rig {
-  explicit Rig(RetentionPolicy policy)
+  explicit Rig(RetentionPolicy policy, cm::Policy cm = cm::Policy::kPolite)
       : registry(8), stats(registry), pool(registry, &stats), epochs(registry),
-        store(pool, epochs, stats, policy) {}
+        store(pool, epochs, stats, policy, cm) {}
 
   util::ThreadRegistry registry;
   util::StatsDomain stats;
@@ -69,7 +73,6 @@ Version* commit_version(Rig& rig, Object& o, TestDesc& d, std::uint64_t ts,
   EXPECT_EQ(l->writer, nullptr);
   const runtime::TypedPayload<long> pv(value);
   Version* tent = rig.store.clone_version(slot, pv);
-  tent->prev.store(l->committed, std::memory_order_relaxed);
   EXPECT_TRUE(rig.store.install(o, l, &d, tent));
   tent->ts = ts;
   d.finish_commit();
@@ -133,7 +136,6 @@ TEST(ObjectStore, SettleAbortedWriterKeepsCommittedAndRetiresTentative) {
   TestDesc d(1, s, runtime::TxClass::kShort);
   const runtime::TypedPayload<long> pv(6);
   Version* tent = rig.store.clone_version(s, pv);
-  tent->prev.store(base, std::memory_order_relaxed);
   ASSERT_TRUE(rig.store.install(*o, initial, &d, tent));
   d.finish_abort();
 
@@ -157,7 +159,6 @@ TEST(ObjectStore, AbortRepublishesBaseLocatorAndInstallSucceedsOverIt) {
   TestDesc d1(1, s, runtime::TxClass::kShort);
   const runtime::TypedPayload<long> pv(6);
   Version* t1 = rig.store.clone_version(s, pv);
-  t1->prev.store(base, std::memory_order_relaxed);
   ASSERT_TRUE(rig.store.install(*o, initial, &d1, t1));
   EXPECT_EQ(o->loc.load(std::memory_order_acquire), &t1->owned);
   d1.finish_abort();
@@ -169,7 +170,6 @@ TEST(ObjectStore, AbortRepublishesBaseLocatorAndInstallSucceedsOverIt) {
   // A writer that loaded `initial` before the aborted install still wins.
   TestDesc d2(2, s, runtime::TxClass::kShort);
   Version* t2 = rig.store.clone_version(s, pv);
-  t2->prev.store(base, std::memory_order_relaxed);
   ASSERT_TRUE(rig.store.install(*o, initial, &d2, t2));
   EXPECT_EQ(t2->seq, base->seq + 1);
   d2.finish_commit();
@@ -231,7 +231,6 @@ TEST(ObjectStore, ResolveSkipsOwnLocatorToPreWriteVersion) {
   TestDesc d(1, s, runtime::TxClass::kShort);
   const runtime::TypedPayload<long> pv(4);
   Version* tent = rig.store.clone_version(s, pv);
-  tent->prev.store(base, std::memory_order_relaxed);
   ASSERT_TRUE(rig.store.install(*o, l, &d, tent));
 
   // The owner resolves to its pre-write base; a stranger sees the same
@@ -241,6 +240,118 @@ TEST(ObjectStore, ResolveSkipsOwnLocatorToPreWriteVersion) {
 
   d.finish_abort();
   rig.store.settle(*o, o->loc.load(std::memory_order_acquire), s);
+}
+
+/// Installs an uncommitted tentative version of `o` owned by `d`, as a
+/// rival transaction would between its open-for-write and its commit.
+Version* install_rival(Rig& rig, Object& o, TestDesc& d, int slot, long value) {
+  const runtime::TypedPayload<long> pv(value);
+  Version* tent = rig.store.clone_version(slot, pv);
+  EXPECT_TRUE(rig.store.install(o, o.loc.load(std::memory_order_acquire), &d,
+                                tent));
+  return tent;
+}
+
+TEST(ObjectStore, OpenForWriteSettlesAbortedWriterAndInstalls) {
+  Rig rig(fixed_policy(8));
+  auto reg = rig.registry.attach();
+  const int s = reg.slot();
+  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(5));
+  Version* base = o->loc.load(std::memory_order_acquire)->committed;
+  TestDesc rival(1, s, runtime::TxClass::kShort);
+  install_rival(rig, *o, rival, s, 6);
+  rival.finish_abort();
+
+  TestDesc d(2, s, runtime::TxClass::kShort);
+  Version* tent = rig.store.open_for_write(
+      *o, &d, s, fault::Site::kLsaAcquire,
+      [&](Version* b) { return rig.store.clone_version(s, *b->data); });
+  ASSERT_NE(tent, nullptr);
+  EXPECT_EQ(tent->prev.load(std::memory_order_relaxed), base);
+  EXPECT_EQ(tent->seq, base->seq + 1);
+  EXPECT_EQ(runtime::payload_as<long>(*tent->data), 5);  // not the rival's 6
+  Locator* l = o->loc.load(std::memory_order_acquire);
+  EXPECT_EQ(l, &tent->owned);
+  EXPECT_EQ(l->writer, &d);
+  EXPECT_EQ(l->committed, base);
+  EXPECT_EQ(rig.stats.snapshot()[util::Counter::kWrites], 1u);
+  EXPECT_EQ(d.work(), 1u);
+  d.finish_abort();
+  rig.store.release(*o, &d, s);
+}
+
+TEST(ObjectStore, AcquireWaitsPolitelyThenKillsActiveOwner) {
+  Rig rig(fixed_policy(8));  // Polite: eight waits, then kill
+  auto reg = rig.registry.attach();
+  const int s = reg.slot();
+  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(5));
+  Version* base = o->loc.load(std::memory_order_acquire)->committed;
+  TestDesc owner(1, s, runtime::TxClass::kShort);
+  install_rival(rig, *o, owner, s, 6);
+
+  TestDesc d(2, s, runtime::TxClass::kShort);
+  Locator* l = rig.store.acquire(*o, &d, s, fault::Site::kLsaAcquire);
+  ASSERT_NE(l, nullptr);
+  EXPECT_EQ(l, &base->settled);  // the killed owner's write was settled away
+  const util::StatsSnapshot snap = rig.stats.snapshot();
+  EXPECT_EQ(snap[util::Counter::kCmWaits], 8u);
+  EXPECT_EQ(snap[util::Counter::kCmKills], 1u);
+  EXPECT_EQ(owner.status(), runtime::TxStatus::kAborted);
+  EXPECT_FALSE(d.waiting());
+}
+
+TEST(ObjectStore, OpenForWriteReturnsNullOnSelfAbortWithoutCloning) {
+  Rig rig(fixed_policy(8), cm::Policy::kSuicide);
+  auto reg = rig.registry.attach();
+  const int s = reg.slot();
+  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(5));
+  TestDesc owner(1, s, runtime::TxClass::kShort);
+  Version* owned = install_rival(rig, *o, owner, s, 6);
+
+  TestDesc d(2, s, runtime::TxClass::kShort);
+  int clones = 0;
+  Version* tent = rig.store.open_for_write(
+      *o, &d, s, fault::Site::kLsaAcquire, [&](Version* base) {
+        ++clones;
+        return rig.store.clone_version(s, *base->data);
+      });
+  EXPECT_EQ(tent, nullptr);
+  EXPECT_EQ(clones, 0);
+  EXPECT_EQ(owner.status(), runtime::TxStatus::kActive);
+  EXPECT_EQ(o->loc.load(std::memory_order_acquire), &owned->owned);
+  EXPECT_EQ(rig.stats.snapshot()[util::Counter::kWrites], 0u);
+  owner.finish_abort();
+  rig.store.release(*o, &owner, s);
+}
+
+TEST(ObjectStore, OpenForWriteLooksAgainAndDiscardsAfterLostInstall) {
+  Rig rig(fixed_policy(8));
+  auto reg = rig.registry.attach();
+  const int s = reg.slot();
+  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(5));
+  TestDesc racer(1, s, runtime::TxClass::kShort);
+  Version* raced = nullptr;
+
+  // Call 1 asks to look again; during call 2 a racer commits, so call 2's
+  // duplicate loses the install CAS and is discarded; call 3 installs over
+  // the racer's version.
+  TestDesc d(2, s, runtime::TxClass::kShort);
+  int calls = 0;
+  Version* tent = rig.store.open_for_write(
+      *o, &d, s, fault::Site::kLsaAcquire, [&](Version* base) -> Version* {
+        if (++calls == 1) return nullptr;
+        Version* dup = rig.store.clone_version(s, *base->data);
+        if (calls == 2) raced = commit_version(rig, *o, racer, 10, s, 7);
+        return dup;
+      });
+  ASSERT_NE(tent, nullptr);
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(tent->prev.load(std::memory_order_relaxed), raced);
+  EXPECT_EQ(runtime::payload_as<long>(*tent->data), 7);
+  EXPECT_EQ(o->loc.load(std::memory_order_acquire), &tent->owned);
+  EXPECT_EQ(rig.stats.snapshot()[util::Counter::kWrites], 1u);
+  d.finish_abort();
+  rig.store.release(*o, &d, s);
 }
 
 TEST(ObjectStore, SuccessorOfWalksChain) {
@@ -353,7 +464,6 @@ void concurrent_increment(Rig& rig, Object& o, int slot, std::uint64_t id) {
     const runtime::TypedPayload<Counted> pv(
         Counted(counted_value(l->committed) + 1));
     Version* tent = rig.store.clone_version(slot, pv);
-    tent->prev.store(l->committed, std::memory_order_relaxed);
     if (!rig.store.install(o, l, d, tent)) {
       rig.store.discard_version(slot, tent);
       continue;
@@ -399,7 +509,6 @@ TEST(ObjectStore, TeardownFreesUnsettledWriters) {
       Locator* l = o->loc.load(std::memory_order_acquire);
       const runtime::TypedPayload<Counted> pv(Counted(1));
       Version* tent = rig.store.clone_version(s, pv);
-      tent->prev.store(l->committed, std::memory_order_relaxed);
       ASSERT_TRUE(rig.store.install(*o, l, &d, tent));
       if (st == runtime::TxStatus::kAborted) d.finish_abort();
       if (st == runtime::TxStatus::kCommitted) d.finish_commit();
