@@ -166,8 +166,8 @@ BankResult run_bank(Bank<S>& bank, const BankParams& p) {
 }
 
 /// Build a bank over a by-name runtime and run it — the one-call form the
-/// figure benches and the example share. Dispatches at compile time to the
-/// zero-cost api::Stm<R> adapters (a switch over the six variant names),
+/// figure benches and the example share. Dispatches at compile time to
+/// api::Stm<R> (a switch over the variant names, bodies on native handles),
 /// so the figure numbers measure the native access path, not AnyStm's
 /// erased-handle indirection. `conserved_total`, when given, receives the
 /// post-run sum of all accounts (the §5.5 conservation invariant).

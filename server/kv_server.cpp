@@ -10,12 +10,12 @@
 //               [--transfer=0.07] [--multi-fanout=16] [--queue=16384]
 //               [--seed=1] [--json]
 //
-// Networked mode (DESIGN.md §13.6) puts the epoll TCP front end between the
+// Networked mode (DESIGN.md §13.5) puts the epoll TCP front end between the
 // load generator and the service — same schedule, same mix, one extra hop:
 //
 //   ./kv_server --net [--port=0] [--io-threads=2] [--conns=8] [--idle-ms=0]
 //
-// Saturation sweep (§13.7): `--ramp` multiplies the arrival rate by
+// Saturation sweep (§13.5): `--ramp` multiplies the arrival rate by
 // --ramp-step (default 2) from --rate up to --ramp-max, one --duration-ms
 // step each, and records the knee — the first rate where p99 exceeds
 // --knee-p99-us or anything is shed — per variant.

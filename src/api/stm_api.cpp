@@ -1,6 +1,6 @@
-// AnyStm: name resolution and the type-erased runtime wrappers. The five
-// Stm<R> instantiations behind the six variant names live in this TU so the
-// header stays light for zero-cost (template) users.
+// AnyStm: name resolution and the type-erased runtime wrappers. The six
+// Stm<R> instantiations behind the seven variant names live in this TU, so
+// code that uses only Stm<R> never instantiates them.
 #include "api/stm_api.hpp"
 
 #include <stdexcept>
@@ -13,20 +13,21 @@ namespace {
 template <typename R>
 class AnyStmOf final : public detail::AnyStmBase {
  public:
-  using Adapter = detail::Adapter<R>;
-  using NativeHandle = typename Adapter::Tx;
+  using Tx = typename Stm<R>::Tx;
+  using Object = std::remove_pointer_t<decltype(std::declval<R&>()
+                                                    .allocate_object(nullptr))>;
 
   explicit AnyStmOf(const CommonConfig& cfg) : stm_(cfg) {}
 
   void* make_object(runtime::Payload* initial) override {
-    return Adapter::make_object(stm_.runtime(), initial);
+    return stm_.runtime().allocate_object(initial);
   }
 
   RunResult run(TxKind kind, FunctionRef<void(TxHandle&)> body,
                 std::uint32_t max_attempts) override {
     return stm_.run(
         kind,
-        [&](NativeHandle& native) {
+        [&](Tx& native) {
           TxHandle handle(&native, ops());
           body(handle);
         },
@@ -45,12 +46,12 @@ class AnyStmOf final : public detail::AnyStmBase {
   static const TxHandle::Ops* ops() {
     static const TxHandle::Ops kOps{
         [](void* tx, void* obj) -> const runtime::Payload& {
-          return static_cast<NativeHandle*>(tx)->read_object(obj);
+          return static_cast<Tx*>(tx)->read_object(*static_cast<Object*>(obj));
         },
         [](void* tx, void* obj) -> runtime::Payload& {
-          return static_cast<NativeHandle*>(tx)->write_object(obj);
+          return static_cast<Tx*>(tx)->write_object(*static_cast<Object*>(obj));
         },
-        [](void* tx) { static_cast<NativeHandle*>(tx)->abort(); },
+        [](void* tx) { static_cast<Tx*>(tx)->abort(); },
     };
     return &kOps;
   }

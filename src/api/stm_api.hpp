@@ -1,32 +1,30 @@
 // zstm::api — the unified front-end over all six runtime variants.
 //
 // The paper's whole point is comparing one workload across consistency
-// criteria (LSA vs CS vs S vs Z), yet the raw runtimes expose five different
-// front doors (`lsa::Runtime::run(ctx, body, read_only)`,
-// `cs::RuntimeT::run(ctx, body)`, `sstm::Runtime::run(ctx, body)`,
-// `zl::Runtime::run_short/run_long`), each with its own Config and manual
-// `attach()` discipline. This header gives them one interface, in two
-// flavours:
+// criteria (LSA vs CS vs S vs Z). Every runtime already speaks one attempt
+// vocabulary (runtime/run_result.hpp): `attach()` a ThreadCtx,
+// `ctx.begin(TxKind)` a transaction, `read`/`write`/`abort` on its handle,
+// `ctx.commit()`. This header adds the rest — one Config, implicit
+// attachment, the retry/escalation ladder — in two flavours:
 //
-//   * `Stm<R>` — a zero-cost adapter template. `Stm<lsa::Runtime>`,
-//     `Stm<cs::VcRuntime>`, `Stm<cs::RevRuntime>`, `Stm<sstm::Runtime>` and
-//     `Stm<zl::Runtime>` all expose `make_var<T>`, `run(TxKind, body)` and
-//     a uniform transaction-handle interface (`read`/`write`/`abort`); the
-//     handle type is runtime-specific, so generic callers take it as
-//     `auto&` and the calls compile down to the native ones.
+//   * `Stm<R>` — `Stm<lsa::Runtime>`, `Stm<cs::VcRuntime>`,
+//     `Stm<cs::RevRuntime>`, `Stm<sstm::Runtime>`, `Stm<zl::Runtime>` and
+//     `Stm<tl2::Runtime>` all expose `make_var<T>` and `run(TxKind, body)`.
+//     Bodies receive the runtime's own transaction handle (`lsa::Tx`,
+//     `zl::Tx`, ...), so generic callers take it as `auto&` and every access
+//     is the native call.
 //   * `AnyStm` — a type-erased runtime selected *by name* at run time:
 //     `AnyStm::make("lsa" | "lsa-nors" | "cs-vc" | "cs-r" | "sstm" | "zl" |
 //     "tl2", CommonConfig)`. Bodies receive the concrete `TxHandle`; variables are
 //     `AnyVar<T>`. One indirect call per access — the price of a
 //     `--runtime=` flag instead of a compiled-in benchmark matrix.
 //
-// TxKind × runtime mapping (DESIGN.md §8 has the full table): `kUpdate` and
-// `kReadOnly` run ordinary (short) transactions; `kLong`/`kLongUpdate` map
-// onto `zl::Runtime::run_long` and, on every other runtime, onto its
-// ordinary transactions (LSA additionally treats `kReadOnly`/`kLong` as
-// declared-read-only, enabling its no-readsets fast path). A body run under
-// `kReadOnly` or `kLong` must not write on runtimes that specialize the
-// read-only path.
+// TxKind × runtime mapping (DESIGN.md §8 has the full table): each
+// runtime's `ThreadCtx::begin(kind)` applies its own column. `kLong`/
+// `kLongUpdate` run Z-STM's Algorithm 2 on zl and ordinary transactions
+// everywhere else; LSA treats `kReadOnly`/`kLong` as declared-read-only,
+// enabling its no-readsets fast path. A body run under `kReadOnly` or
+// `kLong` must not write on runtimes that specialize the read-only path.
 //
 // Implicit attachment: user code never calls `attach()`. Each thread's
 // first transaction against a given `Stm` attaches it and caches the
@@ -38,17 +36,18 @@
 // be finished with an `Stm` before it is destroyed.
 //
 // THE ABORT-EXCEPTION CONTRACT (the one place it is documented): every
-// runtime signals an aborted attempt by throwing its `TxAborted` token out
-// of the user body. Bodies must let it propagate — catching it (or a
-// blanket `catch (...)` without rethrow) inside a transaction body leaves
-// the attempt half-finished and the retry loop blind. The façade's retry
-// loops catch exactly that token, clean up the attempt, and either retry
-// (backoff) or — when an attempt budget is given — return
+// runtime signals an aborted attempt by throwing the one
+// `runtime::TxAborted` token out of the user body. Bodies must let it
+// propagate — catching it (or a blanket `catch (...)` without rethrow)
+// inside a transaction body leaves the attempt half-finished and the retry
+// loop blind. `runtime::attempt`, the one try/catch every retry loop runs,
+// catches exactly that token, and the loop either retries (backoff) or —
+// when an attempt budget is given — returns
 // `RunResult{attempts, committed = false}`. Any other exception escaping
-// the body propagates to the caller; the next `run` on the same thread
-// aborts the abandoned attempt first.
+// the body aborts the attempt and propagates to the caller.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -77,6 +76,7 @@
 namespace zstm::api {
 
 using runtime::RunResult;
+using runtime::TxKind;
 
 /// What one `maintain()` call did (DESIGN.md §12.4). `reclaimed` counts
 /// resources freed by this call; `retained` is a gauge of deferred
@@ -88,26 +88,6 @@ struct MaintainResult {
   std::size_t reclaimed = 0;
   std::size_t retained = 0;
 };
-
-/// Transaction kind, declared at start (the paper's §5.3 requirement that
-/// the class be known up front). Long kinds select Z-STM's Algorithm 2;
-/// read-only kinds select LSA's declared-read-only path.
-enum class TxKind {
-  kUpdate,      ///< ordinary (short) update transaction
-  kReadOnly,    ///< ordinary (short) transaction, declared read-only
-  kLong,        ///< long transaction, read-only body
-  kLongUpdate,  ///< long transaction that also writes
-};
-
-inline const char* to_string(TxKind k) {
-  switch (k) {
-    case TxKind::kUpdate: return "update";
-    case TxKind::kReadOnly: return "read-only";
-    case TxKind::kLong: return "long";
-    case TxKind::kLongUpdate: return "long-update";
-  }
-  return "?";
-}
 
 /// The façade's progress policy: how `run` spaces retries and when it
 /// escalates (DESIGN.md §11.3). The ladder, in order:
@@ -155,8 +135,8 @@ struct RetryPolicy {
 };
 
 /// One configuration that lowers into every runtime's native Config.
-/// Fields a runtime has no use for are ignored by its adapter (the
-/// lowering table lives in DESIGN.md §8).
+/// Fields a runtime has no use for are ignored by its lowering (the table
+/// lives in DESIGN.md §8).
 struct CommonConfig {
   int max_threads = 36;
   /// Committed versions retained per object (starting bound in adaptive
@@ -200,10 +180,6 @@ struct CommonConfig {
   RetryPolicy retry;
 };
 
-// ---------------------------------------------------------------------------
-// Per-runtime adapters (detail): the uniform shape Stm<R> is built from.
-// ---------------------------------------------------------------------------
-
 namespace detail {
 
 /// ZSTM_SERIAL_FALLBACK=1 turns on the serial-irrevocable rung for every
@@ -227,10 +203,10 @@ inline std::uint64_t backoff_seed(int slot) {
   return 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(slot) + 2) | 1u;
 }
 
-/// The knobs every native Config shares, copied by field name (one place
-/// to extend when CommonConfig grows).
+/// An object runtime's Config: the knobs they all share, copied by field
+/// name (one place to extend when CommonConfig grows), plus lsa's own.
 template <typename Cfg>
-Cfg lower_common(const CommonConfig& c) {
+Cfg lower(const CommonConfig& c) {
   Cfg cfg;
   cfg.max_threads = c.max_threads;
   cfg.versions_kept = c.versions_kept;
@@ -243,337 +219,37 @@ Cfg lower_common(const CommonConfig& c) {
   cfg.record_history = c.record_history;
   cfg.sharded_tx_ids = c.sharded_tx_ids;
   cfg.ebr_collect_period = c.ebr_collect_period;
+  if constexpr (std::is_same_v<Cfg, lsa::Config>) {
+    cfg.track_readonly_readsets = c.track_readonly_readsets;
+    cfg.time_base = c.time_base;
+    cfg.timebase_batch = c.timebase_batch;
+  }
   return cfg;
 }
 
-inline lsa::Config lower_lsa(const CommonConfig& c) {
-  lsa::Config cfg = lower_common<lsa::Config>(c);
-  cfg.track_readonly_readsets = c.track_readonly_readsets;
-  cfg.time_base = c.time_base;
-  cfg.timebase_batch = c.timebase_batch;
-  return cfg;
-}
-
-/// Uniform handle over a native Tx that already exposes
-/// read/write/abort/read_object/write_object (lsa, cs, sstm). Zero-cost:
-/// every call forwards directly.
-template <typename NativeTx, typename Object>
-class BasicTx {
- public:
-  explicit BasicTx(NativeTx& n) : n_(&n) {}
-  template <typename VarT>
-  decltype(auto) read(const VarT& v) {
-    return n_->read(v);
-  }
-  template <typename VarT>
-  decltype(auto) write(VarT& v) {
-    return n_->write(v);
-  }
-  template <typename VarT, typename T>
-  void write(VarT& v, T value) {
-    n_->write(v) = std::move(value);
-  }
-  [[noreturn]] void abort() { n_->abort(); }
-
-  const runtime::Payload& read_object(void* o) {
-    return n_->read_object(*static_cast<Object*>(o));
-  }
-  runtime::Payload& write_object(void* o) {
-    return n_->write_object(*static_cast<Object*>(o));
-  }
-  /// The wrapped native transaction (advanced use).
-  NativeTx& native() { return *n_; }
-
- private:
-  NativeTx* n_;
-};
-
-/// Shared single-attempt body for BasicTx runtimes: begin (adapter maps
-/// the kind), run, commit; the runtime's abort token means "retry". Any
-/// OTHER exception out of the body (including fault::ThreadExit) aborts
-/// the attempt — releasing every locator/stripe/lease it holds — before
-/// propagating to the caller.
-template <typename Adapter, typename AbortToken, typename Ctx, typename F>
-bool basic_attempt(Ctx& ctx, TxKind kind, F&& body) {
-  auto& native = Adapter::begin_native(ctx, kind);
-  try {
-    typename Adapter::Tx handle(native);
-    body(handle);
-    ctx.commit();
-    return true;
-  } catch (const AbortToken&) {
-    return false;
-  } catch (...) {
-    if (ctx.in_transaction()) ctx.abort_attempt();
-    throw;
-  }
-}
-
-/// Adapter<R>: the per-runtime glue. Each specialization provides
-///   Runtime, Ctx, Var<T>, Object, Tx (the uniform handle),
-///   name(), create(CommonConfig), attach(), make_object(),
-///   attempt(rt, ctx, kind, body) -> bool (one attempt; false = aborted),
-///   and optionally maintain(rt) (periodic housekeeping; defaulted to a
-///   no-op by maintain_or_default below).
+/// Lower `c` into R's native Config and build the runtime.
 template <typename R>
-struct Adapter;
-
-/// Runs Adapter<R>::maintain when the specialization provides one (S-STM's
-/// descriptor trim); every other runtime's maintenance is fully handled by
-/// EBR + the node pool already, so the default is an empty report.
-template <typename A, typename Rt>
-MaintainResult maintain_or_default(Rt& rt) {
-  if constexpr (requires { A::maintain(rt); }) {
-    return A::maintain(rt);
-  } else {
-    (void)rt;
-    return {};
-  }
-}
-
-template <>
-struct Adapter<lsa::Runtime> {
-  using Runtime = lsa::Runtime;
-  using Ctx = lsa::ThreadCtx;
-  template <typename T>
-  using Var = lsa::Var<T>;
-  using Object = lsa::Object;
-  using Tx = BasicTx<lsa::Tx, Object>;
-
-  static const char* name() { return "lsa"; }
-
-  static std::unique_ptr<Runtime> create(const CommonConfig& c) {
-    return std::make_unique<Runtime>(lower_lsa(c));
-  }
-  static std::unique_ptr<Ctx> attach(Runtime& rt) { return rt.attach(); }
-  static void* make_object(Runtime& rt, runtime::Payload* initial) {
-    return rt.allocate_object(initial);
-  }
-
-  /// Read-only kinds run LSA's declared-read-only path (the no-readsets
-  /// fast path when the runtime is configured for it).
-  static lsa::Tx& begin_native(Ctx& ctx, TxKind kind) {
-    return ctx.begin(kind == TxKind::kReadOnly || kind == TxKind::kLong);
-  }
-
-  template <typename F>
-  static bool attempt(Runtime&, Ctx& ctx, TxKind kind, F&& body) {
-    return basic_attempt<Adapter, lsa::TxAborted>(ctx, kind, body);
-  }
-
-  /// CM-aware escalation hook: credit a starved transaction's attempt
-  /// count as contention-manager karma on the fresh descriptor.
-  static void credit_work(Tx& handle, std::uint64_t n) {
-    handle.native().descriptor()->add_work(n);
-  }
-};
-
-template <typename D>
-struct Adapter<cs::RuntimeT<D>> {
-  using Runtime = cs::RuntimeT<D>;
-  using Ctx = typename Runtime::ThreadCtx;
-  template <typename T>
-  using Var = typename Runtime::template Var<T>;
-  using Object = typename Runtime::Object;
-  using Tx = BasicTx<typename Runtime::Tx, Object>;
-
-  static const char* name() {
-    return std::is_same_v<D, timebase::VcDomain> ? "cs-vc" : "cs-r";
-  }
-
-  static std::unique_ptr<Runtime> create(const CommonConfig& c) {
-    if constexpr (std::is_same_v<D, timebase::VcDomain>) {
-      return cs::make_vc_runtime(lower_common<cs::Config>(c));
-    } else {
-      // REV requires r <= n (and at least one entry); clamp so one
-      // CommonConfig works across thread counts.
-      int entries = c.plausible_entries;
-      if (entries > c.max_threads) entries = c.max_threads;
-      if (entries < 1) entries = 1;
-      return cs::make_rev_runtime(entries, lower_common<cs::Config>(c));
-    }
-  }
-  static std::unique_ptr<Ctx> attach(Runtime& rt) { return rt.attach(); }
-  static void* make_object(Runtime& rt, runtime::Payload* initial) {
-    return rt.allocate_object(initial);
-  }
-
-  /// CS-STM has one transaction class; all kinds run it (read-only bodies
-  /// simply never bump their own clock component at commit).
-  static typename Runtime::Tx& begin_native(Ctx& ctx, TxKind) {
-    return ctx.begin();
-  }
-
-  template <typename F>
-  static bool attempt(Runtime&, Ctx& ctx, TxKind kind, F&& body) {
-    return basic_attempt<Adapter, cs::TxAborted>(ctx, kind, body);
-  }
-
-  static void credit_work(Tx& handle, std::uint64_t n) {
-    handle.native().descriptor()->add_work(n);
-  }
-};
-
-template <>
-struct Adapter<sstm::Runtime> {
-  using Runtime = sstm::Runtime;
-  using Ctx = sstm::ThreadCtx;
-  template <typename T>
-  using Var = sstm::Var<T>;
-  using Object = sstm::Object;
-  using Tx = BasicTx<sstm::Tx, Object>;
-
-  static const char* name() { return "sstm"; }
-
-  static std::unique_ptr<Runtime> create(const CommonConfig& c) {
-    return std::make_unique<Runtime>(lower_common<sstm::Config>(c));
-  }
-  static std::unique_ptr<Ctx> attach(Runtime& rt) { return rt.attach(); }
-  static void* make_object(Runtime& rt, runtime::Payload* initial) {
-    return rt.allocate_object(initial);
-  }
-
-  /// One transaction class; S-STM's serializability machinery does not
-  /// distinguish declared-read-only transactions.
-  static sstm::Tx& begin_native(Ctx& ctx, TxKind) { return ctx.begin(); }
-
-  /// Housekeeping hook: the quiescent descriptor trim (DESIGN.md §11.5).
-  /// Safe from any thread, attached or not; a no-op returning reclaimed=0
-  /// whenever an attempt is in flight.
-  static MaintainResult maintain(Runtime& rt) {
-    const std::size_t reclaimed = rt.trim_descriptors();
-    return {reclaimed, rt.descriptor_count()};
-  }
-
-  template <typename F>
-  static bool attempt(Runtime&, Ctx& ctx, TxKind kind, F&& body) {
-    return basic_attempt<Adapter, sstm::TxAborted>(ctx, kind, body);
-  }
-
-  static void credit_work(Tx& handle, std::uint64_t n) {
-    handle.native().descriptor()->add_work(n);
-  }
-};
-
-template <>
-struct Adapter<zl::Runtime> {
-  using Runtime = zl::Runtime;
-  using Ctx = zl::ThreadCtx;
-  template <typename T>
-  using Var = lsa::Var<T>;
-  using Object = lsa::Object;
-
-  static const char* name() { return "zl"; }
-
-  /// Dispatching handle: a Z-STM transaction is either short or long, with
-  /// different native types; one branch per access is the whole cost.
-  class Tx {
-   public:
-    explicit Tx(zl::ShortTx& s) : short_(&s) {}
-    explicit Tx(zl::LongTx& l) : long_(&l) {}
-    template <typename T>
-    const T& read(const Var<T>& v) {
-      return short_ != nullptr ? short_->read(v) : long_->read(v);
-    }
-    template <typename T>
-    T& write(Var<T>& v) {
-      return short_ != nullptr ? short_->write(v) : long_->write(v);
-    }
-    template <typename T>
-    void write(Var<T>& v, T value) {
-      write(v) = std::move(value);
-    }
-    [[noreturn]] void abort() {
-      if (short_ != nullptr) short_->abort();
-      long_->abort();
-    }
-
-    const runtime::Payload& read_object(void* o) {
-      Object& obj = *static_cast<Object*>(o);
-      return short_ != nullptr ? short_->read_object(obj)
-                               : long_->read_object(obj);
-    }
-    runtime::Payload& write_object(void* o) {
-      Object& obj = *static_cast<Object*>(o);
-      return short_ != nullptr ? short_->write_object(obj)
-                               : long_->write_object(obj);
-    }
-    bool is_long() const { return long_ != nullptr; }
-
-    /// CM-aware escalation (façade retry loop): karma credit lands on
-    /// whichever native descriptor this attempt runs under.
-    void credit_work(std::uint64_t n) {
-      if (long_ != nullptr) {
-        long_->descriptor()->add_work(n);
-      } else {
-        short_->inner().descriptor()->add_work(n);
-      }
-    }
-
-   private:
-    zl::ShortTx* short_ = nullptr;
-    zl::LongTx* long_ = nullptr;
-  };
-
-  static std::unique_ptr<Runtime> create(const CommonConfig& c) {
+std::unique_ptr<R> create(const CommonConfig& c) {
+  if constexpr (std::is_same_v<R, lsa::Runtime>) {
+    return std::make_unique<R>(lower<lsa::Config>(c));
+  } else if constexpr (std::is_same_v<R, zl::Runtime>) {
     zl::Config cfg;
-    cfg.lsa = lower_lsa(c);
-    return std::make_unique<Runtime>(cfg);
-  }
-  static std::unique_ptr<Ctx> attach(Runtime& rt) { return rt.attach(); }
-  static void* make_object(Runtime& rt, runtime::Payload* initial) {
-    return rt.allocate_object(initial);
-  }
-
-  template <typename F>
-  static bool attempt(Runtime&, Ctx& ctx, TxKind kind, F&& body) {
-    if (kind == TxKind::kLong || kind == TxKind::kLongUpdate) {
-      zl::LongTx& n = ctx.begin_long();
-      try {
-        Tx handle(n);
-        body(handle);
-        ctx.commit_long();
-        return true;
-      } catch (const zl::TxAborted&) {
-        return false;
-      } catch (...) {
-        if (ctx.in_long_transaction()) ctx.abort_long_attempt();
-        throw;
-      }
-    }
-    zl::ShortTx& n = ctx.begin_short(kind == TxKind::kReadOnly);
-    try {
-      Tx handle(n);
-      body(handle);
-      ctx.commit_short();
-      return true;
-    } catch (const zl::TxAborted&) {
-      return false;
-    } catch (...) {
-      if (ctx.in_short_transaction()) ctx.abort_short_attempt();
-      throw;
-    }
-  }
-
-  static void credit_work(Tx& handle, std::uint64_t n) {
-    handle.credit_work(n);
-  }
-};
-
-template <>
-struct Adapter<tl2::Runtime> {
-  using Runtime = tl2::Runtime;
-  using Ctx = tl2::ThreadCtx;
-  template <typename T>
-  using Var = tl2::Var<T>;
-  using Object = tl2::Object;
-  using Tx = BasicTx<tl2::Tx, Object>;
-
-  static const char* name() { return "tl2"; }
-
-  /// tl2 is word-granularity with no versions, retention, or contention
-  /// manager; only the threading/pool/history knobs lower.
-  static std::unique_ptr<Runtime> create(const CommonConfig& c) {
+    cfg.lsa = lower<lsa::Config>(c);
+    return std::make_unique<R>(cfg);
+  } else if constexpr (std::is_same_v<R, sstm::Runtime>) {
+    return std::make_unique<R>(lower<sstm::Config>(c));
+  } else if constexpr (std::is_same_v<R, cs::VcRuntime>) {
+    return cs::make_vc_runtime(lower<cs::Config>(c));
+  } else if constexpr (std::is_same_v<R, cs::RevRuntime>) {
+    // REV requires r <= n (and at least one entry); clamp so one
+    // CommonConfig works across thread counts.
+    const int entries =
+        std::max(1, std::min(c.plausible_entries, c.max_threads));
+    return cs::make_rev_runtime(entries, lower<cs::Config>(c));
+  } else {
+    static_assert(std::is_same_v<R, tl2::Runtime>);
+    // tl2 is word-granularity with no versions, retention, or contention
+    // manager; only the threading/pool/history knobs lower.
     tl2::Config cfg;
     cfg.max_threads = c.max_threads;
     cfg.use_node_pool = c.use_node_pool;
@@ -583,32 +259,14 @@ struct Adapter<tl2::Runtime> {
       cfg.clock_scheme = tl2::ClockScheme::kCasStride;
       cfg.clock_stride = c.tl2_clock_stride;
     }
-    return std::make_unique<Runtime>(cfg);
+    return std::make_unique<R>(cfg);
   }
-  static std::unique_ptr<Ctx> attach(Runtime& rt) { return rt.attach(); }
-  static void* make_object(Runtime& rt, runtime::Payload* initial) {
-    return rt.allocate_object(initial);
-  }
-
-  /// One transaction class; an empty write set makes a commit read-only
-  /// automatically, so the kind only passes the advisory flag through.
-  static tl2::Tx& begin_native(Ctx& ctx, TxKind kind) {
-    return ctx.begin(kind == TxKind::kReadOnly || kind == TxKind::kLong);
-  }
-
-  template <typename F>
-  static bool attempt(Runtime&, Ctx& ctx, TxKind kind, F&& body) {
-    return basic_attempt<Adapter, tl2::TxAborted>(ctx, kind, body);
-  }
-
-  /// tl2 has no contention manager; karma credit has nowhere to go.
-  static void credit_work(Tx&, std::uint64_t) {}
-};
+}
 
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// Stm<R>: the zero-cost adapter.
+// Stm<R>: the compiled-in façade over one runtime.
 // ---------------------------------------------------------------------------
 
 /// One façade instance owns one runtime. Movable, not copyable. Worker
@@ -617,18 +275,19 @@ struct Adapter<tl2::Runtime> {
 template <typename R>
 class Stm {
  public:
-  using Adapter = detail::Adapter<R>;
   using Runtime = R;
-  using Ctx = typename Adapter::Ctx;
-  /// The uniform transaction handle bodies receive (runtime-specific type,
-  /// uniform interface — take it as `auto&` in generic code).
-  using Tx = typename Adapter::Tx;
+  /// The runtime's own per-thread context (what `attach()` returns).
+  using Ctx = typename decltype(std::declval<R&>().attach())::element_type;
+  /// The runtime's own transaction handle, which bodies receive (take it as
+  /// `auto&` in generic code).
+  using Tx = std::remove_reference_t<decltype(std::declval<Ctx&>().begin(
+      TxKind::kUpdate))>;
   template <typename T>
-  using Var = typename Adapter::template Var<T>;
+  using Var = typename R::template Var<T>;
 
   explicit Stm(CommonConfig cfg = {})
       : cfg_(cfg),
-        rt_(Adapter::create(cfg)),
+        rt_(detail::create<R>(cfg)),
         shared_(std::make_shared<Shared>()),
         progress_(std::make_unique<util::ProgressTracker>(cfg.max_threads)),
         maint_counters_(cfg.maintain_every != 0
@@ -665,8 +324,6 @@ class Stm {
     }
     return *this;
   }
-
-  static const char* runtime_name() { return Adapter::name(); }
 
   template <typename T>
   Var<T> make_var(T initial) {
@@ -729,11 +386,16 @@ class Stm {
   /// active (`retry.serial_after != 0` or ZSTM_SERIAL_FALLBACK); with the
   /// gate disabled a forced call degrades to the opportunistic one.
   MaintainResult maintain(bool force = false) {
+    std::unique_lock<std::shared_mutex> drain;
     if (force && serial_after_ != 0) {
-      std::unique_lock<std::shared_mutex> drain(shared_->serial_gate);
-      return detail::maintain_or_default<Adapter>(*rt_);
+      drain = std::unique_lock<std::shared_mutex>(shared_->serial_gate);
     }
-    return detail::maintain_or_default<Adapter>(*rt_);
+    if constexpr (requires { rt_->trim_descriptors(); }) {
+      const std::size_t reclaimed = rt_->trim_descriptors();
+      return {reclaimed, rt_->descriptor_count()};
+    } else {
+      return {};
+    }
   }
 
  private:
@@ -809,7 +471,7 @@ class Stm {
     Entry& e = c.entries[id_];
     if (e.ctx == nullptr) {
       e.shared = shared_;
-      std::unique_ptr<Ctx> ctx = Adapter::attach(*rt_);
+      std::unique_ptr<Ctx> ctx = rt_->attach();
       std::lock_guard<std::mutex> lk(shared_->mu);
       e.ctx = std::move(ctx);
       shared_->entries.push_back(&e);
@@ -833,15 +495,15 @@ class Stm {
   }
 
   /// One attempt, with the carried karma (RetryPolicy rung 2) credited to
-  /// the fresh descriptor as the first action inside the transaction.
+  /// the fresh descriptor before the body runs. tl2's handle has no
+  /// descriptor (and tl2 no contention manager), so the credit is skipped.
   template <typename F>
   bool attempt_once(Ctx& ctx, TxKind kind, F& body, std::uint64_t carried) {
-    if (carried == 0) return Adapter::attempt(*rt_, ctx, kind, body);
-    auto wrapped = [&](typename Adapter::Tx& handle) {
-      Adapter::credit_work(handle, carried);
-      body(handle);
-    };
-    return Adapter::attempt(*rt_, ctx, kind, wrapped);
+    auto&& tx = ctx.begin(kind);
+    if constexpr (requires(Tx& t) { t.descriptor()->add_work(); }) {
+      if (carried != 0) tx.descriptor()->add_work(carried);
+    }
+    return runtime::attempt(ctx, tx, body);
   }
 
   /// The retry/escalation ladder (see RetryPolicy). A per-call budget

@@ -1,7 +1,7 @@
 // Umbrella header for the z-linearizable transactional memory library.
 //
 // The library reproduces "From Causal to z-Linearizable Transactional
-// Memory" (Riegel, Sturzrehm, Felber, Fetzer — PODC 2007) and exposes four
+// Memory" (Riegel, Sturzrehm, Felber, Fetzer — PODC 2007) and exposes six
 // STM runtimes plus their shared substrates:
 //
 //   zstm::lsa::Runtime       — LSA-STM baseline (linearizable TBTM, §2/[8])
@@ -10,6 +10,8 @@
 //   zstm::cs::RevRuntime     — CS-STM over r-entry plausible clocks (§4.3)
 //   zstm::sstm::Runtime      — S-STM, serializability (§4.2)
 //   zstm::zl::Runtime        — Z-STM, z-linearizability (Algorithms 2 & 3)
+//   zstm::tl2::Runtime       — TL2, word-granularity strict
+//                              serializability (the comparison baseline)
 //
 // The recommended entry point is the unified façade (api/stm_api.hpp):
 // every variant behind one interface, selected statically or by name, with
@@ -25,8 +27,9 @@
 //     ...
 //   });
 //
-// The per-runtime raw APIs (explicit attach(), native Tx types) remain
-// public and unchanged underneath.
+// The per-runtime raw APIs (explicit attach(), `begin(TxKind)`, native Tx
+// types) remain public underneath; Stm<R> bodies receive those native Tx
+// types directly.
 #pragma once
 
 #include "api/stm_api.hpp"       // IWYU pragma: export
@@ -34,5 +37,6 @@
 #include "history/checkers.hpp"  // IWYU pragma: export
 #include "lsa/lsa.hpp"           // IWYU pragma: export
 #include "sstm/sstm.hpp"         // IWYU pragma: export
+#include "tl2/tl2.hpp"           // IWYU pragma: export
 #include "zstm/auto_class.hpp"   // IWYU pragma: export
 #include "zstm/zstm.hpp"         // IWYU pragma: export

@@ -47,14 +47,14 @@
 #include "timebase/sharded_clock.hpp"
 #include "timebase/vector_clock.hpp"
 #include "util/align.hpp"
-#include "util/backoff.hpp"
 #include "util/ebr.hpp"
 #include "util/stats.hpp"
 #include "util/thread_registry.hpp"
 
 namespace zstm::cs {
 
-struct TxAborted {};
+using runtime::TxAborted;
+using runtime::TxKind;
 
 struct Config {
   int max_threads = 36;
@@ -179,7 +179,10 @@ class RuntimeT {
     ThreadCtx(const ThreadCtx&) = delete;
     ThreadCtx& operator=(const ThreadCtx&) = delete;
 
-    Tx& begin();
+    /// Start a transaction attempt. CS-STM has one transaction class; every
+    /// kind runs it (read-only bodies simply never bump their own clock
+    /// component at commit).
+    Tx& begin(TxKind kind = TxKind::kUpdate);
     void commit();
     void abort_attempt();
 
@@ -235,22 +238,7 @@ class RuntimeT {
   /// runtime/run_result.hpp for the convention).
   template <typename F>
   runtime::RunResult run(ThreadCtx& ctx, F&& body) {
-    util::Backoff bo;
-    for (std::uint32_t attempt = 1;; ++attempt) {
-      Tx& tx = ctx.begin();
-      try {
-        body(tx);
-        ctx.commit();
-        return {attempt, true};
-      } catch (const TxAborted&) {
-        bo.pause();
-      } catch (...) {
-        // Foreign exception out of the body: release every ownership the
-        // attempt holds before letting it propagate.
-        if (ctx.in_transaction()) ctx.abort_attempt();
-        throw;
-      }
-    }
+    return runtime::retry(ctx, [&]() -> Tx& { return ctx.begin(); }, body);
   }
 
   /// Type-erased variable creation hook for the zstm::api façade (the
@@ -354,7 +342,7 @@ class RuntimeT {
 // ---------------------------------------------------------------------------
 
 template <typename D>
-typename RuntimeT<D>::Tx& RuntimeT<D>::ThreadCtx::begin() {
+typename RuntimeT<D>::Tx& RuntimeT<D>::ThreadCtx::begin(TxKind) {
   if (in_transaction()) abort_attempt();
   const std::uint64_t id = rt_.next_tx_id(slot());
   // T.ct starts from VCp, the last committed timestamp of this thread

@@ -83,7 +83,8 @@ ThreadCtx::~ThreadCtx() {
   if (in_transaction()) abort_attempt();
 }
 
-Tx& ThreadCtx::begin(bool read_only) {
+Tx& ThreadCtx::begin(TxKind kind) {
+  const bool read_only = kind == TxKind::kReadOnly || kind == TxKind::kLong;
   if (in_transaction()) abort_attempt();  // defensive: drop a leaked attempt
   Tx& tx = tx_;
   next_tx_id_ = rt_.next_tx_id(slot());

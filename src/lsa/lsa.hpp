@@ -53,9 +53,8 @@
 
 namespace zstm::lsa {
 
-/// Thrown internally when a transaction attempt must be retried. User code
-/// inside Runtime::run must let it propagate.
-struct TxAborted {};
+using runtime::TxAborted;
+using runtime::TxKind;
 
 struct Config {
   int max_threads = 36;
@@ -244,9 +243,10 @@ class ThreadCtx {
   ThreadCtx(const ThreadCtx&) = delete;
   ThreadCtx& operator=(const ThreadCtx&) = delete;
 
-  /// Start a transaction attempt. `read_only` enables the no-readsets fast
-  /// path when the runtime is configured for it.
-  Tx& begin(bool read_only = false);
+  /// Start a transaction attempt. `kReadOnly` and `kLong` declare it
+  /// read-only, which enables the no-readsets fast path when the runtime is
+  /// configured for it (DESIGN.md §8).
+  Tx& begin(TxKind kind = TxKind::kUpdate);
 
   /// Commit the current attempt; throws TxAborted on validation failure
   /// or when `check` (may be null) refuses an update attempt (the attempt
@@ -285,6 +285,9 @@ class ThreadCtx {
 
 class Runtime {
  public:
+  template <typename T>
+  using Var = lsa::Var<T>;
+
   explicit Runtime(Config cfg = {});
   ~Runtime();
 
@@ -305,22 +308,9 @@ class Runtime {
   /// (the retry-loop convention of runtime/run_result.hpp).
   template <typename F>
   runtime::RunResult run(ThreadCtx& ctx, F&& body, bool read_only = false) {
-    util::Backoff bo;
-    for (std::uint32_t attempt = 1;; ++attempt) {
-      Tx& tx = ctx.begin(read_only);
-      try {
-        body(tx);
-        ctx.commit();
-        return {attempt, true};
-      } catch (const TxAborted&) {
-        bo.pause();
-      } catch (...) {
-        // Foreign exception out of the body: release every ownership the
-        // attempt holds before letting it propagate.
-        if (ctx.in_transaction()) ctx.abort_attempt();
-        throw;
-      }
-    }
+    const TxKind kind = read_only ? TxKind::kReadOnly : TxKind::kUpdate;
+    return runtime::retry(
+        ctx, [&]() -> Tx& { return ctx.begin(kind); }, body);
   }
 
   const Config& config() const { return cfg_; }

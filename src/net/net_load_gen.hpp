@@ -1,7 +1,7 @@
 // Open-loop load generator for the networked KV front end (DESIGN.md
-// §13.6): the same scheduled-arrival discipline as server/load_gen.hpp —
-// same Zipfian key choice, same op mix, same LoadGenConfig — but driven
-// across TCP, pipelined over `conns` connections, so BENCH_kv_net rows are
+// §13.5): the same pacer as server/load_gen.hpp — one schedule, one
+// Zipfian key choice, one op mix, one LoadGenConfig — but driven across
+// TCP, pipelined over `conns` connections, so BENCH_kv_net rows are
 // directly comparable to the in-process BENCH_kv rows (identical knobs,
 // one extra hop).
 //
@@ -193,55 +193,18 @@ inline NetLoadResult run_net_open_loop(const std::string& host,
     });
   }
 
-  // The pacer: identical schedule/mix/key machinery to run_open_loop.
-  util::Xorshift rng(cfg.seed);
-  util::Zipfian keys(cfg.keyspace, cfg.zipf_theta, cfg.seed ^ 0x5eedULL);
-  const double interval_ns = 1e9 / cfg.rate;
-  const std::uint64_t t0 = util::ProgressTracker::now_ns();
-  const std::uint64_t end =
-      t0 + static_cast<std::uint64_t>(
-               std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   cfg.duration)
-                   .count());
-  double next = static_cast<double>(t0);
+  // The pacer: the shared schedule and op mix (server/load_gen.hpp); this
+  // rail only encodes each request and routes it round-robin.
   std::size_t rr = 0;
-
-  while (static_cast<std::uint64_t>(next) < end) {
-    const std::uint64_t scheduled = static_cast<std::uint64_t>(next);
-    const std::uint64_t now = util::ProgressTracker::now_ns();
-    if (scheduled > now) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(scheduled - now));
-    }
-
+  auto send = [&](server::Request&& r) {
     wire::Request req;
-    req.req_id = scheduled;  // latency = receipt − req_id at the receiver
-    const double roll = rng.next_unit();
-    double acc = cfg.mix.put;
-    if (roll < acc) {
-      req.op = wire::Op::kPut;
-      req.key = keys.next();
-      req.value = cfg.put_value;
-    } else if (roll < (acc += cfg.mix.del)) {
-      req.op = wire::Op::kDel;
-      req.key = keys.next();
-    } else if (roll < (acc += cfg.mix.multi_get)) {
-      req.op = wire::Op::kMultiGet;
-      const std::uint64_t span =
-          cfg.keyspace > cfg.multi_fanout ? cfg.keyspace - cfg.multi_fanout : 1;
-      req.key = rng.next_below(span);
-      req.fanout = cfg.multi_fanout;
-    } else if (roll < (acc += cfg.mix.scan)) {
-      req.op = wire::Op::kScan;
-    } else if (roll < (acc += cfg.mix.transfer)) {
-      req.op = wire::Op::kTransfer;
-      req.key = keys.next();
-      req.key2 = keys.next();
-      if (req.key2 == req.key) req.key2 = (req.key + 1) % cfg.keyspace;
-      req.value = cfg.transfer_amount;
-    } else {
-      req.op = wire::Op::kGet;
-      req.key = keys.next();
-    }
+    // The first six wire ops are server::Op's (asserted in tcp_server.cpp).
+    req.op = static_cast<wire::Op>(r.op);
+    req.req_id = r.arrival_ns;  // latency = receipt − req_id at the receiver
+    req.key = r.key;
+    req.key2 = r.key2;
+    req.value = r.value;
+    req.fanout = r.fanout;
 
     ++res.offered;
     std::uint8_t buf[wire::kReqFrame];
@@ -254,15 +217,8 @@ inline NetLoadResult run_net_open_loop(const std::string& host,
     } else {
       ++res.client_shed;
     }
-
-    if (cfg.poisson) {
-      double u = rng.next_unit();
-      if (u <= 1e-12) u = 1e-12;
-      next += -std::log(u) * interval_ns;
-    } else {
-      next += interval_ns;
-    }
-  }
+  };
+  const std::uint64_t t0 = server::pace_open_loop(cfg, send);
 
   // Flush client buffers (bounded), then wait for the responses to the
   // frames that actually went out, then release the receivers.

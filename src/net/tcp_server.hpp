@@ -31,7 +31,7 @@
 // come back and every response byte that can be flushed has been flushed
 // (bounded by drain_timeout for peers that stopped reading), then close.
 //
-// Failpoint sites (§13.5): net.accept (drop fresh connection), net.read
+// Failpoint sites (§13.4): net.accept (drop fresh connection), net.read
 // (short read), net.write (short write), net.conn_kill (hard-close at
 // request parse). All four have ordinary recovery paths; the chaos net
 // suite runs the full client battery with them armed.

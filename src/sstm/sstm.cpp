@@ -178,7 +178,7 @@ ThreadCtx::~ThreadCtx() {
   }
 }
 
-Tx& ThreadCtx::begin() {
+Tx& ThreadCtx::begin(TxKind) {
   if (in_transaction()) abort_attempt();
   tx_.desc_ = rt_.allocate_desc(slot());
   tx_.desc_->ct = vcp_;  // T.ct starts from the thread's last committed stamp

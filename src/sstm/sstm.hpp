@@ -49,7 +49,6 @@
 #include "runtime/txdesc.hpp"
 #include "timebase/sharded_clock.hpp"
 #include "timebase/vector_clock.hpp"
-#include "util/backoff.hpp"
 #include "util/ebr.hpp"
 #include "util/spin_lock.hpp"
 #include "util/stats.hpp"
@@ -57,7 +56,8 @@
 
 namespace zstm::sstm {
 
-struct TxAborted {};
+using runtime::TxAborted;
+using runtime::TxKind;
 
 struct Config {
   int max_threads = 36;
@@ -213,7 +213,9 @@ class ThreadCtx {
   ThreadCtx(const ThreadCtx&) = delete;
   ThreadCtx& operator=(const ThreadCtx&) = delete;
 
-  Tx& begin();
+  /// Start a transaction attempt. One transaction class: S-STM's
+  /// serializability machinery does not distinguish kinds.
+  Tx& begin(TxKind kind = TxKind::kUpdate);
   void commit();
   void abort_attempt();
 
@@ -238,6 +240,9 @@ class ThreadCtx {
 
 class Runtime {
  public:
+  template <typename T>
+  using Var = sstm::Var<T>;
+
   explicit Runtime(Config cfg = {});
   ~Runtime();
 
@@ -255,22 +260,7 @@ class Runtime {
   /// runtime/run_result.hpp for the convention).
   template <typename F>
   runtime::RunResult run(ThreadCtx& ctx, F&& body) {
-    util::Backoff bo;
-    for (std::uint32_t attempt = 1;; ++attempt) {
-      Tx& tx = ctx.begin();
-      try {
-        body(tx);
-        ctx.commit();
-        return {attempt, true};
-      } catch (const TxAborted&) {
-        bo.pause();
-      } catch (...) {
-        // Foreign exception out of the body: release every ownership the
-        // attempt holds before letting it propagate.
-        if (ctx.in_transaction()) ctx.abort_attempt();
-        throw;
-      }
-    }
+    return runtime::retry(ctx, [&]() -> Tx& { return ctx.begin(); }, body);
   }
 
   /// Type-erased variable creation hook for the zstm::api façade.

@@ -109,10 +109,9 @@ ThreadCtx::~ThreadCtx() {
   if (active_) abort_attempt();
 }
 
-Tx& ThreadCtx::begin(bool read_only) {
+Tx& ThreadCtx::begin(TxKind) {
   if (active_) abort_attempt();  // leaked attempt (foreign exception)
   active_ = true;
-  tx_.read_only_ = read_only;
   tx_.read_set_.clear();
   tx_.write_set_.clear();
   tx_.snaps_.clear();

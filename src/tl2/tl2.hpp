@@ -60,15 +60,13 @@
 #include "runtime/txdesc.hpp"
 #include "timebase/global_counter.hpp"
 #include "timebase/sharded_clock.hpp"
-#include "util/backoff.hpp"
 #include "util/stats.hpp"
 #include "util/thread_registry.hpp"
 
 namespace zstm::tl2 {
 
-/// Thrown internally when a transaction attempt must be retried. User code
-/// inside Runtime::run must let it propagate (the façade contract).
-struct TxAborted {};
+using runtime::TxAborted;
+using runtime::TxKind;
 
 /// How update commits advance the global version clock (DESIGN.md §10).
 enum class ClockScheme {
@@ -212,7 +210,6 @@ class Tx {
 
   ThreadCtx& ctx_;
   std::uint64_t rv_ = 0;  // clock sample at begin; snapshot validity bound
-  bool read_only_ = false;
   std::vector<ReadEntry> read_set_;
   std::vector<WriteEntry> write_set_;
   std::vector<runtime::Payload*> snaps_;  // AnyStm-path snapshot buffers
@@ -228,9 +225,9 @@ class ThreadCtx {
   ThreadCtx& operator=(const ThreadCtx&) = delete;
 
   /// Start a transaction attempt (aborting a leaked previous one first).
-  /// `read_only` is advisory: tl2 treats every commit with an empty write
-  /// set as read-only automatically.
-  Tx& begin(bool read_only = false);
+  /// One transaction class for every kind: tl2 treats every commit with an
+  /// empty write set as read-only automatically.
+  Tx& begin(TxKind kind = TxKind::kUpdate);
 
   /// Commit the current attempt; throws TxAborted on lock contention or
   /// read-set revalidation failure (the attempt is already cleaned up).
@@ -278,6 +275,9 @@ class ThreadCtx {
 
 class Runtime {
  public:
+  template <typename T>
+  using Var = tl2::Var<T>;
+
   /// Largest value size (bytes) a tl2 object supports: one NodePool class-3
   /// block holds the snapshot payload (16-byte TypedPayload header + value).
   static constexpr std::size_t kBufBytes = 240;
@@ -305,25 +305,12 @@ class Runtime {
   std::unique_ptr<ThreadCtx> attach();
 
   /// Run `body` (callable taking Tx&) as a transaction, retrying with
-  /// backoff until it commits (runtime/run_result.hpp convention).
+  /// backoff until it commits (runtime/run_result.hpp convention). The
+  /// read-only flag is advisory and unused: tl2 runs one class (see begin).
   template <typename F>
-  runtime::RunResult run(ThreadCtx& ctx, F&& body, bool read_only = false) {
-    util::Backoff bo;
-    for (std::uint32_t attempt = 1;; ++attempt) {
-      Tx& tx = ctx.begin(read_only);
-      try {
-        body(tx);
-        ctx.commit();
-        return {attempt, true};
-      } catch (const TxAborted&) {
-        bo.pause();
-      } catch (...) {
-        // Foreign exception out of the body: release every ownership the
-        // attempt holds before letting it propagate.
-        if (ctx.in_transaction()) ctx.abort_attempt();
-        throw;
-      }
-    }
+  runtime::RunResult run(ThreadCtx& ctx, F&& body,
+                         bool /*read_only*/ = false) {
+    return runtime::retry(ctx, [&]() -> Tx& { return ctx.begin(); }, body);
   }
 
   /// Validates that `initial` supports the raw-word representation

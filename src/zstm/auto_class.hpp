@@ -18,8 +18,8 @@
 //    not pin a small transaction to the long path forever;
 //  * everything else runs as a short transaction on the LSA fast path.
 //
-// AutoTx is the common facade the user body programs against, so one body
-// serves both modes.
+// The body programs against zl::Tx, the handle ThreadCtx::begin(kind)
+// returns, so one body serves both modes.
 #pragma once
 
 #include <atomic>
@@ -30,36 +30,6 @@
 #include "zstm/zstm.hpp"
 
 namespace zstm::zl {
-
-/// Uniform transaction facade over ShortTx / LongTx for auto-routed bodies.
-class AutoTx {
- public:
-  explicit AutoTx(ShortTx& tx) : short_(&tx) {}
-  explicit AutoTx(LongTx& tx) : long_(&tx) {}
-
-  template <typename T>
-  const T& read(const lsa::Var<T>& var) {
-    return short_ != nullptr ? short_->read(var) : long_->read(var);
-  }
-  template <typename T>
-  T& write(lsa::Var<T>& var) {
-    return short_ != nullptr ? short_->write(var) : long_->write(var);
-  }
-  template <typename T>
-  void write(lsa::Var<T>& var, T value) {
-    write(var) = std::move(value);
-  }
-  [[noreturn]] void abort() {
-    if (short_ != nullptr) short_->abort();
-    long_->abort();
-  }
-
-  bool is_long() const { return long_ != nullptr; }
-
- private:
-  ShortTx* short_ = nullptr;
-  LongTx* long_ = nullptr;
-};
 
 /// Tuning knobs for AutoClassifier (namespace scope: default member
 /// initializers of a nested class cannot be used for an in-class default
@@ -164,47 +134,24 @@ class AutoClassifier {
   std::vector<SiteStats> sites_;
 };
 
-/// Measures the number of opens a transaction performed via the
-/// descriptor's work counter (maintained for contention management).
-class CountingProbe {
- public:
-  CountingProbe(std::uint64_t* out, const runtime::TxDescBase* desc)
-      : out_(out), desc_(desc), base_(desc->work()) {}
-  std::uint64_t opens() const { return desc_->work() - base_; }
-  ~CountingProbe() { *out_ = desc_->work() - base_; }
-
- private:
-  std::uint64_t* out_;
-  const runtime::TxDescBase* desc_;
-  std::uint64_t base_;
-};
-
-/// Run `body` (callable taking AutoTx&) at `site`, letting the classifier
+/// Run `body` (callable taking Tx&) at `site`, letting the classifier
 /// pick the transaction class from the site's history. Returns {attempts,
 /// committed = true} (the retry-loop convention of runtime/run_result.hpp).
 template <typename F>
-runtime::RunResult run_auto(Runtime& rt, ThreadCtx& ctx, AutoClassifier& cls,
-                            int site, F&& body) {
+runtime::RunResult run_auto(ThreadCtx& ctx, AutoClassifier& cls, int site,
+                            F&& body) {
   const bool as_long = cls.classify_long(site);
+  const TxKind kind = as_long ? TxKind::kLongUpdate : TxKind::kUpdate;
   std::uint64_t opens = 0;
-  runtime::RunResult result;
-  if (as_long) {
-    result = rt.run_long(ctx, [&](LongTx& tx) {
-      opens = 0;
-      AutoTx facade(tx);
-      CountingProbe probe(&opens, tx.descriptor());
-      body(facade);
-      opens = probe.opens();
-    });
-  } else {
-    result = rt.run_short(ctx, [&](ShortTx& tx) {
-      opens = 0;
-      AutoTx facade(tx);
-      CountingProbe probe(&opens, tx.inner().descriptor());
-      body(facade);
-      opens = probe.opens();
-    });
-  }
+  const runtime::RunResult result = runtime::retry(
+      ctx, [&] { return ctx.begin(kind); },
+      [&](Tx& tx) {
+        // Opens counted through the descriptor's work counter (maintained
+        // for contention management); the committing attempt's count wins.
+        const std::uint64_t base = tx.descriptor()->work();
+        body(tx);
+        opens = tx.descriptor()->work() - base;
+      });
   cls.record(site, opens, result.attempts - 1, as_long);
   return result;
 }

@@ -35,7 +35,9 @@ std::uint64_t ThreadCtx::last_zone_committed() const {
 // --- short transactions ----------------------------------------------------
 
 ShortTx& ThreadCtx::begin_short(bool read_only) {
-  short_tx_.inner_ = &inner_->begin(read_only);
+  long_begun_ = false;
+  short_tx_.inner_ =
+      &inner_->begin(read_only ? TxKind::kReadOnly : TxKind::kUpdate);
   short_tx_.zc_ = 0;
   short_tx_.first_open_pending_ = true;  // Startshort: T.zc ← 0 (line 2)
   return short_tx_;
@@ -162,6 +164,7 @@ LongTx& ThreadCtx::begin_long() {
   // does — otherwise its still-active descriptor and installed locators
   // leak (the run-entry-point contract in api/stm_api.hpp).
   if (long_tx_.desc_ != nullptr) abort_long_attempt();
+  long_begun_ = true;
   LongTx& tx = long_tx_;
   lsa::Runtime& sub = rt_.lsa_;
   const int s = slot();

@@ -47,7 +47,8 @@
 
 namespace zstm::zl {
 
-using lsa::TxAborted;  // shared abort/retry token with the LSA substrate
+using runtime::TxAborted;
+using runtime::TxKind;
 
 struct Config {
   lsa::Config lsa{};
@@ -160,11 +161,85 @@ class ShortTx : private lsa::CommitCheck {
   bool first_open_pending_ = true;
 };
 
+/// The dispatching handle ThreadCtx::begin(kind) returns: a Z-STM
+/// transaction is short or long, with different native types, and one
+/// branch per access picks the class in flight. run_auto's bodies and the
+/// api façade's receive it.
+class Tx {
+ public:
+  explicit Tx(ShortTx& tx) : short_(&tx) {}
+  explicit Tx(LongTx& tx) : long_(&tx) {}
+
+  template <typename T>
+  const T& read(const lsa::Var<T>& var) {
+    return long_ != nullptr ? long_->read(var) : short_->read(var);
+  }
+  template <typename T>
+  T& write(lsa::Var<T>& var) {
+    return long_ != nullptr ? long_->write(var) : short_->write(var);
+  }
+  template <typename T>
+  void write(lsa::Var<T>& var, T value) {
+    write(var) = std::move(value);
+  }
+  [[noreturn]] void abort() {
+    if (long_ != nullptr) long_->abort();
+    short_->abort();
+  }
+
+  const runtime::Payload& read_object(lsa::Object& o) {
+    return long_ != nullptr ? long_->read_object(o) : short_->read_object(o);
+  }
+  runtime::Payload& write_object(lsa::Object& o) {
+    return long_ != nullptr ? long_->write_object(o) : short_->write_object(o);
+  }
+
+  bool is_long() const { return long_ != nullptr; }
+  /// The descriptor of the class in flight (contention-manager karma).
+  lsa::TxDesc* descriptor() const {
+    return long_ != nullptr ? long_->descriptor()
+                            : short_->inner().descriptor();
+  }
+
+ private:
+  ShortTx* short_ = nullptr;
+  LongTx* long_ = nullptr;
+};
+
 class ThreadCtx {
  public:
   ~ThreadCtx();
   ThreadCtx(const ThreadCtx&) = delete;
   ThreadCtx& operator=(const ThreadCtx&) = delete;
+
+  /// Start a transaction of the given kind (DESIGN.md §8): the long kinds
+  /// run Algorithm 2, the others a short transaction, declared read-only
+  /// for kReadOnly. Inline, so a constant kind folds the handle's branch.
+  Tx begin(TxKind kind = TxKind::kUpdate) {
+    if (kind == TxKind::kLong || kind == TxKind::kLongUpdate) {
+      return Tx(begin_long());
+    }
+    return Tx(begin_short(kind == TxKind::kReadOnly));
+  }
+  /// Commit, abort or query the attempt of the class last begun (by
+  /// begin, begin_short or begin_long).
+  void commit() {
+    if (long_begun_) {
+      commit_long();
+    } else {
+      commit_short();
+    }
+  }
+  void abort_attempt() {
+    if (long_begun_) {
+      abort_long_attempt();
+    } else {
+      abort_short_attempt();
+    }
+  }
+  bool in_transaction() const {
+    return long_begun_ ? in_long_transaction() : in_short_transaction();
+  }
 
   // --- short transactions (Algorithm 3) --------------------------------
   ShortTx& begin_short(bool read_only = false);
@@ -202,10 +277,14 @@ class ThreadCtx {
   util::EpochManager::Guard long_epoch_guard_;
   ShortTx short_tx_;
   LongTx long_tx_;
+  bool long_begun_ = false;  // class of the attempt last begun
 };
 
 class Runtime {
  public:
+  template <typename T>
+  using Var = lsa::Var<T>;
+
   explicit Runtime(Config cfg = {});
 
   Runtime(const Runtime&) = delete;
@@ -223,44 +302,15 @@ class Runtime {
   template <typename F>
   runtime::RunResult run_short(ThreadCtx& ctx, F&& body,
                                bool read_only = false) {
-    util::Backoff bo;
-    for (std::uint32_t attempt = 1;; ++attempt) {
-      ShortTx& tx = ctx.begin_short(read_only);
-      try {
-        body(tx);
-        ctx.commit_short();
-        return {attempt, true};
-      } catch (const TxAborted&) {
-        bo.pause();
-      } catch (...) {
-        // Foreign exception out of the body: release every ownership the
-        // attempt holds before letting it propagate.
-        if (ctx.in_short_transaction()) ctx.abort_short_attempt();
-        throw;
-      }
-    }
+    return runtime::retry(
+        ctx, [&]() -> ShortTx& { return ctx.begin_short(read_only); }, body);
   }
 
   /// Retry loop for long transactions; returns {attempts, committed = true}.
   template <typename F>
   runtime::RunResult run_long(ThreadCtx& ctx, F&& body) {
-    util::Backoff bo;
-    for (std::uint32_t attempt = 1;; ++attempt) {
-      LongTx& tx = ctx.begin_long();
-      try {
-        body(tx);
-        ctx.commit_long();
-        return {attempt, true};
-      } catch (const TxAborted&) {
-        bo.pause();
-      } catch (...) {
-        // Foreign exception out of the body: release every ownership the
-        // attempt holds (locators, the zone claim, the epoch pin) before
-        // letting it propagate.
-        if (ctx.in_long_transaction()) ctx.abort_long_attempt();
-        throw;
-      }
-    }
+    return runtime::retry(
+        ctx, [&]() -> LongTx& { return ctx.begin_long(); }, body);
   }
 
   /// Type-erased variable creation hook for the zstm::api façade.

@@ -6,16 +6,20 @@
 // failure reporting, long-transaction progress under writer churn, pool
 // on/off equivalence — and on the implicit-attachment lifecycle (thread
 // churn must reclaim registry slots; this extends tests/node_pool_test.cpp's
-// slot-release pattern to the API layer).
+// slot-release pattern to the API layer). It also pins the attempt
+// contract: bodies receive each runtime's own handle, begin(kind) applies
+// DESIGN.md §8's kind table, and RetryPolicy rung 2 credits karma.
 //
 // CTest label: `conformance` (DESIGN.md §6/§8); rounds scale with
 // ZSTM_STRESS_ROUNDS and the suite runs under the TSan CI job.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "api/stm_api.hpp"
@@ -307,6 +311,76 @@ TYPED_TEST(ApiConformance, TwoFacadeInstancesKeepSeparateState) {
   b.run(TxKind::kReadOnly, [&](auto& tx) { EXPECT_EQ(tx.read(xb), 11); });
   EXPECT_EQ(a.stats()[util::Counter::kCommits], 2u);
   EXPECT_EQ(b.stats()[util::Counter::kCommits], 2u);
+}
+
+// --- bodies get the runtime's own handle; begin(kind) applies §8's table ----
+
+static_assert(std::is_same_v<api::LsaStm::Tx, lsa::Tx>);
+static_assert(std::is_same_v<api::CsVcStm::Tx, cs::VcRuntime::Tx>);
+static_assert(std::is_same_v<api::CsRevStm::Tx, cs::RevRuntime::Tx>);
+static_assert(std::is_same_v<api::SStm::Tx, sstm::Tx>);
+static_assert(std::is_same_v<api::Tl2Stm::Tx, tl2::Tx>);
+static_assert(std::is_same_v<api::ZStm::Tx, zl::Tx>);
+
+constexpr TxKind kAllKinds[] = {TxKind::kUpdate, TxKind::kReadOnly,
+                                TxKind::kLong, TxKind::kLongUpdate};
+
+TEST(TxKindTable, LsaDeclaresReadOnlyAndLongReadOnly) {
+  lsa::Runtime rt(lsa::Config{.max_threads = 4});
+  auto th = rt.attach();
+  for (TxKind kind : kAllKinds) {
+    const bool read_only = kind == TxKind::kReadOnly || kind == TxKind::kLong;
+    EXPECT_EQ(th->begin(kind).read_only_declared(), read_only);
+    th->abort_attempt();
+  }
+}
+
+TEST(TxKindTable, ZlRunsTheLongKindsLong) {
+  zl::Runtime rt(zl::Config{.lsa = {.max_threads = 4}});
+  auto th = rt.attach();
+  for (TxKind kind : kAllKinds) {
+    const bool is_long = kind == TxKind::kLong || kind == TxKind::kLongUpdate;
+    EXPECT_EQ(th->begin(kind).is_long(), is_long);
+    th->abort_attempt();
+    EXPECT_FALSE(th->in_transaction());
+  }
+}
+
+// --- RetryPolicy rung 2: karma credited through tx.descriptor() ------------
+
+/// Aborts the first three attempts; from cm_escalate_after = 2 on, each
+/// fresh descriptor starts with the aborted-attempt count as work.
+template <typename S>
+void expect_rung2_karma(TxKind kind) {
+  CommonConfig cfg;
+  cfg.max_threads = 4;
+  cfg.retry.cm_escalate_after = 2;
+  S stm(cfg);
+  auto x = stm.make_var(0L);
+  std::vector<std::uint64_t> work;
+  const api::RunResult r = stm.run(kind, [&](auto& tx) {
+    work.push_back(tx.descriptor()->work());
+    if (work.size() <= 3) tx.abort();
+    tx.write(x) += 1;
+  });
+  EXPECT_TRUE(r.committed);
+  EXPECT_EQ(r.attempts, 4u);
+  EXPECT_EQ(work, (std::vector<std::uint64_t>{0, 0, 2, 3}));
+}
+
+template <typename S>
+class RetryRung2 : public ::testing::Test {};
+
+using CmVariants = ::testing::Types<api::LsaStm, api::CsVcStm,
+                                    api::CsRevStm, api::SStm, api::ZStm>;
+TYPED_TEST_SUITE(RetryRung2, CmVariants);
+
+TYPED_TEST(RetryRung2, CreditsAttemptsAsKarma) {
+  expect_rung2_karma<TypeParam>(TxKind::kUpdate);
+}
+
+TEST(RetryRung2Zl, CreditsLongAttemptsAsKarma) {
+  expect_rung2_karma<api::ZStm>(TxKind::kLongUpdate);
 }
 
 // --- AnyStm: name resolution and erased-handle semantics --------------------

@@ -92,7 +92,7 @@ TEST(AutoClass, RunAutoLearnsToRunScansAsLong) {
 
   constexpr int kScanSite = 0;
   for (int i = 0; i < 5; ++i) {
-    run_auto(rt, *th, cls, kScanSite, [&](AutoTx& tx) {
+    run_auto(*th, cls, kScanSite, [&](Tx& tx) {
       long total = 0;
       for (auto& a : accounts) total += tx.read(a);
       tx.write(sink, total);
@@ -107,7 +107,7 @@ TEST(AutoClass, RunAutoLearnsToRunScansAsLong) {
   // A transfer site stays on the short path.
   constexpr int kTransferSite = 1;
   for (int i = 0; i < 5; ++i) {
-    run_auto(rt, *th, cls, kTransferSite, [&](AutoTx& tx) {
+    run_auto(*th, cls, kTransferSite, [&](Tx& tx) {
       tx.write(accounts[0]) -= 1;
       tx.write(accounts[1]) += 1;
     });
@@ -124,7 +124,7 @@ TEST(AutoClass, FacadeReportsMode) {
 
   bool saw_long = false;
   rt.run_long(*th, [&](LongTx& tx) {
-    AutoTx facade(tx);
+    Tx facade(tx);
     saw_long = facade.is_long();
     (void)facade.read(x);
   });
@@ -132,7 +132,7 @@ TEST(AutoClass, FacadeReportsMode) {
 
   bool saw_short = true;
   rt.run_short(*th, [&](ShortTx& tx) {
-    AutoTx facade(tx);
+    Tx facade(tx);
     saw_short = !facade.is_long();
     facade.write(x, 1);
   });
@@ -156,7 +156,7 @@ TEST(AutoClass, ConcurrentMixedWorkloadConservesMoney) {
       util::Xorshift rng(static_cast<std::uint64_t>(t) + 1);
       for (int i = 0; i < 400; ++i) {
         if (t == 0 && rng.chance(0.15)) {
-          run_auto(rt, *th, cls, /*site=*/0, [&](AutoTx& tx) {  // scan site
+          run_auto(*th, cls, /*site=*/0, [&](Tx& tx) {  // scan site
             long total = 0;
             for (auto& a : accounts) total += tx.read(a);
             tx.write(sink, total);
@@ -165,7 +165,7 @@ TEST(AutoClass, ConcurrentMixedWorkloadConservesMoney) {
           const auto from = rng.next_below(kAccounts);
           auto to = rng.next_below(kAccounts);
           if (to == from) to = (to + 1) % kAccounts;
-          run_auto(rt, *th, cls, /*site=*/1, [&](AutoTx& tx) {
+          run_auto(*th, cls, /*site=*/1, [&](Tx& tx) {
             tx.write(accounts[from]) -= 1;
             tx.write(accounts[to]) += 1;
           });

@@ -24,7 +24,7 @@ int main() {
     }
   }
 
-  // The zero-cost adapter, statically typed.
+  // Stm<R>, statically typed: the body gets zl's own handle.
   {
     zstm::api::ZStm stm;
     auto v = stm.make_var<long>(1);

@@ -23,6 +23,7 @@
 #include "sstm/sstm.hpp"
 #include "tl2/tl2.hpp"
 #include "util/rng.hpp"
+#include "zstm/auto_class.hpp"
 #include "zstm/zstm.hpp"
 
 namespace zstm {
@@ -128,9 +129,10 @@ TYPED_TEST(ApiExceptionSafety, ConcurrentThrowersDontWedgeTheRuntime) {
 
 // --- raw runtime loops ------------------------------------------------------
 //
-// The façade never calls the native Runtime::run loops, so their catch(...)
-// unwind is exercised separately: throw with one locator (or redo buffer)
-// held, then prove a plain transaction still commits and sees the old value.
+// The native run loops reach runtime::attempt through their own begin, so
+// each one's unwind is exercised separately: throw with one locator (or
+// redo buffer) held, then prove a plain transaction still commits and sees
+// the old value.
 
 template <typename Rt, typename Ctx, typename RunFn>
 void raw_round_trip(Rt& rt, Ctx& ctx, RunFn&& run) {
@@ -240,6 +242,34 @@ TEST(RawExceptionSafety, ZlDeadLongRetiresItsZone) {
     tx.write(x, 3L);
   });
   rt.run_short(*th, [&](zl::ShortTx& tx) { EXPECT_EQ(tx.read(x), 3); });
+}
+
+TEST(RawExceptionSafety, ZlRunAuto) {
+  // run_auto's one retry over zl::Tx unwinds whichever class the
+  // classifier picked: long on a site it routes long, short on a fresh one.
+  zl::Runtime rt(zl::Config{.lsa = {.max_threads = 4}});
+  auto th = rt.attach();
+  auto x = rt.make_var<long>(5);
+  zl::AutoClassifier routes_long({.long_open_threshold = 0});
+  zl::AutoClassifier fresh;
+  for (zl::AutoClassifier* cls : {&routes_long, &fresh}) {
+    const bool expect_long = cls == &routes_long;
+    EXPECT_THROW(zl::run_auto(*th, *cls, /*site=*/0,
+                              [&](zl::Tx& tx) {
+                                EXPECT_EQ(tx.is_long(), expect_long);
+                                tx.write(x, tx.read(x) + 100);
+                                throw Boom{};
+                              }),
+                 Boom);
+    EXPECT_FALSE(th->in_transaction());
+  }
+  zl::AutoClassifier cls;
+  zl::run_auto(*th, cls, /*site=*/1, [&](zl::Tx& tx) {
+    EXPECT_EQ(tx.read(x), 5);
+    tx.write(x, 6L);
+  });
+  zl::run_auto(*th, cls, /*site=*/1,
+               [&](zl::Tx& tx) { EXPECT_EQ(tx.read(x), 6); });
 }
 
 TEST(RawExceptionSafety, Tl2) {

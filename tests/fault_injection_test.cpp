@@ -330,11 +330,11 @@ TEST(FaultEffects, LsaNorsReadOnlyWriteAbortsOnce) {
   lsa::Runtime rt(cfg);
   auto x = rt.make_var<long>(0);
   auto th = rt.attach();
-  lsa::Tx& tx = th->begin(/*read_only=*/true);
+  lsa::Tx& tx = th->begin(lsa::TxKind::kReadOnly);
   EXPECT_THROW(tx.write(x, 1L), lsa::TxAborted);
   EXPECT_EQ(rt.stats()[util::Counter::kAborts], 1u);
   // The retry tracks reads and commits the write.
-  th->begin(/*read_only=*/true).write(x, 1L);
+  th->begin(lsa::TxKind::kReadOnly).write(x, 1L);
   th->commit();
   EXPECT_EQ(rt.stats()[util::Counter::kAborts], 1u);
 }

@@ -298,7 +298,7 @@ TEST(Lsa, NoReadsetsModeTracksNothing) {
   auto y = rt.make_var<int>(2);
   auto th = rt.attach();
 
-  Tx& tx = th->begin(/*read_only=*/true);
+  Tx& tx = th->begin(TxKind::kReadOnly);
   (void)tx.read(x);
   (void)tx.read(y);
   EXPECT_EQ(tx.read_set_size(), 0u);
@@ -314,7 +314,7 @@ TEST(Lsa, NoReadsetsReaderStillSeesConsistentSnapshot) {
   auto a = rt.attach();
   auto b = rt.attach();
 
-  Tx& ta = a->begin(/*read_only=*/true);
+  Tx& ta = a->begin(TxKind::kReadOnly);
   const int y0 = ta.read(y);
   rt.run(*b, [&](Tx& tx) {
     tx.write(x, 2);

@@ -1,5 +1,5 @@
 // Smoke canary: commit one transaction on every runtime variant through
-// the unified façade — statically via api::Stm<R> (zero-cost adapters) and
+// the unified façade — statically via api::Stm<R> (native handles) and
 // by name via api::AnyStm (all seven variant names, covering the six
 // runtimes). CTest labels this suite `smoke` so CI can gate on it before
 // the slow stress suites run.

@@ -1,7 +1,8 @@
 // Unit tests for the shared workload utilities behind the KV service's
-// load generator: util::Zipfian (determinism, range, skew shape) and
+// load generator: util::Zipfian (determinism, range, skew shape),
 // util::LatencyHistogram (bucket geometry, quantile correctness against a
-// sorted reference, merge).
+// sorted reference, merge) and server::RequestGen, the op-mix draw both KV
+// rails share (mix shares, transfer keys, multi-get windows, determinism).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,12 +10,16 @@
 #include <map>
 #include <vector>
 
+#include "server/load_gen.hpp"
 #include "util/latency_histogram.hpp"
 #include "util/rng.hpp"
 #include "util/zipfian.hpp"
 
 namespace {
 
+using zstm::server::LoadGenConfig;
+using zstm::server::Op;
+using zstm::server::RequestGen;
 using zstm::util::LatencyHistogram;
 using zstm::util::Zipfian;
 
@@ -187,6 +192,68 @@ TEST(LatencyHistogram, EmptyAndReset) {
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.max(), 0u);
   EXPECT_EQ(h.quantile(0.5), 0u);
+}
+
+TEST(RequestGen, DefaultMixSharesAndTransferKeys) {
+  const LoadGenConfig cfg;
+  RequestGen gen(cfg);
+  constexpr int kDraws = 100000;
+  std::map<Op, int> count;
+  for (int i = 0; i < kDraws; ++i) {
+    const zstm::server::Request req = gen.next();
+    ++count[req.op];
+    if (req.op == Op::kTransfer) {
+      ASSERT_NE(req.key, req.key2);
+    }
+  }
+  const auto share = [&](Op op) {
+    return static_cast<double>(count[op]) / kDraws;
+  };
+  const auto& mix = cfg.mix;
+  EXPECT_NEAR(share(Op::kPut), mix.put, 0.01);
+  EXPECT_NEAR(share(Op::kDel), mix.del, 0.01);
+  EXPECT_NEAR(share(Op::kMultiGet), mix.multi_get, 0.01);
+  EXPECT_NEAR(share(Op::kScan), mix.scan, 0.01);
+  EXPECT_NEAR(share(Op::kTransfer), mix.transfer, 0.01);
+  const double rest =
+      1.0 - mix.put - mix.del - mix.multi_get - mix.scan - mix.transfer;
+  EXPECT_NEAR(share(Op::kGet), rest, 0.01);
+}
+
+TEST(RequestGen, SameSeedSameSequence) {
+  LoadGenConfig cfg;
+  cfg.poisson = true;  // the gap draws share the request stream
+  RequestGen a(cfg);
+  RequestGen b(cfg);
+  for (int i = 0; i < 10000; ++i) {
+    const zstm::server::Request ra = a.next();
+    const zstm::server::Request rb = b.next();
+    ASSERT_EQ(ra.op, rb.op) << "diverged at draw " << i;
+    ASSERT_EQ(ra.key, rb.key) << "diverged at draw " << i;
+    ASSERT_EQ(ra.key2, rb.key2) << "diverged at draw " << i;
+    ASSERT_EQ(a.gap_ns(500.0), b.gap_ns(500.0)) << "diverged at draw " << i;
+  }
+}
+
+TEST(RequestGen, MultiGetWindowsReachTheLastKey) {
+  // Window [key, key + fanout): with one key to spare there are exactly
+  // two windows, starting at 0 and 1, and both must be drawn.
+  LoadGenConfig cfg;
+  cfg.mix = {.put = 0, .del = 0, .multi_get = 1.0, .scan = 0, .transfer = 0};
+  cfg.multi_fanout = 16;
+  cfg.keyspace = cfg.multi_fanout + 1;
+  RequestGen gen(cfg);
+  std::map<std::uint64_t, int> starts;
+  for (int i = 0; i < 1000; ++i) {
+    const zstm::server::Request req = gen.next();
+    ASSERT_EQ(req.op, Op::kMultiGet);
+    ASSERT_EQ(req.fanout, cfg.multi_fanout);
+    ASSERT_LE(req.key + req.fanout, cfg.keyspace);
+    ++starts[req.key];
+  }
+  EXPECT_EQ(starts.size(), 2u);
+  EXPECT_GT(starts[0], 0);
+  EXPECT_GT(starts[1], 0);
 }
 
 }  // namespace
