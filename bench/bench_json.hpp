@@ -1,14 +1,14 @@
-// Shared JSON emission for the self-contained bench harnesses (ROADMAP
-// baseline item): `--json` makes a bench write BENCH_<name>.json next to
-// its stdout tables so CI can archive the perf trajectory. Host topology is
-// recorded alongside the numbers because the 1-CPU CI box is not
-// representative of the multi-core boxes the figures were tuned on.
+// Shared JSON emission for zstm_bench and kv_server: `--json` makes them
+// write BENCH_<name>.json next to their stdout tables so CI can archive the
+// perf trajectory. Host topology is recorded alongside the numbers because
+// the 1-CPU CI box is not representative of the multi-core boxes the
+// figures were tuned on.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
@@ -21,14 +21,6 @@
 #include "util/cpu_topology.hpp"
 
 namespace zstm::benchjson {
-
-/// True when argv contains `--json`.
-inline bool json_requested(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) return true;
-  }
-  return false;
-}
 
 /// One benchmark result row: ordered key → already-encoded JSON value.
 class Row {
@@ -65,8 +57,12 @@ class Row {
 /// Accumulates rows and writes `BENCH_<name>.json`:
 ///   { "bench": ..., "host": {...}, "rows": [ {...}, ... ] }
 class Doc {
+  using Fields = std::vector<std::pair<std::string, std::string>>;
+
  public:
   explicit Doc(std::string name) : name_(std::move(name)) {}
+
+  const std::string& name() const { return name_; }
 
   Row& row() {
     rows_.emplace_back();
@@ -101,6 +97,33 @@ class Doc {
     return true;
   }
 
+  /// Prints the rows on stdout as aligned columns, with a header wherever
+  /// the set of fields changes.
+  void print() const {
+    for (std::size_t first = 0, end = 0; first < rows_.size(); first = end) {
+      const Fields& head = rows_[first].fields_;
+      std::vector<std::size_t> width(head.size());
+      for (end = first; end < rows_.size() && same_keys(rows_[end], head);
+           ++end) {
+        for (std::size_t k = 0; k < head.size(); ++k) {
+          width[k] = std::max({width[k], head[k].first.size(),
+                               plain(rows_[end].fields_[k].second).size()});
+        }
+      }
+      const auto line = [&](auto text) {
+        for (std::size_t k = 0; k < head.size(); ++k) {
+          std::printf("%*s%s", static_cast<int>(width[k]), text(k).c_str(),
+                      k + 1 < head.size() ? "  " : "\n");
+        }
+      };
+      std::printf("\n");
+      line([&](std::size_t k) { return head[k].first; });
+      for (std::size_t i = first; i < end; ++i) {
+        line([&](std::size_t k) { return plain(rows_[i].fields_[k].second); });
+      }
+    }
+  }
+
  private:
   static void write_host(std::FILE* f) {
     std::fprintf(f, "  \"host\": {\"hardware_concurrency\": %u",
@@ -124,6 +147,19 @@ class Doc {
     std::fprintf(f, ", \"build\": \"debug\"");
 #endif
     std::fprintf(f, "},\n");
+  }
+
+  static bool same_keys(const Row& row, const Fields& head) {
+    return std::equal(
+        row.fields_.begin(), row.fields_.end(), head.begin(), head.end(),
+        [](const auto& x, const auto& y) { return x.first == y.first; });
+  }
+
+  /// A field's value as printed: strings lose their JSON quotes.
+  static std::string plain(const std::string& encoded) {
+    return encoded.size() >= 2 && encoded.front() == '"'
+               ? encoded.substr(1, encoded.size() - 2)
+               : encoded;
   }
 
   std::string name_;

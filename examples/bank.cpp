@@ -37,9 +37,8 @@ int main(int argc, char** argv) {
               p.update_total ? "update" : "read-only");
 
   zstm::bench::BankResult r;
-  long conserved = 0;
   try {
-    r = zstm::bench::run_named_bank(stm, p, &conserved);
+    r = zstm::bench::run_named_bank(stm, p, zstm::bench::bank_config(p));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
@@ -53,7 +52,7 @@ int main(int argc, char** argv) {
               r.compute_total_per_s,
               static_cast<unsigned long long>(r.compute_total_commits),
               static_cast<unsigned long long>(r.compute_total_failures));
-  std::printf("  conserved total: %ld (expected %ld)\n", conserved,
-              1000L * p.accounts);
-  return conserved == 1000L * p.accounts ? 0 : 1;
+  const long expected = zstm::bench::kInitialBalance * p.accounts;
+  std::printf("  conserved total: %ld (expected %ld)\n", r.total, expected);
+  return r.total == expected ? 0 : 1;
 }

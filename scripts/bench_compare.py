@@ -4,10 +4,15 @@
 Usage: bench_compare.py BASELINE.json CURRENT.json
 
 Rows are matched by their identity fields (every string field plus small
-integer knobs like `threads` / `r` / `versions_kept`); numeric fields are
-printed side by side with a percentage delta. The exit code is 0 whenever
-both files parse — the comparison is informational (CI runs it non-gating;
-perf deltas on shared runners are noisy), 2 on unreadable/unmatched input.
+integer knobs like `threads` / `r` / `versions_kept` / `accounts`); numeric
+fields are printed side by side with a percentage delta. Perf deltas are
+informational (CI runs the compare non-gating; shared runners are noisy).
+
+Exit status: 0 when every baseline row has a match; 1 when a baseline row
+is missing from the current run, so a harness that stops emitting a row
+does not pass silently (a baseline row whose variant the current run does
+not know at all is only reported); 2 on unreadable input or when no row
+matches.
 """
 
 import json
@@ -16,7 +21,7 @@ import sys
 # String fields (e.g. `system`, `transport`, `phase`) are identity
 # automatically; these small integer knobs join them.
 ID_INT_FIELDS = {"threads", "r", "versions_kept", "batch", "shards", "stride",
-                 "rate", "io_threads", "conns"}
+                 "rate", "io_threads", "conns", "accounts", "entries"}
 
 
 def row_key(row):
@@ -70,6 +75,7 @@ def main():
             cur_field_values.setdefault(k, set()).add(v)
 
     matched = 0
+    missing = 0
     for key, base in base_rows.items():
         cur = cur_rows.get(key)
         label = " ".join(f"{k}={v}" for k, v in key) or "(row)"
@@ -81,6 +87,7 @@ def main():
                       f"({', '.join(unknown)} absent from current run)")
             else:
                 print(f"  {label}: missing from current run")
+                missing += 1
             continue
         matched += 1
         deltas = []
@@ -107,6 +114,10 @@ def main():
         print("bench_compare: no rows matched between the two files",
               file=sys.stderr)
         return 2
+    if missing:
+        print(f"bench_compare: {missing} baseline row(s) missing from the "
+              "current run", file=sys.stderr)
+        return 1
     return 0
 
 

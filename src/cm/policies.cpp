@@ -16,7 +16,7 @@ class Aggressive final : public ContentionManager {
 };
 
 /// Always kill self. Never disturbs the owner; prone to starvation of the
-/// requester (useful as a worst-case reference in bench_cm).
+/// requester (useful as a worst-case reference in zstm_bench's cm section).
 class Suicide final : public ContentionManager {
  public:
   Decision arbitrate(const runtime::TxDescBase&, const runtime::TxDescBase&,

@@ -480,7 +480,7 @@ runtime::Payload& RuntimeT<D>::Tx::write_object(Object& o) {
         desc_->ct.merge(base->ct);  // line 8 applies to writes as well
         // The written version's stamp storage comes from the slab pool too
         // (PoolAllocator): this was the last hidden per-commit heap malloc
-        // on the update path — see bench_cs_alloc.
+        // on the update path — zstm_bench's alloc section gates it.
         return rt.store_.clone_version(
             s, *base->data,
             rt.domain_.zero_in(rt.pool_.enabled() ? &rt.pool_ : nullptr, s));

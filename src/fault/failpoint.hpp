@@ -25,7 +25,7 @@
 // Cost when disabled: `poke` is one relaxed load of a cold global atomic
 // plus a statically-predicted-untaken branch — no registry access, no per
 // site state touched (the `FaultDisabledCostsNothing` test pins the
-// zero-hit behaviour; bench_fig6 vs the committed baseline pins the cost).
+// zero-hit behaviour).
 //
 // Arming: programmatic (`registry().arm(...)`) or via the environment,
 // parsed once at first use:

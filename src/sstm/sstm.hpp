@@ -31,7 +31,8 @@
 // trim (Runtime::trim_descriptors) folds every reader-list reference into
 // per-version stamps, so the lists never dangle. These are exactly the
 // kind of costs the paper attributes to S-STM ("the runtime overhead ...
-// can be deemed prohibitive"), which bench_cs_overhead quantifies.
+// can be deemed prohibitive"), which zstm_bench's transfer section
+// quantifies.
 #pragma once
 
 #include <atomic>

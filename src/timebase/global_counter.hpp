@@ -4,7 +4,7 @@
 //
 // Padded to its own cache line; the contention this counter suffers under
 // many committing threads is itself one of the paper's motivating
-// observations (reproduced by bench_timebase).
+// observations (zstm_bench's clock_scale section measures it).
 #pragma once
 
 #include <atomic>

@@ -11,7 +11,7 @@
 // schedules the paper's §4.1 conditions reject. What the total loss of
 // cross-shard order buys is shard-local fetch_adds: commit-stamp
 // acquisition scales with the shard count instead of serializing on one
-// cache line (bench_clock_scale quantifies it).
+// cache line (zstm_bench's clock_scale section quantifies it).
 //
 // Safe productized uses, wired through the runtimes:
 //  * unique_id(): globally unique ids that need no ordering at all —

@@ -196,7 +196,7 @@ TEST(CsStress, FewerEntriesFalselyOrderMoreConcurrentCommits) {
   // (We deliberately do NOT assert an STM-level abort-rate ordering: with
   // r = 1 a commit stamp is always fresher than everything a reader merged
   // before it, which suppresses the validation inequality in a way that
-  // depends on schedule dynamics — see EXPERIMENTS.md, bench_plausible_r.)
+  // depends on schedule dynamics — see zstm_bench's plausible_r section.)
   constexpr int kThreads = 8;
   constexpr int kObjects = 6;
   constexpr int kSteps = 500;
