@@ -204,9 +204,9 @@ inline BankResult run_named_bank(const std::string& runtime_name,
                                  const api::CommonConfig& cfg) {
   return api::visit_variant(
       runtime_name, cfg,
-      [&](auto tag, const char*, const api::CommonConfig& lowered) {
+      [&](auto tag, const char*, const api::CommonConfig& variant_cfg) {
         using S = typename decltype(tag)::type;
-        Bank<S> bank(S(lowered), p);
+        Bank<S> bank(S(variant_cfg), p);
         BankResult r = run_bank(bank, p);
         r.total = bank.total_balance();
         return r;

@@ -526,9 +526,9 @@ void plausible_r(Doc& doc) {
 ///   global      GlobalCounter::acquire_commit_time, one fetch_add on one
 ///               shared line (§2's counter, every runtime's default)
 ///   cas-stride  GV5: read the clock, one CAS to +stride, adopt the
-///               winner's value on failure (tl2 Config::clock_scheme)
+///               winner's value on failure (Config::tl2_clock_stride)
 ///   batched     BatchedCounter: leases of k ticks, the common case one CAS
-///               on the slot's own line (lsa Config::time_base)
+///               on the slot's own line (Config::time_base)
 ///   sharded     ShardedClock, exclusive layout: a single-writer lane per
 ///               slot, no atomic RMW at all (the runtimes' id generator)
 ///   sync        SyncRealTimeClock (200 ns deviation): §2's synchronized
@@ -536,8 +536,8 @@ void plausible_r(Doc& doc) {
 /// shared_rmws_per_op counts atomic RMWs on shared lines per stamp: the
 /// host-independent signal, since on a 1-CPU host wall-clock contention
 /// never materializes. Then the bank on every variant, baseline config vs
-/// "scaled" (batched timebase, tl2's CAS clock, sharded ids), to show the
-/// options keep end-to-end behaviour.
+/// "scaled" (batched timebase, tl2's CAS clock), to show the options keep
+/// end-to-end behaviour.
 void clock_scale(Doc& doc) {
   constexpr int kBatch = 64;
   constexpr int kStride = 2;
@@ -598,7 +598,6 @@ void clock_scale(Doc& doc) {
     for (const std::string& name : api::variant_names()) {
       for (const bool scaled : {false, true}) {
         api::CommonConfig cfg = bank_config(p);
-        cfg.sharded_tx_ids = scaled;  // baseline: pre-§10 behaviour
         if (scaled) {
           cfg.time_base = timebase::TimeBaseKind::kBatchedCounter;
           cfg.timebase_batch = kBatch;

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   constexpr int kOrderThreads = 3;
 
   zstm::zl::Config cfg;
-  cfg.lsa.record_history = true;
+  cfg.record_history = true;
   zstm::zl::Runtime rt(cfg);
 
   std::vector<zstm::lsa::Var<Product>> products;

@@ -10,9 +10,7 @@ informational (CI runs the compare non-gating; shared runners are noisy).
 
 Exit status: 0 when every baseline row has a match; 1 when a baseline row
 is missing from the current run, so a harness that stops emitting a row
-does not pass silently (a baseline row whose variant the current run does
-not know at all is only reported); 2 on unreadable input or when no row
-matches.
+does not pass silently; 2 on unreadable input or when no row matches.
 """
 
 import json
@@ -65,29 +63,14 @@ def main():
     if base_host != cur_host:
         print(f"  note: hosts differ: {base_host} vs {cur_host}")
 
-    # Values each identity field takes across the current rows: lets us
-    # distinguish "this run dropped a row" from "the baseline knows a
-    # variant this binary doesn't have" (older binaries vs a baseline that
-    # gained rows for a new variant — tolerated, reported informationally).
-    cur_field_values = {}
-    for key in cur_rows:
-        for k, v in key:
-            cur_field_values.setdefault(k, set()).add(v)
-
     matched = 0
     missing = 0
     for key, base in base_rows.items():
         cur = cur_rows.get(key)
         label = " ".join(f"{k}={v}" for k, v in key) or "(row)"
         if cur is None:
-            unknown = [f"{k}={v}" for k, v in key
-                       if k in cur_field_values and v not in cur_field_values[k]]
-            if unknown:
-                print(f"  {label}: baseline-only variant "
-                      f"({', '.join(unknown)} absent from current run)")
-            else:
-                print(f"  {label}: missing from current run")
-                missing += 1
+            print(f"  {label}: missing from current run")
+            missing += 1
             continue
         matched += 1
         deltas = []

@@ -65,10 +65,10 @@ AnyStm AnyStm::make(std::string_view name, CommonConfig cfg) {
   // One dispatch table for the whole library: visit_variant (stm_api.hpp).
   return visit_variant(
       name, cfg,
-      [](auto tag, const char* canonical, const CommonConfig& lowered) {
+      [](auto tag, const char* canonical, const CommonConfig& variant_cfg) {
         using S = typename decltype(tag)::type;  // Stm<R>
         using R = typename S::Runtime;
-        return AnyStm(std::make_unique<AnyStmOf<R>>(lowered), canonical);
+        return AnyStm(std::make_unique<AnyStmOf<R>>(variant_cfg), canonical);
       });
 }
 

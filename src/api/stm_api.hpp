@@ -4,8 +4,9 @@
 // criteria (LSA vs CS vs S vs Z). Every runtime already speaks one attempt
 // vocabulary (runtime/run_result.hpp): `attach()` a ThreadCtx,
 // `ctx.begin(TxKind)` a transaction, `read`/`write`/`abort` on its handle,
-// `ctx.commit()`. This header adds the rest — one Config, implicit
-// attachment, the retry/escalation ladder — in two flavours:
+// `ctx.commit()`, and is built from one runtime::Config. This header adds
+// the rest — implicit attachment, the retry/escalation ladder — in two
+// flavours:
 //
 //   * `Stm<R>` — `Stm<lsa::Runtime>`, `Stm<cs::VcRuntime>`,
 //     `Stm<cs::RevRuntime>`, `Stm<sstm::Runtime>`, `Stm<zl::Runtime>` and
@@ -47,7 +48,6 @@
 // the body aborts the attempt and propagates to the caller.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -66,6 +66,7 @@
 #include "cs/cs.hpp"
 #include "fault/failpoint.hpp"
 #include "lsa/lsa.hpp"
+#include "runtime/config.hpp"
 #include "runtime/run_result.hpp"
 #include "sstm/sstm.hpp"
 #include "tl2/tl2.hpp"
@@ -121,62 +122,23 @@ struct MaintainResult {
 /// Not supported (unchanged from before): nested `run` calls on the same
 /// Stm — with serialization enabled they would self-deadlock on the token.
 struct RetryPolicy {
-  /// Give up (committed == false) after this many aborted attempts;
-  /// 0 = retry until commit. A nonzero per-call budget overrides this.
-  std::uint32_t max_attempts = 0;
-  /// Backoff window, in cpu_relax spins: first episode, and the doubling
-  /// cap after which episodes become sched_yield.
-  std::uint32_t backoff_min_spins = 4;
-  std::uint32_t backoff_max_spins = 1024;
   /// Rung 2 threshold; 0 disables CM-aware escalation.
   std::uint32_t cm_escalate_after = 16;
   /// Rung 3 threshold; 0 = disabled unless ZSTM_SERIAL_FALLBACK is set.
   std::uint32_t serial_after = 0;
 };
 
-/// One configuration that lowers into every runtime's native Config.
-/// Fields a runtime has no use for are ignored by its lowering (the table
-/// lives in DESIGN.md §8).
-struct CommonConfig {
-  int max_threads = 36;
-  /// Committed versions retained per object (starting bound in adaptive
-  /// retention mode).
-  int versions_kept = 8;
-  object::RetentionMode retention_mode = object::RetentionMode::kFixed;
-  int retention_min = 1;
-  int retention_max = 64;
-  int retention_decay_period = 64;
-  cm::Policy cm_policy = cm::Policy::kPolite;
-  /// Slab-pool node allocation (DESIGN.md §7); ZSTM_POOL=0 overrides.
-  bool use_node_pool = true;
-  bool record_history = false;
-  /// LSA (and the Z-STM substrate) only: false selects the Figure 6
-  /// "LSA-STM (no readsets)" variant — that is what the name "lsa-nors"
-  /// resolves to.
-  bool track_readonly_readsets = true;
-  /// "cs-r" only: r, the number of plausible-clock entries (§4.3).
-  int plausible_entries = 4;
-  /// lsa/lsa-nors/zl only: the scalar commit timebase (DESIGN.md §10).
-  /// kBatchedCounter leases blocks of `timebase_batch` ticks per thread;
-  /// the ZSTM_TIMEBASE env var overrides either setting.
-  timebase::TimeBaseKind time_base = timebase::TimeBaseKind::kCounter;
-  int timebase_batch = 64;
-  /// All runtimes: topology-sharded transaction/object ids (identity only).
-  /// ZSTM_SHARDED_IDS=0 overrides.
-  bool sharded_tx_ids = true;
-  /// Object runtimes: EBR attempts a global epoch advance every Nth retire.
-  int ebr_collect_period = 64;
-  /// tl2 only: 0 keeps the classic fetch_add commit clock (GV1); >= 1
-  /// selects the GV4/GV5-style single-CAS scheme with this stride
-  /// (documented false-abort cost, never correctness).
-  int tl2_clock_stride = 0;
-  /// Façade-level: every N commits a thread makes, it also runs
-  /// `maintain()` (S-STM's quiescent descriptor trim; a no-op elsewhere).
-  /// This is the fallback trigger for callers without a housekeeping
-  /// thread — the KV server uses both. 0 (default) disables it and keeps
-  /// the commit path free of the counter update.
+/// The one runtime Config (runtime/config.hpp) every runtime is built from,
+/// plus the façade's own knobs. A Stm<R> hands its runtime the Config part
+/// as it is.
+struct CommonConfig : runtime::Config {
+  /// Every N commits a thread makes, it also runs `maintain()` (S-STM's
+  /// quiescent descriptor trim; a no-op elsewhere). This is the fallback
+  /// trigger for callers without a housekeeping thread — the KV server uses
+  /// both. 0 (default) disables it and keeps the commit path free of the
+  /// counter update.
   std::uint32_t maintain_every = 0;
-  /// Façade-level only (not lowered): the retry/escalation ladder.
+  /// The retry/escalation ladder.
   RetryPolicy retry;
 };
 
@@ -203,63 +165,15 @@ inline std::uint64_t backoff_seed(int slot) {
   return 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(slot) + 2) | 1u;
 }
 
-/// An object runtime's Config: the knobs they all share, copied by field
-/// name (one place to extend when CommonConfig grows), plus lsa's own.
-template <typename Cfg>
-Cfg lower(const CommonConfig& c) {
-  Cfg cfg;
-  cfg.max_threads = c.max_threads;
-  cfg.versions_kept = c.versions_kept;
-  cfg.retention_mode = c.retention_mode;
-  cfg.retention_min = c.retention_min;
-  cfg.retention_max = c.retention_max;
-  cfg.retention_decay_period = c.retention_decay_period;
-  cfg.cm_policy = c.cm_policy;
-  cfg.use_node_pool = c.use_node_pool;
-  cfg.record_history = c.record_history;
-  cfg.sharded_tx_ids = c.sharded_tx_ids;
-  cfg.ebr_collect_period = c.ebr_collect_period;
-  if constexpr (std::is_same_v<Cfg, lsa::Config>) {
-    cfg.track_readonly_readsets = c.track_readonly_readsets;
-    cfg.time_base = c.time_base;
-    cfg.timebase_batch = c.timebase_batch;
-  }
-  return cfg;
-}
-
-/// Lower `c` into R's native Config and build the runtime.
+/// Build R from the Config part of `c`.
 template <typename R>
-std::unique_ptr<R> create(const CommonConfig& c) {
-  if constexpr (std::is_same_v<R, lsa::Runtime>) {
-    return std::make_unique<R>(lower<lsa::Config>(c));
-  } else if constexpr (std::is_same_v<R, zl::Runtime>) {
-    zl::Config cfg;
-    cfg.lsa = lower<lsa::Config>(c);
-    return std::make_unique<R>(cfg);
-  } else if constexpr (std::is_same_v<R, sstm::Runtime>) {
-    return std::make_unique<R>(lower<sstm::Config>(c));
-  } else if constexpr (std::is_same_v<R, cs::VcRuntime>) {
-    return cs::make_vc_runtime(lower<cs::Config>(c));
+std::unique_ptr<R> create(const runtime::Config& c) {
+  if constexpr (std::is_same_v<R, cs::VcRuntime>) {
+    return cs::make_vc_runtime(c);
   } else if constexpr (std::is_same_v<R, cs::RevRuntime>) {
-    // REV requires r <= n (and at least one entry); clamp so one
-    // CommonConfig works across thread counts.
-    const int entries =
-        std::max(1, std::min(c.plausible_entries, c.max_threads));
-    return cs::make_rev_runtime(entries, lower<cs::Config>(c));
+    return cs::make_rev_runtime(c);
   } else {
-    static_assert(std::is_same_v<R, tl2::Runtime>);
-    // tl2 is word-granularity with no versions, retention, or contention
-    // manager; only the threading/pool/history knobs lower.
-    tl2::Config cfg;
-    cfg.max_threads = c.max_threads;
-    cfg.use_node_pool = c.use_node_pool;
-    cfg.record_history = c.record_history;
-    cfg.sharded_tx_ids = c.sharded_tx_ids;
-    if (c.tl2_clock_stride > 0) {
-      cfg.clock_scheme = tl2::ClockScheme::kCasStride;
-      cfg.clock_stride = c.tl2_clock_stride;
-    }
-    return std::make_unique<R>(cfg);
+    return std::make_unique<R>(c);
   }
 }
 
@@ -364,8 +278,8 @@ class Stm {
   util::StatsSnapshot stats() const { return rt_->stats(); }
   void reset_stats() { rt_->reset_stats(); }
 
-  /// Starvation watchdog: per-slot max-attempt high-water, the oldest
-  /// transaction currently in flight, and serial-fallback entries.
+  /// Starvation watchdog: the max-attempt high-water and serial-fallback
+  /// entries.
   util::ProgressTracker::Snapshot progress() const {
     return progress_->snapshot();
   }
@@ -507,15 +421,13 @@ class Stm {
   }
 
   /// The retry/escalation ladder (see RetryPolicy). A per-call budget
-  /// overrides the policy's and always wins over escalation.
+  /// (0 = none) always wins over escalation.
   template <typename F>
   RunResult run_impl(TxKind kind, F& body, std::uint32_t max_attempts) {
     Ctx& ctx = thread_ctx();
     const RetryPolicy& pol = cfg_.retry;
-    if (max_attempts == 0) max_attempts = pol.max_attempts;
     const int slot = ctx.slot();
     util::ProgressTracker& watch = *progress_;
-    watch.tx_begin(slot);
     std::uint32_t attempt = 1;
     struct EndGuard {  // tx_end even when a foreign exception unwinds run()
       util::ProgressTracker& watch;
@@ -524,11 +436,10 @@ class Stm {
       ~EndGuard() { watch.tx_end(slot, attempt); }
     } end_guard{watch, slot, attempt};
 
-    util::Backoff bo(pol.backoff_min_spins > 0 ? pol.backoff_min_spins : 1,
-                     pol.backoff_max_spins, detail::backoff_seed(slot));
+    util::Backoff bo(util::Backoff::kMinSpins, util::Backoff::kMaxSpins,
+                     detail::backoff_seed(slot));
     std::uint64_t carried = 0;
     for (;; ++attempt) {
-      watch.note_attempt(slot, attempt);
       if (serial_after_ != 0 && attempt > serial_after_) {
         // Rung 3: take the token exclusively (drains all in-flight shared
         // attempts), suppress fault injection, and retry under the token
@@ -541,7 +452,6 @@ class Stm {
         fault::SuppressGuard suppress;
         watch.note_serial(slot);
         for (;; ++attempt) {
-          watch.note_attempt(slot, attempt);
           if (attempt_once(ctx, kind, body, carried)) {
             serial.unlock();
             after_commit(slot);
@@ -628,8 +538,9 @@ inline const std::vector<std::string>& variant_names() {
 }
 
 /// Resolve `name` to a façade type at compile time: invokes
-/// `fn(std::type_identity<Stm<R>>{}, canonical_name, lowered_cfg)` for the
-/// matching variant. Throws std::invalid_argument for unknown names.
+/// `fn(std::type_identity<Stm<R>>{}, canonical_name, cfg)` for the matching
+/// variant, with `cfg` adjusted for it ("lsa-nors" clears
+/// track_readonly_readsets). Throws std::invalid_argument for unknown names.
 template <typename Fn>
 decltype(auto) visit_variant(std::string_view name, CommonConfig cfg,
                              Fn&& fn) {

@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 
+#include "runtime/config.hpp"
 #include "runtime/txdesc.hpp"
 
 namespace zstm::cm {
@@ -49,15 +50,7 @@ class ContentionManager {
   virtual std::string name() const = 0;
 };
 
-enum class Policy {
-  kAggressive,  // always abort the other transaction
-  kSuicide,     // always abort self
-  kPolite,      // bounded waiting, then abort the other
-  kKarma,       // transaction with more invested work wins
-  kTimestamp,   // older transaction wins (greedy-style)
-  kGreedy,      // older-or-waiting owner loses (Guerraoui et al. Greedy)
-  kPolka,       // Karma with exponentially growing patience (Polite+Karma)
-};
+// Policy (the Config::cm_policy values) is declared in runtime/config.hpp.
 
 std::unique_ptr<ContentionManager> make_manager(Policy policy);
 

@@ -31,20 +31,21 @@
 // single-version semantics.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "cm/contention_manager.hpp"
 #include "fault/failpoint.hpp"
 #include "history/recorder.hpp"
 #include "object/object_store.hpp"
+#include "runtime/config.hpp"
+#include "runtime/core.hpp"
 #include "runtime/payload.hpp"
 #include "runtime/run_result.hpp"
 #include "runtime/txdesc.hpp"
 #include "timebase/plausible_clock.hpp"
-#include "timebase/sharded_clock.hpp"
 #include "timebase/vector_clock.hpp"
 #include "util/align.hpp"
 #include "util/ebr.hpp"
@@ -56,33 +57,13 @@ namespace zstm::cs {
 using runtime::TxAborted;
 using runtime::TxKind;
 
-struct Config {
-  int max_threads = 36;
-  /// Committed versions retained per object for successor lookup (starting
-  /// bound in adaptive mode).
-  int versions_kept = 4;
-  /// Version retention (paper §4.4); see lsa::Config for the semantics.
-  object::RetentionMode retention_mode = object::RetentionMode::kFixed;
-  int retention_min = 1;
-  int retention_max = 64;
-  int retention_decay_period = 64;
-  cm::Policy cm_policy = cm::Policy::kPolite;
-  /// Slab-pool node allocation (DESIGN.md §7); ZSTM_POOL=0 overrides.
-  bool use_node_pool = true;
-  bool record_history = false;
-  /// Topology-sharded transaction ids (identity only; ids never order
-  /// anything — causal order lives in the vector clocks). ZSTM_SHARDED_IDS=0
-  /// overrides.
-  bool sharded_tx_ids = true;
-  /// EBR: a slot attempts a global epoch advance every Nth retire.
-  int ebr_collect_period = 64;
-};
+using Config = runtime::Config;
 
 /// Causally serializable STM templated over the clock system.
 /// ClockDomain = timebase::VcDomain (exact) or timebase::RevDomain
 /// (plausible, r entries).
 template <typename ClockDomain>
-class RuntimeT {
+class RuntimeT : public runtime::Core {
  public:
   using Stamp = decltype(std::declval<const ClockDomain&>().zero());
 
@@ -208,18 +189,10 @@ class RuntimeT {
   };
 
   RuntimeT(Config cfg, ClockDomain domain)
-      : cfg_(cfg),
+      : Core(cfg),
         domain_(std::move(domain)),
-        registry_(cfg.max_threads),
-        stats_(registry_),
-        pool_(registry_, &stats_, cfg.use_node_pool),
-        epochs_(registry_, cfg.ebr_collect_period),
-        recorder_(cfg.record_history, cfg.max_threads),
-        id_clock_(cfg.max_threads, /*shards=*/cfg.max_threads),
-        sharded_ids_(timebase::sharded_ids_enabled(cfg.sharded_tx_ids)),
-        spare_ct_(static_cast<std::size_t>(registry_.capacity())),
-        store_(pool_, epochs_, stats_, object::retention_policy(cfg),
-               cfg.cm_policy) {}
+        spare_ct_(static_cast<std::size_t>(cfg.max_threads)),
+        store_(*this) {}
 
   RuntimeT(const RuntimeT&) = delete;
   RuntimeT& operator=(const RuntimeT&) = delete;
@@ -247,11 +220,7 @@ class RuntimeT {
     return store_.allocate(initial, domain_.zero());
   }
 
-  const Config& config() const { return cfg_; }
   const ClockDomain& domain() const { return domain_; }
-  util::StatsSnapshot stats() const { return stats_.snapshot(); }
-  void reset_stats() { stats_.reset(); }
-  history::History collect_history() const { return recorder_.collect(); }
 
  private:
   friend class ThreadCtx;
@@ -296,13 +265,6 @@ class RuntimeT {
   /// copy-assigns VCp into the retained capacity. Steady state: zero heap
   /// allocations per transaction for descriptor clock storage. Slot-keyed,
   /// so the buffers survive thread churn like the NodePool's free lists.
-  /// Transaction ids are identity only (causal order lives in the vector
-  /// clocks), so they may come from the topology-sharded clock.
-  std::uint64_t next_tx_id(int slot) {
-    if (sharded_ids_) return id_clock_.unique_id(slot);
-    return tx_ids_.value.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
   Stamp take_spare_stamp(int slot) {
     return std::move(spare_ct_[static_cast<std::size_t>(slot)].value);
   }
@@ -320,18 +282,7 @@ class RuntimeT {
   static int stamp_size(const timebase::VcStamp& s) { return s.dimension(); }
   static int stamp_size(const timebase::RevStamp& s) { return s.entries(); }
 
-  Config cfg_;
   ClockDomain domain_;
-  util::ThreadRegistry registry_;
-  util::StatsDomain stats_;
-  // Before the EpochManager: its drain returns nodes to the pool.
-  object::NodePool pool_;
-  util::EpochManager epochs_;
-  history::Recorder recorder_;
-  util::PaddedCounter tx_ids_;
-  util::PaddedCounter ticks_;
-  timebase::ShardedClock id_clock_;
-  bool sharded_ids_;
   /// Recycled per-slot TxDesc stamp buffers (see take_spare_stamp).
   std::vector<util::Padded<Stamp>> spare_ct_;
   Store store_;
@@ -353,8 +304,7 @@ typename RuntimeT<D>::Tx& RuntimeT<D>::ThreadCtx::begin(TxKind) {
   ct = vcp_;
   tx_.desc_ =
       rt_.pool_.template create<TxDesc>(slot(), id, slot(), std::move(ct));
-  tx_.desc_->set_start_ticks(
-      rt_.ticks_.value.fetch_add(1, std::memory_order_relaxed));
+  tx_.desc_->set_start_ticks(rt_.next_tick());
   epoch_guard_ = rt_.epochs_.pin_guard(slot());
   tx_.read_set_.clear();
   tx_.write_set_.clear();
@@ -386,12 +336,7 @@ void RuntimeT<D>::ThreadCtx::finish_attempt(bool committed) {
   // through EBR (only this thread ever reads desc->ct; see
   // take_spare_stamp). The retired descriptor destructs an empty vector.
   rt_.put_spare_stamp(slot(), std::move(tx_.desc_->ct));
-  if (rt_.pool_.enabled()) {
-    rt_.epochs_.retire_raw(slot(), tx_.desc_,
-                           &object::NodePool::template ebr_destroy<TxDesc>);
-  } else {
-    rt_.epochs_.retire(slot(), tx_.desc_);
-  }
+  rt_.retire(slot(), tx_.desc_);
   tx_.desc_ = nullptr;
   epoch_guard_ = util::EpochManager::Guard();
 }
@@ -499,10 +444,13 @@ inline std::unique_ptr<VcRuntime> make_vc_runtime(Config cfg = {}) {
   return std::make_unique<VcRuntime>(cfg, timebase::VcDomain(cfg.max_threads));
 }
 
-/// CS-STM with r-entry plausible clocks (modulo mapping). r = 1 degenerates
-/// to a scalar clock; r = max_threads to exact vector clocks.
-inline std::unique_ptr<RevRuntime> make_rev_runtime(int entries,
-                                                    Config cfg = {}) {
+/// CS-STM with r = Config::plausible_entries plausible-clock entries
+/// (modulo mapping), clamped to [1, max_threads] so one Config works across
+/// thread counts. r = 1 degenerates to a scalar clock; r = max_threads to
+/// exact vector clocks.
+inline std::unique_ptr<RevRuntime> make_rev_runtime(Config cfg = {}) {
+  const int entries =
+      std::max(1, std::min(cfg.plausible_entries, cfg.max_threads));
   return std::make_unique<RevRuntime>(
       cfg, timebase::RevDomain(entries, cfg.max_threads));
 }

@@ -1,8 +1,5 @@
 #include "lsa/lsa.hpp"
 
-#include <cstdlib>
-#include <string_view>
-
 #include "fault/failpoint.hpp"
 
 namespace zstm::lsa {
@@ -10,20 +7,7 @@ namespace zstm::lsa {
 namespace {
 
 timebase::ScalarTimeBase make_time_base(const Config& cfg) {
-  timebase::TimeBaseKind kind = cfg.time_base;
-  // Experiment escape hatch: override the configured timebase globally
-  // without touching call sites (same spirit as ZSTM_POOL=0).
-  if (const char* e = std::getenv("ZSTM_TIMEBASE")) {
-    const std::string_view v(e);
-    if (v == "global") {
-      kind = timebase::TimeBaseKind::kCounter;
-    } else if (v == "sync") {
-      kind = timebase::TimeBaseKind::kSyncClock;
-    } else if (v == "batched") {
-      kind = timebase::TimeBaseKind::kBatchedCounter;
-    }
-  }
-  switch (kind) {
+  switch (cfg.time_base) {
     case timebase::TimeBaseKind::kSyncClock:
       return timebase::ScalarTimeBase(cfg.max_threads, cfg.clock_deviation,
                                       cfg.seed);
@@ -42,17 +26,7 @@ timebase::ScalarTimeBase make_time_base(const Config& cfg) {
 // ---------------------------------------------------------------------------
 
 Runtime::Runtime(Config cfg)
-    : cfg_(cfg),
-      registry_(cfg.max_threads),
-      stats_(registry_),
-      pool_(registry_, &stats_, cfg.use_node_pool),
-      epochs_(registry_, cfg.ebr_collect_period),
-      recorder_(cfg.record_history, cfg.max_threads),
-      timebase_(make_time_base(cfg)),
-      id_clock_(cfg.max_threads, /*shards=*/cfg.max_threads),
-      sharded_ids_(timebase::sharded_ids_enabled(cfg.sharded_tx_ids)),
-      store_(pool_, epochs_, stats_, object::retention_policy(cfg),
-             cfg.cm_policy) {
+    : Core(cfg), timebase_(make_time_base(cfg)), store_(*this) {
   // A detaching thread abandons its timebase lease (batched counter);
   // otherwise a dead slot's low lease would pin now_floor() forever.
   timebase_listener_ = registry_.add_release_listener(
@@ -60,8 +34,9 @@ Runtime::Runtime(Config cfg)
 }
 
 // All worker threads must be detached by now; the store tears down the live
-// objects single-threaded, and the EpochManager's destructor (drain_all)
-// frees retired versions/descriptors — disjoint sets.
+// objects single-threaded, and the core's EpochManager (drain_all) then
+// frees retired versions/descriptors — disjoint sets. The listener goes
+// first, while the core's registry is still alive.
 Runtime::~Runtime() {
   if (timebase_listener_ >= 0) {
     registry_.remove_release_listener(timebase_listener_);
@@ -77,7 +52,7 @@ std::unique_ptr<ThreadCtx> Runtime::attach() {
 // ---------------------------------------------------------------------------
 
 ThreadCtx::ThreadCtx(Runtime& rt, util::ThreadRegistry::Registration reg)
-    : rt_(rt), reg_(std::move(reg)), tx_(*this), next_tx_id_(0) {}
+    : rt_(rt), reg_(std::move(reg)), tx_(*this) {}
 
 ThreadCtx::~ThreadCtx() {
   if (in_transaction()) abort_attempt();
@@ -87,8 +62,8 @@ Tx& ThreadCtx::begin(TxKind kind) {
   const bool read_only = kind == TxKind::kReadOnly || kind == TxKind::kLong;
   if (in_transaction()) abort_attempt();  // defensive: drop a leaked attempt
   Tx& tx = tx_;
-  next_tx_id_ = rt_.next_tx_id(slot());
-  tx.desc_ = rt_.pool_.create<TxDesc>(slot(), next_tx_id_, slot(),
+  const std::uint64_t id = rt_.next_tx_id(slot());
+  tx.desc_ = rt_.pool_.create<TxDesc>(slot(), id, slot(),
                                       runtime::TxClass::kShort);
   tx.desc_->set_start_ticks(rt_.next_tick());
   epoch_guard_ = rt_.epochs_.pin_guard(slot());
@@ -96,7 +71,7 @@ Tx& ThreadCtx::begin(TxKind kind) {
     // Ticked before the snapshot is taken: a commit the snapshot cannot see
     // must not look real-time-earlier than this transaction's begin.
     tx.rec_ = history::TxRecord{};
-    tx.rec_.tx_id = next_tx_id_;
+    tx.rec_.tx_id = id;
     tx.rec_.thread_slot = slot();
     tx.rec_.tx_class = runtime::TxClass::kShort;
     tx.rec_.begin_seq = rt_.recorder_.tick();
@@ -131,7 +106,7 @@ void ThreadCtx::finish_attempt(bool committed) {
   // Nothing references the descriptor through a live locator any more
   // (committed/aborted locators were settled above); stale readers may
   // still hold the pointer, so retire through EBR rather than free.
-  rt_.retire_desc(slot(), tx_.desc_);
+  rt_.retire(slot(), tx_.desc_);
   tx_.desc_ = nullptr;
   epoch_guard_ = util::EpochManager::Guard();
 }

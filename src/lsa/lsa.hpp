@@ -33,20 +33,18 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "cm/contention_manager.hpp"
 #include "history/recorder.hpp"
 #include "object/object_store.hpp"
+#include "runtime/config.hpp"
+#include "runtime/core.hpp"
 #include "runtime/payload.hpp"
 #include "runtime/run_result.hpp"
 #include "runtime/txdesc.hpp"
 #include "timebase/scalar_timebase.hpp"
-#include "timebase/sharded_clock.hpp"
-#include "util/backoff.hpp"
 #include "util/ebr.hpp"
 #include "util/stats.hpp"
 #include "util/thread_registry.hpp"
@@ -56,46 +54,7 @@ namespace zstm::lsa {
 using runtime::TxAborted;
 using runtime::TxKind;
 
-struct Config {
-  int max_threads = 36;
-  /// Committed versions retained per object (K). 1 = single-version (TL2
-  /// style); larger values let read-only transactions commit in the past.
-  /// In adaptive retention mode this is the per-object starting bound.
-  int versions_kept = 8;
-  /// Version retention (paper §4.4): kFixed keeps versions_kept everywhere;
-  /// kAdaptive gives each object its own bound that doubles on too-old-
-  /// version aborts and decays while quiescent.
-  object::RetentionMode retention_mode = object::RetentionMode::kFixed;
-  int retention_min = 1;
-  int retention_max = 64;
-  int retention_decay_period = 64;
-  /// Commit timebase (DESIGN.md §10). kCounter is the paper's shared
-  /// counter; kBatchedCounter leases blocks of `timebase_batch` ticks per
-  /// thread (same serializability guarantees — commit pays a lease fence
-  /// instead of a wait). The ZSTM_TIMEBASE environment variable
-  /// (global|sync|batched) overrides this for experiments.
-  timebase::TimeBaseKind time_base = timebase::TimeBaseKind::kCounter;
-  std::chrono::nanoseconds clock_deviation{0};
-  /// Ticks per lease when time_base == kBatchedCounter (k: the contended
-  /// fetch_add is amortized k×).
-  int timebase_batch = 64;
-  cm::Policy cm_policy = cm::Policy::kPolite;
-  /// false ⇒ the Figure 6 "LSA-STM (no readsets)" variant for transactions
-  /// declared read-only.
-  bool track_readonly_readsets = true;
-  /// Slab-pool node allocation (DESIGN.md §7). The ZSTM_POOL=0 environment
-  /// escape hatch overrides this to false (debugging/ASan).
-  bool use_node_pool = true;
-  bool record_history = false;
-  /// Draw transaction/object ids from a topology-sharded clock instead of
-  /// one global counter. Ids are identity-only (no code orders by them),
-  /// so this is safe under every criterion; ZSTM_SHARDED_IDS=0 overrides
-  /// to false (debugging: densely ordered ids).
-  bool sharded_tx_ids = true;
-  /// EBR: a slot attempts a global epoch advance every Nth retire.
-  int ebr_collect_period = 64;
-  std::uint64_t seed = 1;
-};
+using Config = runtime::Config;
 
 class Runtime;
 class ThreadCtx;
@@ -274,7 +233,6 @@ class ThreadCtx {
   util::ThreadRegistry::Registration reg_;
   util::EpochManager::Guard epoch_guard_;
   Tx tx_;
-  std::uint64_t next_tx_id_;
   /// Serialization point of this thread's last committed transaction.
   /// Snapshots never anchor below it, so a thread always reads its own
   /// writes and its transactions serialize in program order even when the
@@ -283,7 +241,10 @@ class ThreadCtx {
   bool force_track_reads_once_ = false;
 };
 
-class Runtime {
+/// config(), stats(), collect_history(), and the registry, pool, EBR,
+/// recorder, ids, ticks and retire Z-STM's long transactions share, come
+/// from runtime::Core.
+class Runtime : public runtime::Core {
  public:
   template <typename T>
   using Var = lsa::Var<T>;
@@ -313,11 +274,6 @@ class Runtime {
         ctx, [&]() -> Tx& { return ctx.begin(kind); }, body);
   }
 
-  const Config& config() const { return cfg_; }
-  util::StatsSnapshot stats() const { return stats_.snapshot(); }
-  void reset_stats() { stats_.reset(); }
-  history::History collect_history() const { return recorder_.collect(); }
-
   // --- internals shared with Z-STM (stable within this library) ---------
 
   Object* allocate_object(runtime::Payload* initial) {
@@ -327,53 +283,13 @@ class Runtime {
   /// The shared versioned-object substrate (object/object_store.hpp):
   /// resolve, open-for-write and release go through it directly.
   Store& store() { return store_; }
-
-  util::ThreadRegistry& registry() { return registry_; }
-  util::EpochManager& epochs() { return epochs_; }
-  util::StatsDomain& stats_domain() { return stats_; }
-  object::NodePool& node_pool() { return pool_; }
-  /// Retire a transaction descriptor through EBR, returning it to the pool
-  /// once the grace period passes (shared with Z-STM's long transactions).
-  void retire_desc(int slot, TxDesc* d) {
-    if (pool_.enabled()) {
-      epochs_.retire_raw(slot, d, &object::NodePool::ebr_destroy<TxDesc>);
-    } else {
-      epochs_.retire(slot, d);
-    }
-  }
-  history::Recorder& recorder() { return recorder_; }
   timebase::ScalarTimeBase& time_base() { return timebase_; }
-  std::uint64_t next_tick() {
-    return ticks_.value.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// Globally unique transaction id (shared with Z-STM's long transactions
-  /// so ids never collide across transaction classes). Ids are identity
-  /// only — nothing orders by them — so under Config::sharded_tx_ids they
-  /// come from the slot's shard of a topology-sharded clock instead of one
-  /// globally contended counter.
-  std::uint64_t next_tx_id(int slot) {
-    if (sharded_ids_) return id_clock_.unique_id(slot);
-    return tx_ids_.value.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-  bool sharded_ids() const { return sharded_ids_; }
 
  private:
   friend class ThreadCtx;
   friend class Tx;
 
-  Config cfg_;
-  util::ThreadRegistry registry_;
-  util::StatsDomain stats_;
-  // Declared before the EpochManager: EBR's destructor drains deleters
-  // that return nodes to the pool, so the pool must be destroyed after it.
-  object::NodePool pool_;
-  util::EpochManager epochs_;
-  history::Recorder recorder_;
   timebase::ScalarTimeBase timebase_;
-  util::PaddedCounter ticks_;  // CM start-time ordering
-  util::PaddedCounter tx_ids_;
-  timebase::ShardedClock id_clock_;
-  bool sharded_ids_;
   /// Registry release-listener id for the timebase slot-teardown hook
   /// (batched leases must not pin now_floor() after a thread detaches).
   int timebase_listener_ = -1;

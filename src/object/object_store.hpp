@@ -34,14 +34,14 @@
 //                            read version (validation / snapshot-extension
 //                            helper).
 //
-// All version retirement flows through the one EpochManager passed at
-// construction — the single EBR integration point (DESIGN.md §3,
-// substitutions table: EBR stands in for the paper's JVM garbage
-// collector).
+// The store is built on the runtime's runtime::Core. All version
+// retirement flows through Core::retire, the one EBR integration point
+// (DESIGN.md §3, substitutions table: EBR stands in for the paper's JVM
+// garbage collector).
 //
-// Memory (DESIGN.md §7): every Version is carved from the NodePool passed
-// at construction, and retirement returns nodes to the pool's per-slot free
-// lists instead of the global heap. Locators are embedded in the versions
+// Memory (DESIGN.md §7): every Version is carved from the core's NodePool,
+// and retirement returns nodes to the pool's per-slot free lists instead
+// of the global heap. Locators are embedded in the versions
 // they name ("Embedded locators"), so they cost no allocation and no
 // retire of their own. With the pool disabled (ZSTM_POOL=0) everything
 // degrades to plain new/delete.
@@ -66,6 +66,7 @@
 #include "fault/failpoint.hpp"
 #include "object/node_pool.hpp"
 #include "object/versioned.hpp"
+#include "runtime/core.hpp"
 #include "runtime/payload.hpp"
 #include "runtime/txdesc.hpp"
 #include "util/backoff.hpp"
@@ -80,11 +81,10 @@ namespace zstm::object {
 /// transactions from waiting on each other.
 enum class OnCommitting { kWait, kFail };
 
-enum class RetentionMode {
-  kFixed,     ///< global bound: Config::versions_kept
-  kAdaptive,  ///< per-object bound; grows on too-old aborts, decays when quiet
-};
-
+/// The store's retention policy. A runtime's store takes mode and initial
+/// from its Config (retention_mode, versions_kept); the adaptive floor,
+/// ceiling and decay period keep these defaults outside the store's own
+/// tests.
 struct RetentionPolicy {
   RetentionMode mode = RetentionMode::kFixed;
   /// Bound in kFixed mode; initial per-object bound in kAdaptive mode.
@@ -96,16 +96,6 @@ struct RetentionPolicy {
   /// bound shrinks by one.
   int decay_period = 64;
 };
-
-/// Builds the store policy from the retention knobs every runtime Config in
-/// this library shares (versions_kept, retention_mode, retention_min/max,
-/// retention_decay_period).
-template <typename Cfg>
-RetentionPolicy retention_policy(const Cfg& cfg) {
-  return RetentionPolicy{cfg.retention_mode, cfg.versions_kept,
-                         cfg.retention_min, cfg.retention_max,
-                         cfg.retention_decay_period};
-}
 
 /// Traits must provide:
 ///   Desc        — the runtime's transaction descriptor (derives
@@ -124,14 +114,18 @@ class ObjectStore {
   template <typename T>
   using Var = object::Var<T, Object>;
 
-  ObjectStore(NodePool& pool, util::EpochManager& epochs,
-              util::StatsDomain& stats, RetentionPolicy retention,
-              cm::Policy cm_policy)
-      : pool_(pool),
-        epochs_(epochs),
-        stats_(stats),
+  /// The runtime's store: retention and contention manager from the
+  /// core's Config.
+  explicit ObjectStore(runtime::Core& core)
+      : ObjectStore(core, RetentionPolicy{core.config().retention_mode,
+                                          core.config().versions_kept}) {}
+
+  ObjectStore(runtime::Core& core, RetentionPolicy retention)
+      : core_(core),
+        pool_(core.node_pool()),
+        stats_(core.stats_domain()),
         retention_(retention),
-        cm_(cm::make_manager(cm_policy)) {
+        cm_(cm::make_manager(core.config().cm_policy)) {
     // Normalize so the unsigned bound arithmetic below stays sane: at least
     // one version is always kept (matching the old per-runtime prune loops,
     // which degraded to single-version for versions_kept <= 0).
@@ -151,10 +145,11 @@ class ObjectStore {
   /// Single-threaded teardown: all worker threads must be detached. Retired
   /// versions are freed by the EpochManager's destructor (drain_all) —
   /// disjoint from the live structures destroyed here. The NodePool
-  /// outlives both (declared before the EpochManager in every runtime), so
-  /// returning nodes here is safe. `l` lives inside one of the versions
-  /// freed here (the head's `settled` or a tentative's `owned`), so its
-  /// fields are read before that version is destroyed.
+  /// outlives both (runtime::Core declares it before the EpochManager, and
+  /// the store lives in a class derived from the core), so returning nodes
+  /// here is safe. `l` lives inside one of the versions freed here (the
+  /// head's `settled` or a tentative's `owned`), so its fields are read
+  /// before that version is destroyed.
   ~ObjectStore() {
     for (auto& obj : objects_) {
       Locator* l = obj->loc.load(std::memory_order_relaxed);
@@ -285,7 +280,7 @@ class ObjectStore {
     if (st == runtime::TxStatus::kAborted) {
       // The tentative version (which holds `seen`) never became visible;
       // only the settling winner retires it, so it is retired exactly once.
-      retire_version(slot, seen->tentative);
+      core_.retire(slot, seen->tentative);
     }
     prune(o, slot);
   }
@@ -419,7 +414,7 @@ class ObjectStore {
       // seq_cst: orders the sever before retire's epoch sample, so a reader
       // that pins in a later epoch cannot still step onto `tail`.
       next->prev.store(nullptr, std::memory_order_seq_cst);
-      retire_version(slot, tail);
+      core_.retire(slot, tail);
       tail = next;
     }
   }
@@ -461,20 +456,7 @@ class ObjectStore {
                : static_cast<std::uint32_t>(retention_.initial);
   }
 
-  const RetentionPolicy& retention() const { return retention_; }
-  NodePool& pool() { return pool_; }
-
  private:
-  /// Retire a version through EBR with the matching free path (pool return
-  /// or delete).
-  void retire_version(int slot, Version* v) {
-    if (pool_.enabled()) {
-      epochs_.retire_raw(slot, v, &NodePool::ebr_destroy<Version>);
-    } else {
-      epochs_.retire(slot, v);
-    }
-  }
-
   /// One more prune without a too-old abort; after decay_period of them the
   /// adaptive bound shrinks by one (floor min_kept). The counters race
   /// benignly: both are bounded and monotone between resets.
@@ -498,8 +480,8 @@ class ObjectStore {
     }
   }
 
+  runtime::Core& core_;
   NodePool& pool_;
-  util::EpochManager& epochs_;
   util::StatsDomain& stats_;
   RetentionPolicy retention_;
   std::unique_ptr<cm::ContentionManager> cm_;

@@ -1,0 +1,96 @@
+// The one runtime configuration (DESIGN.md §8). Every runtime — lsa, cs
+// (vc and rev), sstm, tl2 and zl — is built from this struct, and each of
+// their `Config` names is an alias of it; the api façade's CommonConfig is
+// this struct plus its own retry ladder. Each knob is declared once, here;
+// a runtime reads the knobs it has a use for and ignores the rest (the
+// table is in DESIGN.md §8).
+//
+// The header includes no runtime or object header, so a caller can spell a
+// configuration with designated initializers before choosing a runtime:
+//
+//   zstm::runtime::Config cfg{.max_threads = 8, .versions_kept = 4};
+//   zstm::lsa::Runtime rt(cfg);
+//
+// The three enums the knobs take are declared here, in the namespaces of
+// the subsystems that interpret them.
+#pragma once
+
+#include <chrono>
+#include <cstdint>
+
+namespace zstm {
+
+namespace cm {
+/// Contention-management policy (cm/contention_manager.hpp).
+enum class Policy {
+  kAggressive,  // always abort the other transaction
+  kSuicide,     // always abort self
+  kPolite,      // bounded waiting, then abort the other
+  kKarma,       // transaction with more invested work wins
+  kTimestamp,   // older transaction wins (greedy-style)
+  kGreedy,      // older-or-waiting owner loses (Guerraoui et al. Greedy)
+  kPolka,       // Karma with exponentially growing patience (Polite+Karma)
+};
+}  // namespace cm
+
+namespace timebase {
+/// Scalar commit timebase of lsa and zl (timebase/scalar_timebase.hpp).
+enum class TimeBaseKind { kCounter, kSyncClock, kBatchedCounter };
+}  // namespace timebase
+
+namespace object {
+/// Version retention (paper §4.4; object/object_store.hpp).
+enum class RetentionMode {
+  kFixed,     ///< global bound: Config::versions_kept
+  kAdaptive,  ///< per-object bound; grows on too-old aborts, decays when quiet
+};
+}  // namespace object
+
+namespace runtime {
+
+struct Config {
+  /// Registry capacity: threads that may be attached at once.
+  int max_threads = 36;
+  /// Object runtimes: committed versions retained per object (K), the
+  /// starting per-object bound in adaptive mode. 1 = single-version; more
+  /// let lsa's read-only transactions commit in the past, and cs/sstm
+  /// find a read version's successor for longer.
+  int versions_kept = 8;
+  /// Object runtimes: kFixed keeps versions_kept everywhere; kAdaptive
+  /// gives each object its own bound that doubles on too-old-version
+  /// aborts and decays while quiet.
+  object::RetentionMode retention_mode = object::RetentionMode::kFixed;
+  /// Object runtimes: arbitration of write/write conflicts.
+  cm::Policy cm_policy = cm::Policy::kPolite;
+  /// Slab-pool node allocation (DESIGN.md §7); the ZSTM_POOL=0 environment
+  /// variable overrides it to false (debugging, ASan).
+  bool use_node_pool = true;
+  /// Record every transaction for the offline history checkers.
+  bool record_history = false;
+  /// lsa and zl: false selects the Figure 6 "LSA-STM (no readsets)"
+  /// variant for transactions declared read-only (the name "lsa-nors").
+  bool track_readonly_readsets = true;
+  /// lsa and zl: the scalar commit timebase (DESIGN.md §10). kCounter is
+  /// the paper's shared counter; kBatchedCounter leases blocks of
+  /// `timebase_batch` ticks per thread; kSyncClock simulates synchronized
+  /// real-time clocks `clock_deviation` apart, seeded by `seed`.
+  timebase::TimeBaseKind time_base = timebase::TimeBaseKind::kCounter;
+  int timebase_batch = 64;
+  std::chrono::nanoseconds clock_deviation{0};
+  std::uint64_t seed = 1;
+  /// cs-r: r, the number of plausible-clock entries (§4.3), clamped to
+  /// [1, max_threads].
+  int plausible_entries = 4;
+  /// tl2: 0 keeps the classic fetch_add commit clock (GV1); >= 1 selects
+  /// the GV4/GV5-style single-CAS scheme with this stride (documented
+  /// false-abort cost, never correctness).
+  int tl2_clock_stride = 0;
+  /// zl: a short transaction crossing an active zone waits for it to
+  /// quiesce (up to zone_wait_attempts backoff rounds) instead of aborting
+  /// at once ("the contention manager ... would typically abort T").
+  bool wait_on_zone_conflict = false;
+  std::uint32_t zone_wait_attempts = 256;
+};
+
+}  // namespace runtime
+}  // namespace zstm

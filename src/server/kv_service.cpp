@@ -24,7 +24,7 @@ const char* op_name(Op op) {
 KvService::KvService(ServiceConfig cfg)
     : cfg_(std::move(cfg)),
       stm_(api::AnyStm::make(cfg_.variant, cfg_.stm)),
-      store_(stm_, cfg_.buckets, cfg_.multi_get_long_threshold) {}
+      store_(stm_, cfg_.buckets) {}
 
 KvService::~KvService() { stop(); }
 
@@ -188,7 +188,7 @@ void KvService::housekeeper_loop() {
     // opportunistic passes are losing.
     api::MaintainResult r = stm_.maintain();
     bool forced = false;
-    if (r.retained > cfg_.maintain_force_watermark) {
+    if (r.retained > kMaintainForceWatermark) {
       r = stm_.maintain(/*force=*/true);
       forced = true;
     }

@@ -76,13 +76,8 @@ struct ServiceConfig {
   int workers = 2;
   std::size_t queue_capacity = 1 << 14;
   std::size_t buckets = 256;
-  /// multi_get switches from kReadOnly to kLong at this fanout.
-  std::uint32_t multi_get_long_threshold = 8;
   /// Housekeeping cadence; the thread also wakes immediately on stop().
   std::chrono::milliseconds maintain_interval{10};
-  /// Retained gauge (S-STM descriptors) above which housekeeping escalates
-  /// to maintain(force=true) — the serial-gate drain.
-  std::size_t maintain_force_watermark = 1 << 14;
   /// Façade config. The service defaults differ from CommonConfig's: the
   /// serial-irrevocable rung is on (bounds the latency tail AND gives the
   /// forced trim its drain) and the every-N-commits maintain fallback is
@@ -146,6 +141,10 @@ class KvService {
     std::array<util::LatencyHistogram, kOpCount> hist;
     std::atomic<std::uint64_t> completed{0};
   };
+
+  /// Retained gauge (S-STM descriptors) above which housekeeping escalates
+  /// to maintain(force=true) — the serial-gate drain.
+  static constexpr std::size_t kMaintainForceWatermark = 1 << 14;
 
   void worker_loop(int idx);
   void housekeeper_loop();

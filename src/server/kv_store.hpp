@@ -5,7 +5,7 @@
 //   get                  TxKind::kReadOnly   (declared-read-only fast path)
 //   put / del / transfer TxKind::kUpdate
 //   multi_get (small k)  TxKind::kReadOnly
-//   multi_get (k >= long_threshold) and scan
+//   multi_get (k >= kLongThreshold) and scan
 //                        TxKind::kLong       (Z-STM Algorithm 2; the
 //                                             z-linearizability showcase)
 //
@@ -38,8 +38,10 @@ class KvStoreT {
  public:
   using Map = adt::TMap<S, Key, Value>;
 
-  KvStoreT(S& stm, std::size_t buckets, std::uint32_t long_threshold = 8)
-      : stm_(&stm), map_(stm, buckets), long_threshold_(long_threshold) {}
+  /// multi_get switches from kReadOnly to kLong at this fanout.
+  static constexpr std::uint32_t kLongThreshold = 8;
+
+  KvStoreT(S& stm, std::size_t buckets) : stm_(&stm), map_(stm, buckets) {}
 
   std::optional<Value> get(Key key) {
     std::optional<Value> out;
@@ -70,8 +72,8 @@ class KvStoreT {
   /// yield no entry; `found` (the return) counts the present ones.
   std::size_t multi_get(Key first, std::uint32_t count,
                         std::vector<Value>* out) {
-    const api::TxKind kind = count >= long_threshold_ ? api::TxKind::kLong
-                                                      : api::TxKind::kReadOnly;
+    const api::TxKind kind = count >= kLongThreshold ? api::TxKind::kLong
+                                                     : api::TxKind::kReadOnly;
     std::size_t found = 0;
     stm_->run(kind, [&](auto& tx) {
       found = 0;
@@ -138,7 +140,6 @@ class KvStoreT {
  private:
   S* stm_;
   Map map_;
-  std::uint32_t long_threshold_;
 };
 
 using KvStore = KvStoreT<api::AnyStm>;

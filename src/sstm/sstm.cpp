@@ -11,29 +11,15 @@ namespace zstm::sstm {
 // ---------------------------------------------------------------------------
 
 Runtime::Runtime(Config cfg)
-    : cfg_(cfg),
-      domain_(cfg.max_threads),
-      registry_(cfg.max_threads),
-      stats_(registry_),
-      pool_(registry_, &stats_, cfg.use_node_pool),
-      epochs_(registry_, cfg.ebr_collect_period),
-      recorder_(cfg.record_history, cfg.max_threads),
-      id_clock_(cfg.max_threads, /*shards=*/cfg.max_threads),
-      sharded_ids_(timebase::sharded_ids_enabled(cfg.sharded_tx_ids)),
-      store_(pool_, epochs_, stats_, object::retention_policy(cfg),
-             cfg.cm_policy) {}
+    : Core(cfg), domain_(cfg.max_threads), store_(*this) {}
 
 // The store tears down the live objects; runtime-retained descriptors are
 // freed with descs_.
 Runtime::~Runtime() = default;
 
 TxDesc* Runtime::allocate_desc(int slot) {
-  // Ids are identity only (ordering lives in the vector clocks), so the
-  // topology-sharded clock may serve them.
-  const std::uint64_t id =
-      sharded_ids_ ? id_clock_.unique_id(slot)
-                   : tx_ids_.value.fetch_add(1, std::memory_order_relaxed) + 1;
-  TxDesc* raw = pool_.create<TxDesc>(slot, id, slot, domain_.zero());
+  TxDesc* raw =
+      pool_.create<TxDesc>(slot, next_tx_id(slot), slot, domain_.zero());
   {
     std::lock_guard<std::mutex> lk(descs_mutex_);
     descs_.live.push_back(raw);
@@ -46,9 +32,14 @@ std::size_t Runtime::descriptor_count() {
   return descs_.live.size();
 }
 
-// The public entry may run on a thread with no slot (a housekeeper, a
-// test's main thread), so its defensive settle borrows slot 0.
-std::size_t Runtime::trim_descriptors() { return trim(/*slot=*/0); }
+// The caller may own no slot here (a housekeeper, a test's main thread) or
+// one whose worker is mid-transaction, so the defensive settle runs on a
+// slot this call attaches for itself.
+std::size_t Runtime::trim_descriptors() {
+  const util::ThreadRegistry::Registration reg = registry_.try_attach();
+  if (!reg.attached()) return 0;
+  return trim(reg.slot());
+}
 
 std::size_t Runtime::trim(int slot) {
   std::scoped_lock lk(descs_mutex_, commit_mutex_);
@@ -182,8 +173,7 @@ Tx& ThreadCtx::begin(TxKind) {
   if (in_transaction()) abort_attempt();
   tx_.desc_ = rt_.allocate_desc(slot());
   tx_.desc_->ct = vcp_;  // T.ct starts from the thread's last committed stamp
-  tx_.desc_->set_start_ticks(
-      rt_.ticks_.value.fetch_add(1, std::memory_order_relaxed));
+  tx_.desc_->set_start_ticks(rt_.next_tick());
   epoch_guard_ = rt_.epochs_.pin_guard(slot());
   tx_.read_set_.clear();
   tx_.write_set_.clear();

@@ -42,13 +42,13 @@
 #include <mutex>
 #include <vector>
 
-#include "cm/contention_manager.hpp"
 #include "history/recorder.hpp"
 #include "object/object_store.hpp"
+#include "runtime/config.hpp"
+#include "runtime/core.hpp"
 #include "runtime/payload.hpp"
 #include "runtime/run_result.hpp"
 #include "runtime/txdesc.hpp"
-#include "timebase/sharded_clock.hpp"
 #include "timebase/vector_clock.hpp"
 #include "util/ebr.hpp"
 #include "util/spin_lock.hpp"
@@ -60,28 +60,7 @@ namespace zstm::sstm {
 using runtime::TxAborted;
 using runtime::TxKind;
 
-struct Config {
-  int max_threads = 36;
-  /// Committed versions retained per object (starting bound in adaptive
-  /// mode).
-  int versions_kept = 4;
-  /// Version retention (paper §4.4); see lsa::Config for the semantics.
-  object::RetentionMode retention_mode = object::RetentionMode::kFixed;
-  int retention_min = 1;
-  int retention_max = 64;
-  int retention_decay_period = 64;
-  cm::Policy cm_policy = cm::Policy::kPolite;
-  /// Slab-pool node allocation (DESIGN.md §7); ZSTM_POOL=0 overrides.
-  /// Descriptors are pool-backed and retained until a quiescent
-  /// Runtime::trim_descriptors() proves no reader list references them.
-  bool use_node_pool = true;
-  bool record_history = false;
-  /// Topology-sharded transaction ids (identity only; serializability
-  /// order lives in the vector clocks). ZSTM_SHARDED_IDS=0 overrides.
-  bool sharded_tx_ids = true;
-  /// EBR: a slot attempts a global epoch advance every Nth retire.
-  int ebr_collect_period = 64;
-};
+using Config = runtime::Config;
 
 class Runtime;
 class ThreadCtx;
@@ -239,7 +218,7 @@ class ThreadCtx {
   timebase::VcStamp vcp_;
 };
 
-class Runtime {
+class Runtime : public runtime::Core {
  public:
   template <typename T>
   using Var = sstm::Var<T>;
@@ -269,18 +248,16 @@ class Runtime {
     return store_.allocate(initial, domain_.zero());
   }
 
-  const Config& config() const { return cfg_; }
-  util::StatsSnapshot stats() const { return stats_.snapshot(); }
-  void reset_stats() { stats_.reset(); }
-  history::History collect_history() const { return recorder_.collect(); }
-
   /// Quiescence-based descriptor trim (the carried-over S-STM leak,
   /// DESIGN.md §11): when no transaction is in flight, fold every finished
   /// reader's ordering constraint into its version's `folded` stamp, clear
   /// the reader/past-reader lists, settle any leftover locators, and
   /// return the descriptors to the node pool. Returns the number of
   /// descriptors freed; 0 if the runtime was not quiescent (an attempt was
-  /// live — the call is then a safe no-op and may be retried later).
+  /// live — the call is then a safe no-op and may be retried later) or
+  /// every registry slot was taken. Any thread may call it, outside a
+  /// transaction: the call attaches a registry slot of its own for the
+  /// settle, whose retires and pool frees are owner-only.
   std::size_t trim_descriptors();
   /// Retained (not yet trimmed) descriptor count — test introspection.
   std::size_t descriptor_count();
@@ -303,18 +280,7 @@ class Runtime {
   /// live (active/committing) transactions.
   static bool reaches(TxDesc* from, const TxDesc* target, int max_nodes);
 
-  Config cfg_;
   timebase::VcDomain domain_;
-  util::ThreadRegistry registry_;
-  util::StatsDomain stats_;
-  // Before the EpochManager: its drain returns nodes to the pool.
-  object::NodePool pool_;
-  util::EpochManager epochs_;
-  history::Recorder recorder_;
-  util::PaddedCounter tx_ids_;
-  util::PaddedCounter ticks_;
-  timebase::ShardedClock id_clock_;
-  bool sharded_ids_;
 
   /// Pool-backed descriptor storage. Reader and past-reader lists may
   /// reference a descriptor long after its transaction finished, so
@@ -330,9 +296,9 @@ class Runtime {
   };
 
   std::mutex descs_mutex_;
-  /// Declared after pool_ (frees into it) and before store_ (the store's
-  /// destructor reads locator writers' status, so the descriptors must
-  /// still be alive when it runs).
+  /// Frees into the core's pool, which outlives it; declared before store_
+  /// (the store's destructor reads locator writers' status, so the
+  /// descriptors must still be alive when it runs).
   DescArena descs_{pool_};
 
   /// Serializes update-commit validation + publication (see header).

@@ -26,14 +26,13 @@
 #include <memory>
 #include <optional>
 
+#include "runtime/config.hpp"  // TimeBaseKind
 #include "timebase/batched_counter.hpp"
 #include "timebase/global_counter.hpp"
 #include "timebase/sync_clock.hpp"
 #include "util/backoff.hpp"
 
 namespace zstm::timebase {
-
-enum class TimeBaseKind { kCounter, kSyncClock, kBatchedCounter };
 
 class ScalarTimeBase {
  public:

@@ -15,8 +15,8 @@
 //
 // Safe productized uses, wired through the runtimes:
 //  * unique_id(): globally unique ids that need no ordering at all —
-//    transaction ids and object ids (Config::sharded_tx_ids). The shard
-//    index rides in the low kShardBits of the id.
+//    every runtime's transaction ids (runtime::Core::next_tx_id). The
+//    shard index rides in the low kShardBits of the id.
 //  * Raw (shard, tick) stamps for harnesses/tests that only ever compare
 //    within a shard.
 //
@@ -26,8 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
-#include <string_view>
 #include <vector>
 
 #include "timebase/clock_order.hpp"
@@ -35,15 +33,6 @@
 #include "util/cpu_topology.hpp"
 
 namespace zstm::timebase {
-
-/// Shared Config::sharded_tx_ids env escape hatch: ZSTM_SHARDED_IDS=0
-/// forces globally-counter ids (densely ordered, easier to eyeball in
-/// debugging) regardless of the configuration.
-inline bool sharded_ids_enabled(bool config_flag) {
-  if (!config_flag) return false;
-  const char* e = std::getenv("ZSTM_SHARDED_IDS");
-  return e == nullptr || std::string_view(e) != "0";
-}
 
 /// A (shard, tick) pair. Same shard ⇒ ordered by tick; different shards ⇒
 /// concurrent. Ticks start at 1 (a zero-tick stamp precedes every stamp of

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <new>
 #include <stdexcept>
-#include <string_view>
 
 #include "fault/failpoint.hpp"
 
@@ -25,20 +24,8 @@ inline std::uint64_t version_of(std::uint64_t lw) { return lw >> 1; }
 // ---------------------------------------------------------------------------
 
 Runtime::Runtime(Config cfg)
-    : cfg_(cfg),
-      registry_(cfg.max_threads),
-      stats_(registry_),
-      pool_(registry_, &stats_, cfg.use_node_pool),
-      recorder_(cfg.record_history, registry_.capacity()),
-      id_clock_(cfg.max_threads, /*shards=*/cfg.max_threads),
-      sharded_ids_(timebase::sharded_ids_enabled(cfg.sharded_tx_ids)) {
-  int bits = cfg.lock_table_bits;
-  if (bits < 6) bits = 6;
-  if (bits > 24) bits = 24;
-  const std::size_t n = std::size_t{1} << bits;
-  stripe_mask_ = static_cast<std::uint32_t>(n - 1);
-  locks_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-}
+    : Core(cfg),
+      locks_(std::make_unique<std::atomic<std::uint64_t>[]>(kLockTableSize)) {}
 
 Runtime::~Runtime() = default;
 
@@ -254,7 +241,7 @@ void ThreadCtx::commit() {
       release_acquired(acquired);
       fail(util::Counter::kValidationFails);
     }
-    for (int spin = 0; spin <= rt_.cfg_.commit_spin; ++spin) {
+    for (int spin = 0; spin <= Runtime::kCommitSpin; ++spin) {
       std::uint64_t cur = lw.load(std::memory_order_acquire);
       if (locked(cur)) {
         util::cpu_relax();
@@ -278,10 +265,11 @@ void ThreadCtx::commit() {
 
   // 3. Commit time.
   //
-  //    kFetchAdd (GV1): one fetch_add; wv is exclusively ours and the
-  //    wv == rv + 1 short-cut says nobody committed since begin.
+  //    tl2_clock_stride == 0 (GV1): one fetch_add; wv is exclusively ours
+  //    and the wv == rv + 1 short-cut says nobody committed since begin.
   //
-  //    kCasStride (GV4/GV5-style): read the clock *after* the stripes are
+  //    tl2_clock_stride >= 1 (GV4/GV5-style): read the clock *after* the
+  //    stripes are
   //    locked, then make ONE CAS attempt to advance it by the stride. A
   //    loser adopts the winner's (strictly larger) value as its own commit
   //    time instead of retrying, so a cohort of racing committers writes
@@ -301,11 +289,8 @@ void ThreadCtx::commit() {
   //        skip-revalidation short-cut sound below; see DESIGN.md §10.
   std::uint64_t wv;
   bool skip_revalidation;
-  if (rt_.cfg_.clock_scheme == ClockScheme::kCasStride) {
-    const std::uint64_t stride =
-        rt_.cfg_.clock_stride > 0
-            ? static_cast<std::uint64_t>(rt_.cfg_.clock_stride)
-            : 1;
+  if (rt_.cfg_.tl2_clock_stride > 0) {
+    const auto stride = static_cast<std::uint64_t>(rt_.cfg_.tl2_clock_stride);
     std::uint64_t cur = rt_.clock_.now();
     if (rt_.clock_.try_advance_commit_time(cur, cur + stride)) {
       wv = cur + stride;

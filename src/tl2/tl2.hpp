@@ -7,8 +7,8 @@
 //  * Each transactional object is a fixed run of `std::atomic<uint64_t>`
 //    master words holding the committed value's bytes. There is no locator,
 //    no version chain and no per-access heap allocation.
-//  * A global table of 2^lock_table_bits versioned lock words covers all
-//    words by address hash ("lock striping"). A lock word encodes
+//  * A global table of 2^16 versioned lock words covers all words by
+//    address hash ("lock striping"). A lock word encodes
 //    `version << 1 | locked`; version is the commit time (from the shared
 //    `timebase::GlobalCounter`) of the last transaction that wrote any word
 //    in the stripe.
@@ -55,11 +55,12 @@
 
 #include "history/recorder.hpp"
 #include "object/node_pool.hpp"
+#include "runtime/config.hpp"
+#include "runtime/core.hpp"
 #include "runtime/payload.hpp"
 #include "runtime/run_result.hpp"
 #include "runtime/txdesc.hpp"
 #include "timebase/global_counter.hpp"
-#include "timebase/sharded_clock.hpp"
 #include "util/stats.hpp"
 #include "util/thread_registry.hpp"
 
@@ -68,39 +69,7 @@ namespace zstm::tl2 {
 using runtime::TxAborted;
 using runtime::TxKind;
 
-/// How update commits advance the global version clock (DESIGN.md §10).
-enum class ClockScheme {
-  /// Classic TL2 / GV1: one fetch_add per update commit. Every committer
-  /// serializes on the clock's cache line.
-  kFetchAdd,
-  /// GV4/GV5-style relaxed scheme: one CAS attempt advancing the clock by
-  /// `clock_stride`; a committer that loses the race *adopts* the winner's
-  /// value as its own commit time instead of retrying, so the clock line
-  /// is written at most once per race cohort. Costs false aborts (adopters
-  /// always revalidate, and larger strides age readers' rv faster) — never
-  /// correctness; see the commit-path comment for the argument.
-  kCasStride,
-};
-
-struct Config {
-  int max_threads = 36;
-  /// log2 of the versioned-lock table size. 2^16 * 8 bytes = 512 KiB.
-  int lock_table_bits = 16;
-  /// Bounded spin on a locked stripe during commit-time acquisition before
-  /// the transaction gives up and retries (requester-aborts: no deadlock,
-  /// no contention manager).
-  int commit_spin = 64;
-  /// Pooled log-node (snapshot/redo buffer) allocation; ZSTM_POOL=0
-  /// overrides to false.
-  bool use_node_pool = true;
-  bool record_history = false;
-  ClockScheme clock_scheme = ClockScheme::kFetchAdd;
-  /// Clock increment per successful CAS under kCasStride (clamped >= 1).
-  int clock_stride = 1;
-  /// Draw history transaction ids from a topology-sharded clock (identity
-  /// only — nothing orders by tx id). ZSTM_SHARDED_IDS=0 overrides.
-  bool sharded_tx_ids = true;
-};
+using Config = runtime::Config;
 
 class Runtime;
 class ThreadCtx;
@@ -273,7 +242,10 @@ class ThreadCtx {
   std::vector<std::uint64_t> stripe_old_;
 };
 
-class Runtime {
+/// Built on runtime::Core like the object runtimes, tl2 uses its registry,
+/// stats, pool, recorder and id lanes; with no versions to reclaim and no
+/// contention manager, it never touches the core's EBR or start ticks.
+class Runtime : public runtime::Core {
  public:
   template <typename T>
   using Var = tl2::Var<T>;
@@ -284,6 +256,12 @@ class Runtime {
   static constexpr std::size_t kMaxBytes =
       kBufBytes - runtime::Payload::kInlineAlign;
   static constexpr std::size_t kMaxWords = kBufBytes / 8;
+  /// Versioned lock words: 2^16 * 8 bytes = 512 KiB.
+  static constexpr std::uint32_t kLockTableSize = 1u << 16;
+  /// Bounded spin on a locked stripe during commit-time acquisition before
+  /// the transaction gives up and retries (requester-aborts: no deadlock,
+  /// no contention manager).
+  static constexpr int kCommitSpin = 64;
 
   explicit Runtime(Config cfg = {});
   ~Runtime();
@@ -318,16 +296,7 @@ class Runtime {
   /// otherwise. Takes ownership either way.
   Object* allocate_object(runtime::Payload* initial);
 
-  const Config& config() const { return cfg_; }
-  util::StatsSnapshot stats() const { return stats_.snapshot(); }
-  void reset_stats() { stats_.reset(); }
-  history::History collect_history() const { return recorder_.collect(); }
-
-  util::ThreadRegistry& registry() { return registry_; }
-  object::NodePool& node_pool() { return pool_; }
-  history::Recorder& recorder() { return recorder_; }
   timebase::GlobalCounter& clock() { return clock_; }
-  int lock_table_size() const { return static_cast<int>(stripe_mask_) + 1; }
 
  private:
   friend class ThreadCtx;
@@ -339,7 +308,7 @@ class Runtime {
     const auto a = reinterpret_cast<std::uintptr_t>(addr) >> 3;
     const std::uint64_t h =
         static_cast<std::uint64_t>(a) * 0x9E3779B97F4A7C15ull;
-    return static_cast<std::uint32_t>(h >> 32) & stripe_mask_;
+    return static_cast<std::uint32_t>(h >> 32) & (kLockTableSize - 1);
   }
 
   std::atomic<std::uint64_t>& lockword(std::uint32_t stripe) {
@@ -351,22 +320,8 @@ class Runtime {
   void* acquire_buf(int slot);
   void release_buf(int slot, void* p);
 
-  std::uint64_t next_tx_id(int slot) {
-    if (sharded_ids_) return id_clock_.unique_id(slot);
-    return tx_ids_.value.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
-  Config cfg_;
-  util::ThreadRegistry registry_;
-  util::StatsDomain stats_;
-  object::NodePool pool_;
-  history::Recorder recorder_;
   timebase::GlobalCounter clock_;
-  util::PaddedCounter tx_ids_;
-  timebase::ShardedClock id_clock_;
-  bool sharded_ids_;
   util::PaddedCounter oids_;
-  std::uint32_t stripe_mask_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> locks_;
   std::mutex objects_mu_;
   std::vector<std::unique_ptr<Object>> objects_;

@@ -26,11 +26,17 @@ inline void cpu_relax() {
 
 class Backoff {
  public:
+  /// Default window, in cpu_relax spins: the first episode, and the
+  /// doubling cap after which episodes become sched_yield.
+  static constexpr std::uint32_t kMinSpins = 4;
+  static constexpr std::uint32_t kMaxSpins = 1024;
+
   /// `jitter_seed != 0` randomizes each episode uniformly over
   /// (limit/2, limit] — randomized-exponential backoff, so two transactions
   /// aborting each other don't wake in lockstep and re-collide forever.
   /// The default (0) keeps the exact deterministic spin counts.
-  explicit Backoff(std::uint32_t min_spins = 4, std::uint32_t max_spins = 1024,
+  explicit Backoff(std::uint32_t min_spins = kMinSpins,
+                   std::uint32_t max_spins = kMaxSpins,
                    std::uint64_t jitter_seed = 0)
       : limit_(min_spins), min_(min_spins), max_(max_spins),
         rng_(jitter_seed) {}

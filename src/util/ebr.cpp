@@ -14,9 +14,8 @@ void bump(std::atomic<std::uint64_t>& counter, std::uint64_t by) {
 
 }  // namespace
 
-EpochManager::EpochManager(ThreadRegistry& registry, int collect_period)
+EpochManager::EpochManager(ThreadRegistry& registry)
     : registry_(registry),
-      collect_period_(collect_period > 0 ? collect_period : 1),
       slots_(static_cast<std::size_t>(registry.capacity())),
       garbage_(static_cast<std::size_t>(registry.capacity())) {
   // Epochs start at 2 so `epoch + 2 <= global` can never be satisfied by
@@ -53,7 +52,7 @@ void EpochManager::retire_raw(int slot, void* p, Deleter deleter) {
   garbage_[static_cast<std::size_t>(slot)].value.push_back(
       Retired{p, deleter, global_epoch_.value.load(std::memory_order_acquire)});
   bump(st.retired, 1);
-  if (++st.since_collect >= collect_period_) {
+  if (++st.since_collect >= kCollectPeriod) {
     st.since_collect = 0;
     collect(slot);
   }

@@ -32,11 +32,12 @@ namespace zstm::util {
 
 class EpochManager {
  public:
-  /// `collect_period`: a slot attempts a global epoch advance (and frees
-  /// its safe garbage) every Nth retire. Larger values amortize the
-  /// all-slots announcement scan at the cost of more deferred garbage;
-  /// clamped to >= 1. Runtimes expose it as Config::ebr_collect_period.
-  explicit EpochManager(ThreadRegistry& registry, int collect_period = 64);
+  /// A slot attempts a global epoch advance (and frees its safe garbage)
+  /// every kCollectPeriod-th retire: the all-slots announcement scan is
+  /// amortized at the cost of more deferred garbage.
+  static constexpr int kCollectPeriod = 64;
+
+  explicit EpochManager(ThreadRegistry& registry);
   ~EpochManager();
 
   EpochManager(const EpochManager&) = delete;
@@ -93,18 +94,16 @@ class EpochManager {
   void retire_raw(int slot, void* p, Deleter deleter);
 
   /// Opportunistically advance the global epoch and free this slot's safe
-  /// garbage. Called automatically every `collect_period` retirements;
+  /// garbage. Called automatically every kCollectPeriod retirements;
   /// callable manually.
   void collect(int slot);
 
   /// Quiescence hook: bounded effort to advance the epoch far enough to
   /// free everything this slot retired before the call (three advances
   /// cover the retire→epoch+2 window when no straggler is pinned). Use at
-  /// natural pauses — thread detach, end of a benchmark phase — where a
-  /// large collect_period would otherwise leave garbage stranded.
+  /// natural pauses — thread detach, end of a benchmark phase — where the
+  /// collect period would otherwise leave garbage stranded.
   void flush(int slot);
-
-  int collect_period() const { return collect_period_; }
 
   /// Free *everything*. Caller must guarantee no thread is pinned (e.g.
   /// runtime destructor after joining workers).
@@ -143,7 +142,6 @@ class EpochManager {
   bool try_advance();
 
   ThreadRegistry& registry_;
-  int collect_period_;
   // Padded, not just alignas: alignas only anchors the *start* of the
   // member, so the vector headers declared next would otherwise share the
   // epoch's contended line (PR 7 padding audit).

@@ -68,8 +68,6 @@ std::uint64_t ProgressTracker::now_ns() {
 
 ProgressTracker::Snapshot ProgressTracker::snapshot() const {
   Snapshot snap;
-  const std::uint64_t now = now_ns();
-  std::uint64_t oldest_since = 0;
   for (std::size_t s = 0; s < cells_.size(); ++s) {
     const Cell& c = cells_[s].value;
     const std::uint32_t high = c.max_attempts.load(std::memory_order_relaxed);
@@ -77,27 +75,14 @@ ProgressTracker::Snapshot ProgressTracker::snapshot() const {
       snap.max_attempts = high;
       snap.max_attempts_slot = static_cast<int>(s);
     }
-    const std::uint64_t since =
-        c.active_since_ns.load(std::memory_order_relaxed);
-    if (since != 0 && (oldest_since == 0 || since < oldest_since)) {
-      oldest_since = since;
-      snap.oldest_active_slot = static_cast<int>(s);
-      snap.oldest_active_attempts =
-          c.attempts.load(std::memory_order_relaxed);
-    }
     snap.serial_entries +=
         c.serial_entries.load(std::memory_order_relaxed);
-  }
-  if (oldest_since != 0 && now > oldest_since) {
-    snap.oldest_active_ns = now - oldest_since;
   }
   return snap;
 }
 
 void ProgressTracker::reset() {
   for (auto& cell : cells_) {
-    cell.value.active_since_ns.store(0, std::memory_order_relaxed);
-    cell.value.attempts.store(0, std::memory_order_relaxed);
     cell.value.max_attempts.store(0, std::memory_order_relaxed);
     cell.value.serial_entries.store(0, std::memory_order_relaxed);
   }

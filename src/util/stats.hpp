@@ -76,41 +76,29 @@ class StatsDomain {
 };
 
 /// Starvation watchdog: per-slot progress cells the façade's retry loop
-/// stamps on transaction begin/attempt/end, cheap enough to be always on
-/// (two relaxed stores per transaction, padded per slot). `snapshot()` is
-/// the monitoring hook: the slot with the highest attempt count ever seen,
-/// the currently longest-running transaction, and how often the serial
-/// fallback fired. All reads are advisory — a snapshot races with live
-/// transactions by design.
+/// updates when a transaction ends or enters the serial fallback (a relaxed
+/// load, plus a CAS only on a new high-water, padded per slot).
+/// `snapshot()` is the monitoring hook: the highest attempt count any
+/// transaction needed, and how often the serial fallback fired. All reads
+/// are advisory — a snapshot races with live transactions by design.
 class ProgressTracker {
  public:
   explicit ProgressTracker(int max_slots);
 
-  /// Monotonic nanoseconds (steady clock) — exposed so tests and snapshots
-  /// share one timebase.
+  /// Monotonic nanoseconds (steady clock) — exposed so tests, the KV
+  /// service's arrival stamps and the benchmarks share one timebase.
   static std::uint64_t now_ns();
 
-  void tx_begin(int slot) {
-    auto& c = cells_[static_cast<std::size_t>(slot)].value;
-    c.active_since_ns.store(now_ns(), std::memory_order_relaxed);
-    c.attempts.store(0, std::memory_order_relaxed);
-  }
-  void note_attempt(int slot, std::uint32_t attempt) {
-    auto& c = cells_[static_cast<std::size_t>(slot)].value;
-    c.attempts.store(attempt, std::memory_order_relaxed);
-  }
   void note_serial(int slot) {
     cells_[static_cast<std::size_t>(slot)].value.serial_entries.fetch_add(
         1, std::memory_order_relaxed);
   }
   void tx_end(int slot, std::uint32_t attempts) {
-    auto& c = cells_[static_cast<std::size_t>(slot)].value;
-    c.active_since_ns.store(0, std::memory_order_relaxed);
-    c.attempts.store(0, std::memory_order_relaxed);
-    std::uint32_t prev = c.max_attempts.load(std::memory_order_relaxed);
+    auto& high = cells_[static_cast<std::size_t>(slot)].value.max_attempts;
+    std::uint32_t prev = high.load(std::memory_order_relaxed);
     while (attempts > prev &&
-           !c.max_attempts.compare_exchange_weak(prev, attempts,
-                                                 std::memory_order_relaxed)) {
+           !high.compare_exchange_weak(prev, attempts,
+                                       std::memory_order_relaxed)) {
     }
   }
 
@@ -118,11 +106,6 @@ class ProgressTracker {
     /// Highest attempt count any finished transaction needed, and where.
     std::uint32_t max_attempts = 0;
     int max_attempts_slot = -1;
-    /// Age of the oldest transaction active at snapshot time (0 = none).
-    std::uint64_t oldest_active_ns = 0;
-    int oldest_active_slot = -1;
-    /// Attempt count the oldest active transaction has reached so far.
-    std::uint32_t oldest_active_attempts = 0;
     /// Times the serial-irrevocable fallback was entered.
     std::uint64_t serial_entries = 0;
   };
@@ -131,8 +114,6 @@ class ProgressTracker {
 
  private:
   struct Cell {
-    std::atomic<std::uint64_t> active_since_ns{0};  // 0 = slot idle
-    std::atomic<std::uint32_t> attempts{0};
     std::atomic<std::uint32_t> max_attempts{0};
     std::atomic<std::uint64_t> serial_entries{0};
   };

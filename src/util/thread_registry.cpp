@@ -12,6 +12,14 @@ ThreadRegistry::ThreadRegistry(int capacity)
 }
 
 ThreadRegistry::Registration ThreadRegistry::attach() {
+  Registration reg = try_attach();
+  if (!reg.attached()) {
+    throw std::runtime_error("ThreadRegistry: no free thread slots");
+  }
+  return reg;
+}
+
+ThreadRegistry::Registration ThreadRegistry::try_attach() {
   // Pass 0 only considers slots homed in the caller's cache group, so
   // threads sharing an LLC claim adjacent slots and the per-slot arrays
   // they index (EBR announcements, stats cells, timebase lanes) stay in
@@ -35,7 +43,7 @@ ThreadRegistry::Registration ThreadRegistry::attach() {
       }
     }
   }
-  throw std::runtime_error("ThreadRegistry: no free thread slots");
+  return Registration();
 }
 
 int ThreadRegistry::home_group(int slot) const {

@@ -65,6 +65,8 @@ class ThreadRegistry {
   /// lowest free slot, and degenerates to exactly that on single-group
   /// machines. Throws std::runtime_error if full.
   Registration attach();
+  /// attach(), but a full registry yields an unattached Registration.
+  Registration try_attach();
 
   /// Static cache-group home of a slot (util::slot_home_group over this
   /// registry's capacity).

@@ -9,9 +9,7 @@ namespace zstm::zl {
 // ---------------------------------------------------------------------------
 
 Runtime::Runtime(Config cfg)
-    : cfg_(cfg),
-      lsa_(cfg.lsa),
-      lzc_(static_cast<std::size_t>(cfg.lsa.max_threads)) {}
+    : lsa_(cfg), lzc_(static_cast<std::size_t>(cfg.max_threads)) {}
 
 std::unique_ptr<ThreadCtx> Runtime::attach() {
   return std::unique_ptr<ThreadCtx>(new ThreadCtx(*this, lsa_.attach()));
@@ -97,8 +95,8 @@ void ShortTx::check_zone(lsa::Object& o) {
     }
     // conflict(T, oi.zc): the contention manager delays or aborts T.
     sub.stats_domain().add(s, util::Counter::kZoneConflicts);
-    if (!rt.cfg_.wait_on_zone_conflict ||
-        ++attempts > rt.cfg_.zone_wait_attempts) {
+    if (!rt.config().wait_on_zone_conflict ||
+        ++attempts > rt.config().zone_wait_attempts) {
       inner_->abort();
     }
     bo.pause();
@@ -201,7 +199,7 @@ void ThreadCtx::finish_long_attempt(bool committed) {
     long_tx_.rec_.end_seq = sub.recorder().tick();
     sub.recorder().record(slot(), std::move(long_tx_.rec_));
   }
-  sub.retire_desc(slot(), long_tx_.desc_);
+  sub.retire(slot(), long_tx_.desc_);
   long_tx_.desc_ = nullptr;
   long_epoch_guard_ = util::EpochManager::Guard();
 }

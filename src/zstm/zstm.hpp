@@ -50,14 +50,9 @@ namespace zstm::zl {
 using runtime::TxAborted;
 using runtime::TxKind;
 
-struct Config {
-  lsa::Config lsa{};
-  /// Zone-crossing conflicts: true = delay the short transaction until the
-  /// zones quiesce (bounded by zone_wait_attempts), false = abort it
-  /// immediately ("the contention manager ... would typically abort T").
-  bool wait_on_zone_conflict = false;
-  std::uint32_t zone_wait_attempts = 256;
-};
+/// Zone-crossing conflicts follow Config::wait_on_zone_conflict and
+/// zone_wait_attempts; everything else configures the LSA substrate.
+using Config = runtime::Config;
 
 class Runtime;
 class ThreadCtx;
@@ -327,7 +322,7 @@ class Runtime {
     return ct_.value.load(std::memory_order_acquire);
   }
 
-  const Config& config() const { return cfg_; }
+  const Config& config() const { return lsa_.config(); }
   lsa::Runtime& substrate() { return lsa_; }
   util::StatsSnapshot stats() const { return lsa_.stats(); }
   void reset_stats() { lsa_.reset_stats(); }
@@ -347,7 +342,6 @@ class Runtime {
         z, std::memory_order_release);
   }
 
-  Config cfg_;
   lsa::Runtime lsa_;
   util::PaddedCounter zc_;  // ZC: zone numbers handed to long transactions
   util::PaddedCounter ct_;  // CT: highest committed zone

@@ -65,7 +65,7 @@ TEST(Adversarial, ZStmRoundsStayZLinearizable) {
   const int kZRounds = test_env::stress_rounds(25);
   for (int round = 0; round < kZRounds; ++round) {
     zl::Config cfg;
-    cfg.lsa.record_history = true;
+    cfg.record_history = true;
     zl::Runtime rt(cfg);
     constexpr int kProducts = 8;
     std::vector<lsa::Var<long>> products;
@@ -169,7 +169,8 @@ TEST(Adversarial, CsRoundsSatisfyCausalConditions) {
     cs::Config cfg;
     cfg.max_threads = 16;
     cfg.record_history = true;
-    auto rt = cs::make_rev_runtime(1 + round % 4, cfg);
+    cfg.plausible_entries = 1 + round % 4;
+    auto rt = cs::make_rev_runtime(cfg);
     constexpr int kObjects = 6;
     std::vector<cs::RevRuntime::Var<std::uint64_t>> vars;
     for (int i = 0; i < kObjects; ++i) {

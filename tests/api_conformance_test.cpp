@@ -234,7 +234,7 @@ TYPED_TEST(ApiConformance, LongUpdateMakesProgressUnderWriterChurn) {
   });
 }
 
-// --- configuration lowering -------------------------------------------------
+// --- configuration ----------------------------------------------------------
 
 TYPED_TEST(ApiConformance, PoolDisabledVariantStillConforms) {
   CommonConfig cfg = this->config();
@@ -336,7 +336,7 @@ TEST(TxKindTable, LsaDeclaresReadOnlyAndLongReadOnly) {
 }
 
 TEST(TxKindTable, ZlRunsTheLongKindsLong) {
-  zl::Runtime rt(zl::Config{.lsa = {.max_threads = 4}});
+  zl::Runtime rt(zl::Config{.max_threads = 4});
   auto th = rt.attach();
   for (TxKind kind : kAllKinds) {
     const bool is_long = kind == TxKind::kLong || kind == TxKind::kLongUpdate;

@@ -1,12 +1,36 @@
 // External-consumer smoke test: commits one transaction on every runtime
 // variant through the installed package (built against find_package(zstm)
 // instead of the source tree). Exercises both façade flavours — AnyStm by
-// name and a statically-typed Stm<R> — plus one raw-runtime call, so the
-// installed header set covers the whole public surface.
+// name and a statically-typed Stm<R> — plus every raw runtime built from
+// the one runtime::Config, so the installed header set covers the whole
+// public surface.
+//
+// runtime/config.hpp comes first: it must compile on its own.
+#include "runtime/config.hpp"
+
 #include <cstdio>
 #include <string>
 
 #include "core/stm.hpp"
+
+namespace {
+
+/// One increment on a fresh variable through a raw runtime's own retry
+/// loop (`run`, or zl's `run_short`).
+template <typename R, typename Run>
+bool commit_one(R& rt, Run&& run) {
+  auto v = rt.template make_var<long>(1);
+  auto th = rt.attach();
+  return run(*th, [&](auto& tx) { tx.write(v) += 1; }).committed;
+}
+
+template <typename R>
+bool commit_one(R& rt) {
+  return commit_one(rt,
+                    [&](auto& th, auto&& body) { return rt.run(th, body); });
+}
+
+}  // namespace
 
 int main() {
   using zstm::api::TxKind;
@@ -31,14 +55,42 @@ int main() {
     stm.run(TxKind::kUpdate, [&](auto& tx) { tx.write(v) += 1; });
   }
 
-  // The raw per-runtime API stays public underneath the façade.
+  // The raw per-runtime API stays public underneath the façade, and every
+  // runtime takes the same Config.
+  using zstm::runtime::Config;
+  bool ok = true;
   {
-    zstm::lsa::Runtime rt;
-    auto v = rt.make_var<long>(1);
-    auto th = rt.attach();
-    const zstm::runtime::RunResult r =
-        rt.run(*th, [&](zstm::lsa::Tx& tx) { tx.write(v) += 1; });
-    if (!r.committed) return 1;
+    zstm::lsa::Runtime rt(Config{.max_threads = 4, .versions_kept = 4});
+    ok = ok && commit_one(rt);
+  }
+  {
+    auto rt = zstm::cs::make_vc_runtime({.max_threads = 4});
+    ok = ok && commit_one(*rt);
+  }
+  {
+    auto rt = zstm::cs::make_rev_runtime(
+        {.max_threads = 4, .plausible_entries = 2});
+    ok = ok && commit_one(*rt);
+  }
+  {
+    zstm::sstm::Runtime rt(
+        Config{.max_threads = 4, .cm_policy = zstm::cm::Policy::kKarma});
+    ok = ok && commit_one(rt);
+  }
+  {
+    zstm::tl2::Runtime rt(Config{.max_threads = 4, .tl2_clock_stride = 2});
+    ok = ok && commit_one(rt);
+  }
+  {
+    zstm::zl::Runtime rt(
+        Config{.max_threads = 4, .wait_on_zone_conflict = true});
+    ok = ok && commit_one(rt, [&](auto& th, auto&& body) {
+           return rt.run_short(th, body);
+         });
+  }
+  if (!ok) {
+    std::fprintf(stderr, "a raw runtime failed to commit\n");
+    return 1;
   }
 
   std::printf("zstm consumer smoke test passed\n");

@@ -60,12 +60,12 @@ TEST(CsStress, BankInvariantVectorClocks) {
 }
 
 TEST(CsStress, BankInvariantRevTwoEntries) {
-  auto rt = make_rev_runtime(2, Config{.max_threads = 16});
+  auto rt = make_rev_runtime(Config{.max_threads = 16, .plausible_entries = 2});
   run_bank(rt, 4, test_env::stress_rounds(1500));
 }
 
 TEST(CsStress, BankInvariantRevScalar) {
-  auto rt = make_rev_runtime(1, Config{.max_threads = 16});
+  auto rt = make_rev_runtime(Config{.max_threads = 16, .plausible_entries = 1});
   run_bank(rt, 4, test_env::stress_rounds(1500));
 }
 
@@ -161,7 +161,8 @@ TEST(CsStress, RevHistoriesSatisfyCausalConditionsForAllR) {
   for (int r : {1, 2, 4, 8}) {
     Config cfg{.max_threads = 8};
     cfg.record_history = true;
-    auto rt = make_rev_runtime(r, cfg);
+    cfg.plausible_entries = r;
+    auto rt = make_rev_runtime(cfg);
     auto x = rt->make_var<long>(0);
     auto y = rt->make_var<long>(0);
     std::vector<std::thread> workers;

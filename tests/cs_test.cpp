@@ -19,6 +19,13 @@ Config quiet_config() {
   return cfg;
 }
 
+/// quiet_config() for cs-r with r plausible-clock entries.
+Config rev_config(int r) {
+  Config cfg = quiet_config();
+  cfg.plausible_entries = r;
+  return cfg;
+}
+
 TEST(Cs, ReadAndWriteBasics) {
   auto rt = make_vc_runtime(quiet_config());
   auto x = rt->make_var<int>(5);
@@ -172,7 +179,7 @@ TEST(Cs, HistorySatisfiesCausalConditions) {
 // --- plausible clock variants -----------------------------------------------
 
 TEST(CsRev, BasicCommitWithSharedEntries) {
-  auto rt = make_rev_runtime(2, quiet_config());
+  auto rt = make_rev_runtime(rev_config(2));
   auto x = rt->make_var<int>(0);
   auto th = rt->attach();
   for (int i = 0; i < 10; ++i) {
@@ -185,7 +192,7 @@ TEST(CsRev, SingleEntryBehavesLikeScalarClock) {
   // r = 1: all commits totally ordered; Figure 1's TL no longer benefits
   // from causal slack — its read versions' successors *always* precede the
   // merged timestamp, so TL aborts exactly like in a single-clock TBTM.
-  auto rt = make_rev_runtime(1, quiet_config());
+  auto rt = make_rev_runtime(rev_config(1));
   auto o1 = rt->make_var<int>(0);
   auto o3 = rt->make_var<int>(0);
   auto o4 = rt->make_var<int>(0);
@@ -204,8 +211,7 @@ TEST(CsRev, SingleEntryBehavesLikeScalarClock) {
 
 TEST(CsRev, FullWidthRevMatchesVectorClockOutcome) {
   // r = max_threads: REV *is* a vector clock; Figure 1's TL commits.
-  Config cfg = quiet_config();
-  auto rt = make_rev_runtime(cfg.max_threads, cfg);
+  auto rt = make_rev_runtime(rev_config(quiet_config().max_threads));
   auto o1 = rt->make_var<int>(0);
   auto o3 = rt->make_var<int>(0);
   auto o4 = rt->make_var<int>(0);
@@ -228,8 +234,7 @@ TEST(CsRev, SharedEntryCausesFalseConflict) {
   // concurrent, but their REV stamps are ordered, so a reader merging T2's
   // stamp sees T1's version as causally overwritten — an unnecessary abort
   // (the accuracy/size trade-off of §4.3).
-  Config cfg = quiet_config();
-  auto rt = make_rev_runtime(2, cfg);
+  auto rt = make_rev_runtime(rev_config(2));
   auto o1 = rt->make_var<int>(0);
   auto o3 = rt->make_var<int>(0);
   auto o4 = rt->make_var<int>(0);

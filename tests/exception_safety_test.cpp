@@ -184,7 +184,7 @@ TEST(RawExceptionSafety, Sstm) {
 }
 
 TEST(RawExceptionSafety, ZlShort) {
-  zl::Runtime rt(zl::Config{.lsa = {.max_threads = 4}});
+  zl::Runtime rt(zl::Config{.max_threads = 4});
   auto th = rt.attach();
   raw_round_trip(rt, *th, [&](auto& ctx, auto&& body) {
     return rt.run_short(ctx, std::forward<decltype(body)>(body));
@@ -192,7 +192,7 @@ TEST(RawExceptionSafety, ZlShort) {
 }
 
 TEST(RawExceptionSafety, ZlLong) {
-  zl::Runtime rt(zl::Config{.lsa = {.max_threads = 4}});
+  zl::Runtime rt(zl::Config{.max_threads = 4});
   auto th = rt.attach();
   raw_round_trip(rt, *th, [&](auto& ctx, auto&& body) {
     return rt.run_long(ctx, std::forward<decltype(body)>(body));
@@ -202,7 +202,7 @@ TEST(RawExceptionSafety, ZlLong) {
 TEST(RawExceptionSafety, ZlLongThenShortCrossClass) {
   // A long transaction dies mid-flight with a zone claimed and a locator
   // installed; short transactions must still get through the zone.
-  zl::Runtime rt(zl::Config{.lsa = {.max_threads = 4}});
+  zl::Runtime rt(zl::Config{.max_threads = 4});
   auto th = rt.attach();
   auto x = rt.make_var<long>(1);
   EXPECT_THROW(rt.run_long(*th,
@@ -225,7 +225,7 @@ TEST(RawExceptionSafety, ZlDeadLongRetiresItsZone) {
   // crosses into the dead zone would otherwise livelock — the crossing is
   // only allowed once both zones are <= CT, and CT never advances past a
   // zone whose long transaction aborted.
-  zl::Runtime rt(zl::Config{.lsa = {.max_threads = 4}});
+  zl::Runtime rt(zl::Config{.max_threads = 4});
   auto th = rt.attach();
   auto x = rt.make_var<long>(1);
   auto y = rt.make_var<long>(10);
@@ -247,7 +247,7 @@ TEST(RawExceptionSafety, ZlDeadLongRetiresItsZone) {
 TEST(RawExceptionSafety, ZlRunAuto) {
   // run_auto's one retry over zl::Tx unwinds whichever class the
   // classifier picked: long on a site it routes long, short on a fresh one.
-  zl::Runtime rt(zl::Config{.lsa = {.max_threads = 4}});
+  zl::Runtime rt(zl::Config{.max_threads = 4});
   auto th = rt.attach();
   auto x = rt.make_var<long>(5);
   zl::AutoClassifier routes_long({.long_open_threshold = 0});

@@ -151,7 +151,7 @@ TEST(FailureInjection, ZShortStormAroundAbortingLongs) {
   // same objects. Money must be conserved throughout.
   zl::Runtime rt{[] {
     zl::Config c;
-    c.lsa.max_threads = 16;
+    c.max_threads = 16;
     return c;
   }()};
   constexpr int kAccounts = 16;

@@ -277,7 +277,7 @@ struct CsRevRig {
   static constexpr Site kAcquire = Site::kCsAcquire;
   static std::unique_ptr<cs::RevRuntime> make(cm::Policy p) {
     return cs::make_rev_runtime(
-        2, cs::Config{.max_threads = 4, .cm_policy = p});
+        cs::Config{.max_threads = 4, .cm_policy = p, .plausible_entries = 2});
   }
 };
 struct SstmRig {

@@ -17,6 +17,7 @@
 #include "cm/contention_manager.hpp"
 #include "fault/failpoint.hpp"
 #include "object/object_store.hpp"
+#include "runtime/core.hpp"
 #include "runtime/payload.hpp"
 #include "runtime/txdesc.hpp"
 #include "stress_env.hpp"
@@ -47,19 +48,18 @@ using Version = Store::Version;
 using Locator = Store::Locator;
 using Object = Store::Object;
 
-/// Test rig: registry + stats + pool + EBR + a store with the given
-/// retention and contention-management policies (same member order as the
-/// runtimes: the pool outlives the EpochManager, whose drain returns nodes
-/// to it).
+/// Test rig: a runtime core (registry, stats, pool, EBR) and a store on it
+/// with the given retention and contention-management policies.
 struct Rig {
   explicit Rig(RetentionPolicy policy, cm::Policy cm = cm::Policy::kPolite)
-      : registry(8), stats(registry), pool(registry, &stats), epochs(registry),
-        store(pool, epochs, stats, policy, cm) {}
+      : core(runtime::Config{.max_threads = 8, .cm_policy = cm}),
+        store(core, policy) {}
 
-  util::ThreadRegistry registry;
-  util::StatsDomain stats;
-  NodePool pool;
-  util::EpochManager epochs;
+  runtime::Core core;
+  util::ThreadRegistry& registry = core.registry();
+  util::StatsDomain& stats = core.stats_domain();
+  NodePool& pool = core.node_pool();
+  util::EpochManager& epochs = core.epochs();
   Store store;
 };
 

@@ -52,8 +52,8 @@ struct CsVcBackend {
 };
 
 struct CsRevBackend {
-  std::unique_ptr<cs::RevRuntime> rt =
-      cs::make_rev_runtime(2, cs::Config{.max_threads = 16});
+  std::unique_ptr<cs::RevRuntime> rt = cs::make_rev_runtime(
+      cs::Config{.max_threads = 16, .plausible_entries = 2});
   template <typename T>
   auto make_var(T v) {
     return rt->template make_var<T>(std::move(v));
@@ -81,7 +81,7 @@ struct SstmBackend {
 struct ZBackend {
   zl::Runtime rt{[] {
     zl::Config c;
-    c.lsa.max_threads = 16;
+    c.max_threads = 16;
     return c;
   }()};
   template <typename T>

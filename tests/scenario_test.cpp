@@ -207,7 +207,7 @@ TEST(Figure4, ShortEntirelyAheadOfLongCommitsBeforeIt) {
 
 TEST(Figure5, LongTransactionsPartitionShortsIntoZones) {
   zl::Config cfg;
-  cfg.lsa.record_history = true;
+  cfg.record_history = true;
   zl::Runtime rt(cfg);
   constexpr int kObjects = 4;
   std::vector<lsa::Var<long>> objs;

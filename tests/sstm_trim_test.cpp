@@ -11,8 +11,10 @@
 #include <vector>
 
 #include "api/stm_api.hpp"
+#include "fault/failpoint.hpp"
 #include "history/checkers.hpp"
 #include "sstm/sstm.hpp"
+#include "stress_env.hpp"
 #include "util/rng.hpp"
 
 namespace zstm::sstm {
@@ -156,6 +158,53 @@ TEST(SstmTrim, DetachingThreadsTrimPastWatermark) {
   stm.run(api::TxKind::kReadOnly, [&](auto& tx) {
     EXPECT_EQ(tx.read(x), static_cast<long>(kThreads) * per_thread);
   });
+}
+
+TEST(SstmTrim, TrimFromAnotherThreadSettlesOnItsOwnSlot) {
+  // Any thread may trim — KvService's housekeeper does while its worker 0
+  // owns slot 0. The trim's defensive settle retires into an EBR list and
+  // may collect into a pool free list, both owner-only, so it must run on a
+  // slot the trimming thread owns, never on the worker's. The worker
+  // attaches first (slot 0 on a one-cache-group host) and commits in a
+  // loop with the settle CAS failing half the time; this thread trims
+  // throughout. ThreadSanitizer flags any unordered use of one slot's
+  // lists from both threads.
+  fault::registry().disarm_all();
+  ASSERT_TRUE(fault::registry().arm(fault::Site::kStoreSettleCas, 0.5, 0,
+                                    fault::Effect::kCasFail));
+  Runtime rt(quiet_config());
+  constexpr int kVars = 4;
+  std::vector<Var<long>> vars;
+  for (int i = 0; i < kVars; ++i) vars.push_back(rt.make_var<long>(0));
+
+  std::atomic<bool> attached{false};
+  std::atomic<bool> stop{false};
+  long commits = 0;
+  std::thread worker([&] {
+    auto th = rt.attach();
+    attached.store(true);
+    while (!stop.load()) {
+      auto& v = vars[static_cast<std::size_t>(commits % kVars)];
+      rt.run(*th, [&](Tx& tx) { tx.write(v, tx.read(v) + 1); });
+      ++commits;
+    }
+  });
+  while (!attached.load()) std::this_thread::yield();
+  const int rounds = test_env::stress_rounds(2000);
+  for (int i = 0; i < rounds; ++i) rt.trim_descriptors();
+  stop.store(true);
+  worker.join();
+  fault::registry().disarm_all();
+
+  rt.trim_descriptors();  // quiescent now
+  EXPECT_EQ(rt.descriptor_count(), 0u);
+  auto th = rt.attach();
+  long total = 0;
+  rt.run(*th, [&](Tx& tx) {
+    total = 0;
+    for (auto& v : vars) total += tx.read(v);
+  });
+  EXPECT_EQ(total, commits);
 }
 
 TEST(SstmTrim, FoldedStampsPreserveSerializability) {

@@ -31,7 +31,7 @@ class ZStress : public ::testing::TestWithParam<ZParam> {};
 TEST_P(ZStress, BankWithLongComputeTotal) {
   const ZParam& p = GetParam();
   Config cfg;
-  cfg.lsa.max_threads = 16;
+  cfg.max_threads = 16;
   cfg.wait_on_zone_conflict = p.wait_mode;
   Runtime rt(cfg);
 
@@ -103,8 +103,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ZStressHistory, RecordedHistoryIsZLinearizable) {
   Config cfg;
-  cfg.lsa.max_threads = 16;
-  cfg.lsa.record_history = true;
+  cfg.max_threads = 16;
+  cfg.record_history = true;
   Runtime rt(cfg);
 
   constexpr int kAccounts = 12;
@@ -153,8 +153,8 @@ TEST(ZStressHistory, ShortOnlyWorkloadIsStrictlySerializable) {
   // demands full real-time order — i.e. Z-STM degrades to exactly LSA's
   // guarantee when no zones exist.
   Config cfg;
-  cfg.lsa.max_threads = 16;
-  cfg.lsa.record_history = true;
+  cfg.max_threads = 16;
+  cfg.record_history = true;
   Runtime rt(cfg);
   auto x = rt.make_var<long>(0);
   auto y = rt.make_var<long>(0);
@@ -185,7 +185,7 @@ TEST(ZStress, LongUpdateNeverStarvesUnderTransferStorm) {
   // The qualitative heart of Figure 7: a long update transaction keeps
   // committing while transfer traffic hammers the accounts it reads.
   Config cfg;
-  cfg.lsa.max_threads = 8;
+  cfg.max_threads = 8;
   Runtime rt(cfg);
   constexpr int kAccounts = 48;
   std::vector<lsa::Var<long>> accounts;

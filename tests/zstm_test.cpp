@@ -19,7 +19,7 @@ using util::Counter;
 
 Config quiet_config() {
   Config cfg;
-  cfg.lsa.max_threads = 8;
+  cfg.max_threads = 8;
   return cfg;
 }
 
@@ -126,7 +126,7 @@ TEST(ZLong, AbortDiscardsLongWrites) {
 
 TEST(ZLong, LongWriteConflictsArbitrated) {
   Config cfg = quiet_config();
-  cfg.lsa.cm_policy = cm::Policy::kAggressive;
+  cfg.cm_policy = cm::Policy::kAggressive;
   Runtime rt(cfg);
   auto x = rt.make_var<int>(0);
   auto a = rt.attach();
@@ -280,8 +280,8 @@ TEST(ZShort, WriterWaitedOutByLongCannotCommitIntoClaimedZone) {
   // read first. Were S2 to commit now, L would read its write:
   // L →rw S1 →rw S2 →wr L. S2's commit-time zone re-check must refuse.
   Config cfg = quiet_config();
-  cfg.lsa.cm_policy = cm::Policy::kKarma;
-  cfg.lsa.record_history = true;
+  cfg.cm_policy = cm::Policy::kKarma;
+  cfg.record_history = true;
   Runtime rt(cfg);
   auto o1 = rt.make_var<long>(0);
   auto o2 = rt.make_var<long>(0);
@@ -318,7 +318,7 @@ TEST(ZShort, WriterWaitedOutByLongCannotCommitIntoClaimedZone) {
 
 TEST(ZHistory, DeterministicMixIsZLinearizable) {
   Config cfg = quiet_config();
-  cfg.lsa.record_history = true;
+  cfg.record_history = true;
   Runtime rt(cfg);
   auto o1 = rt.make_var<long>(0);
   auto o2 = rt.make_var<long>(0);
