@@ -1,8 +1,8 @@
 // Shared JSON emission for zstm_bench and kv_server: `--json` makes them
 // write BENCH_<name>.json next to their stdout tables so CI can archive the
-// perf trajectory. Host topology is recorded alongside the numbers because
-// the 1-CPU CI box is not representative of the multi-core boxes the
-// figures were tuned on.
+// perf trajectory. The host (hardware threads, OS, build type) is recorded
+// alongside the numbers because the 1-CPU CI box is not representative of
+// the multi-core boxes the figures were tuned on.
 #pragma once
 
 #include <algorithm>
@@ -17,8 +17,6 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/utsname.h>
 #endif
-
-#include "util/cpu_topology.hpp"
 
 namespace zstm::benchjson {
 
@@ -128,12 +126,6 @@ class Doc {
   static void write_host(std::FILE* f) {
     std::fprintf(f, "  \"host\": {\"hardware_concurrency\": %u",
                  std::thread::hardware_concurrency());
-    // Cache topology matters for interpreting clock-scalability numbers:
-    // on a 1-CPU / 1-group host no cache-line contention ever materializes,
-    // so contention-relief schemes can only show their uncontended cost.
-    const auto& topo = util::cpu_topology();
-    std::fprintf(f, ", \"cpus\": %d, \"cache_groups\": %d, \"topology\": \"%s\"",
-                 topo.cpus, topo.groups, topo.source.c_str());
 #if defined(__unix__) || defined(__APPLE__)
     struct utsname u{};
     if (uname(&u) == 0) {

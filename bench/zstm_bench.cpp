@@ -17,8 +17,8 @@
 //   versions     version depth against long scans (§4.4)
 //   plausible_r  REV plausible clocks: accuracy, cs-r throughput, and
 //                clock-operation costs (§4.3)
-//   clock_scale  commit-stamp acquisition per timebase (§2, DESIGN.md §10)
-//                and the bank under the scaled options
+//   clock_scale  commit-stamp acquisition: §2's shared counter against
+//                its synchronized real-time clocks (DESIGN.md §10)
 //
 // Exit status: 1 when a check fails — a bank run whose accounts no longer
 // sum to the opening balance (§5.5 conservation), or pooled cs-vc updates
@@ -38,10 +38,8 @@
 #include "bank_harness.hpp"
 #include "bench_json.hpp"
 #include "object/node_pool.hpp"
-#include "timebase/batched_counter.hpp"
 #include "timebase/global_counter.hpp"
 #include "timebase/plausible_clock.hpp"
-#include "timebase/sharded_clock.hpp"
 #include "timebase/sync_clock.hpp"
 #include "timebase/vector_clock.hpp"
 #include "trial.hpp"
@@ -522,38 +520,25 @@ void plausible_r(Doc& doc) {
   doc.print();
 }
 
-/// Commit-stamp acquisition per timebase, `kStampOps` stamps per thread:
-///   global      GlobalCounter::acquire_commit_time, one fetch_add on one
-///               shared line (§2's counter, every runtime's default)
-///   cas-stride  GV5: read the clock, one CAS to +stride, adopt the
-///               winner's value on failure (Config::tl2_clock_stride)
-///   batched     BatchedCounter: leases of k ticks, the common case one CAS
-///               on the slot's own line (Config::time_base)
-///   sharded     ShardedClock, exclusive layout: a single-writer lane per
-///               slot, no atomic RMW at all (the runtimes' id generator)
-///   sync        SyncRealTimeClock (200 ns deviation): §2's synchronized
-///               real-time clocks, uncontended by construction
+/// Commit-stamp acquisition per timebase, `kStampOps` stamps per thread,
+/// §2's two time bases:
+///   global  GlobalCounter::acquire_commit_time, one fetch_add on one
+///           shared line (the default of every scalar-clock runtime)
+///   sync    SyncRealTimeClock (200 ns deviation): synchronized real-time
+///           clocks, one per slot, uncontended by construction
 /// shared_rmws_per_op counts atomic RMWs on shared lines per stamp: the
 /// host-independent signal, since on a 1-CPU host wall-clock contention
-/// never materializes. Then the bank on every variant, baseline config vs
-/// "scaled" (batched timebase, tl2's CAS clock), to show the options keep
-/// end-to-end behaviour.
+/// never materializes.
 void clock_scale(Doc& doc) {
-  constexpr int kBatch = 64;
-  constexpr int kStride = 2;
   constexpr std::uint64_t kStampOps = 4'000'000;
   for (const int threads : {1, 2, 4}) {
     const std::uint64_t ops = kStampOps * static_cast<std::uint64_t>(threads);
     const auto row = [&](const char* timebase, double seconds,
-                         double shared_rmws, int batch, int shards,
-                         int stride) {
+                         double shared_rmws) {
       doc.row()
           .str("section", "stamp")
           .str("timebase", timebase)
           .num("threads", threads)
-          .num("batch", batch)
-          .num("shards", shards)
-          .num("stride", stride)
           .num("ops", ops)
           .num("seconds", seconds)
           .num("mops", static_cast<double>(ops) / seconds / 1e6)
@@ -563,60 +548,12 @@ void clock_scale(Doc& doc) {
     row("global", time_ops(threads, kStampOps, [&](int) {
           return [&] { return global.acquire_commit_time(); };
         }),
-        1.0, 0, 0, 0);
-    timebase::GlobalCounter gv5;
-    row("cas-stride", time_ops(threads, kStampOps, [&](int) {
-          return [&] {
-            std::uint64_t cur = gv5.now();  // the winner's value on failure
-            return gv5.try_advance_commit_time(cur, cur + kStride)
-                       ? cur + kStride
-                       : cur;
-          };
-        }),
-        1.0, 0, 0, kStride);
-    timebase::BatchedCounter batched(threads, kBatch);
-    const double batched_s = time_ops(threads, kStampOps, [&](int t) {
-      return [&batched, t] { return batched.acquire(t); };
-    });
-    // provisioned()/k counts the shared block counter's fetch_adds.
-    row("batched", batched_s,
-        per(batched.provisioned() / kBatch, ops), kBatch, 0, 0);
-    timebase::ShardedClock sharded(threads, threads);
-    row("sharded", time_ops(threads, kStampOps, [&](int t) {
-          return [&sharded, t] { return sharded.tick(t).tick; };
-        }),
-        0.0, 0, sharded.shards(), 0);
+        1.0);
     timebase::SyncRealTimeClock sync(threads, 200ns, 7);
     row("sync", time_ops(threads, kStampOps, [&](int t) {
           return [&sync, t] { return sync.acquire_commit_stamp(t, 0); };
         }),
-        0.0, 0, 0, 0);
-  }
-
-  for (const int threads : {1, 2, 4}) {
-    const BankParams p{.threads = threads, .duration = 150ms};
-    for (const std::string& name : api::variant_names()) {
-      for (const bool scaled : {false, true}) {
-        api::CommonConfig cfg = bank_config(p);
-        if (scaled) {
-          cfg.time_base = timebase::TimeBaseKind::kBatchedCounter;
-          cfg.timebase_batch = kBatch;
-          cfg.tl2_clock_stride = kStride;
-        }
-        const BankResult b = checked_bank(doc, name, p, cfg);
-        doc.row()
-            .str("section", "bank")
-            .str("system", name)
-            .str("config", scaled ? "scaled" : "baseline")
-            .num("threads", threads)
-            .num("batch", scaled ? kBatch : 0)
-            .num("shards", 0)
-            .num("stride", scaled ? kStride : 0)
-            .num("transfer_per_s", b.transfer_per_s)
-            .num("compute_total_per_s", b.compute_total_per_s)
-            .num("compute_total_failures", b.compute_total_failures);
-      }
-    }
+        0.0);
   }
   doc.print();
 }
@@ -638,7 +575,8 @@ constexpr Section kSections[] = {
      versions},
     {"plausible_r", "REV plausible clocks: accuracy, cs-r, clock ops",
      plausible_r},
-    {"clock_scale", "commit timebases: stamps, then the bank", clock_scale},
+    {"clock_scale", "commit timebases: the counter and the sync clocks",
+     clock_scale},
 };
 
 int usage() {

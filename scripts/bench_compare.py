@@ -18,8 +18,8 @@ import sys
 
 # String fields (e.g. `system`, `transport`, `phase`) are identity
 # automatically; these small integer knobs join them.
-ID_INT_FIELDS = {"threads", "r", "versions_kept", "batch", "shards", "stride",
-                 "rate", "io_threads", "conns", "accounts", "entries"}
+ID_INT_FIELDS = {"threads", "r", "versions_kept", "rate", "io_threads",
+                 "conns", "accounts", "entries"}
 
 
 def row_key(row):

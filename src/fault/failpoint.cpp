@@ -46,7 +46,7 @@ constexpr std::uint32_t kCasDelay = effect_bit(Effect::kCasFail) | kDelayBit;
 //  - revalidation happens with stripes held but has an abort path that
 //    releases them, so Abort is legal there (ExitThread is not: the throw
 //    would bypass release_acquired).
-//  - lease fence / EBR retire have no failure path at all — Delay only.
+//  - EBR retire has no failure path at all — Delay only.
 //  - pool alloc may throw bad_alloc by contract — Oom/Delay.
 const SiteInfo kSites[static_cast<int>(Site::kCount)] = {
     {"store.settle_cas", kCasDelay, Effect::kCasFail},
@@ -57,7 +57,6 @@ const SiteInfo kSites[static_cast<int>(Site::kCount)] = {
     {"zl.acquire", kAbortDelayExit, Effect::kAbort},
     {"tl2.stripe_lock", kCasDelay, Effect::kCasFail},
     {"tl2.revalidate", effect_bit(Effect::kAbort) | kDelayBit, Effect::kAbort},
-    {"timebase.lease_fence", kDelayBit, Effect::kDelay},
     {"ebr.retire", kDelayBit, Effect::kDelay},
     {"pool.alloc", effect_bit(Effect::kOom) | kDelayBit, Effect::kOom},
     // Net-layer sites (DESIGN.md §13.5): CasFail = "this I/O step fails".

@@ -4,10 +4,10 @@
 // A *failpoint site* is a named place in a protocol where the rare
 // interleaving lives: the settle/install CAS races in the object substrate,
 // its acquire/arbitrate loop (one site per runtime), tl2's stripe-lock
-// acquisition and commit revalidation, the timebase lease fence, EBR
-// retirement, and node-pool allocation. Each site calls `fault::poke(Site)`;
-// the registry decides — deterministically, from a seed and the site's hit
-// ordinal — whether to inject an *effect*:
+// acquisition and commit revalidation, EBR retirement, and node-pool
+// allocation. Each site calls `fault::poke(Site)`; the registry decides —
+// deterministically, from a seed and the site's hit ordinal — whether to
+// inject an *effect*:
 //
 //   kAbort      the caller aborts the current transaction attempt
 //   kCasFail    the caller takes its CAS-failed / lock-busy path
@@ -58,7 +58,6 @@ enum class Site : int {
   kZlAcquire,           ///< ObjectStore::acquire, zl long reads and writes
   kTl2StripeLock,       ///< tl2 commit: per-stripe lock acquisition
   kTl2Revalidate,       ///< tl2 commit: read-set revalidation
-  kTimebaseLeaseFence,  ///< BatchedCounter::fence_after (delay only)
   kEbrRetire,           ///< EpochManager::retire_raw (delay only)
   kPoolAlloc,           ///< NodePool::create / tl2 snapshot buffers (OOM)
   // Networked front end (src/net/, DESIGN.md §13). In this layer the
@@ -86,7 +85,7 @@ constexpr std::uint32_t effect_bit(Effect e) {
 
 /// Thrown by the kExitThread effect: simulates a worker dying
 /// mid-transaction via exception unwind. Test threads catch it and return;
-/// the runtimes' unwind paths must leave no locator/stripe/lease behind.
+/// the runtimes' unwind paths must leave no locator or stripe behind.
 struct ThreadExit {};
 
 const char* site_name(Site s);

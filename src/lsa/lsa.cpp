@@ -7,14 +7,9 @@ namespace zstm::lsa {
 namespace {
 
 timebase::ScalarTimeBase make_time_base(const Config& cfg) {
-  switch (cfg.time_base) {
-    case timebase::TimeBaseKind::kSyncClock:
-      return timebase::ScalarTimeBase(cfg.max_threads, cfg.clock_deviation,
-                                      cfg.seed);
-    case timebase::TimeBaseKind::kBatchedCounter:
-      return timebase::ScalarTimeBase(cfg.max_threads, cfg.timebase_batch);
-    case timebase::TimeBaseKind::kCounter:
-      break;
+  if (cfg.time_base == timebase::TimeBaseKind::kSyncClock) {
+    return timebase::ScalarTimeBase(cfg.max_threads, cfg.clock_deviation,
+                                    cfg.seed);
   }
   return timebase::ScalarTimeBase();
 }
@@ -26,22 +21,7 @@ timebase::ScalarTimeBase make_time_base(const Config& cfg) {
 // ---------------------------------------------------------------------------
 
 Runtime::Runtime(Config cfg)
-    : Core(cfg), timebase_(make_time_base(cfg)), store_(*this) {
-  // A detaching thread abandons its timebase lease (batched counter);
-  // otherwise a dead slot's low lease would pin now_floor() forever.
-  timebase_listener_ = registry_.add_release_listener(
-      [this](int slot) { timebase_.release_slot(slot); });
-}
-
-// All worker threads must be detached by now; the store tears down the live
-// objects single-threaded, and the core's EpochManager (drain_all) then
-// frees retired versions/descriptors — disjoint sets. The listener goes
-// first, while the core's registry is still alive.
-Runtime::~Runtime() {
-  if (timebase_listener_ >= 0) {
-    registry_.remove_release_listener(timebase_listener_);
-  }
-}
+    : Core(cfg), timebase_(make_time_base(cfg)), store_(*this) {}
 
 std::unique_ptr<ThreadCtx> Runtime::attach() {
   return std::unique_ptr<ThreadCtx>(new ThreadCtx(*this, registry_.attach()));

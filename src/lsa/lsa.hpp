@@ -249,8 +249,10 @@ class Runtime : public runtime::Core {
   template <typename T>
   using Var = lsa::Var<T>;
 
+  /// All worker threads must be detached before destruction: the store
+  /// tears down the live objects single-threaded, then the core's
+  /// EpochManager frees retired versions and descriptors (disjoint sets).
   explicit Runtime(Config cfg = {});
-  ~Runtime();
 
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
@@ -290,9 +292,6 @@ class Runtime : public runtime::Core {
   friend class Tx;
 
   timebase::ScalarTimeBase timebase_;
-  /// Registry release-listener id for the timebase slot-teardown hook
-  /// (batched leases must not pin now_floor() after a thread detaches).
-  int timebase_listener_ = -1;
   Store store_;
 };
 

@@ -35,7 +35,7 @@ enum class Policy {
 
 namespace timebase {
 /// Scalar commit timebase of lsa and zl (timebase/scalar_timebase.hpp).
-enum class TimeBaseKind { kCounter, kSyncClock, kBatchedCounter };
+enum class TimeBaseKind { kCounter, kSyncClock };
 }  // namespace timebase
 
 namespace object {
@@ -71,20 +71,14 @@ struct Config {
   /// variant for transactions declared read-only (the name "lsa-nors").
   bool track_readonly_readsets = true;
   /// lsa and zl: the scalar commit timebase (DESIGN.md §10). kCounter is
-  /// the paper's shared counter; kBatchedCounter leases blocks of
-  /// `timebase_batch` ticks per thread; kSyncClock simulates synchronized
+  /// the paper's shared counter; kSyncClock simulates synchronized
   /// real-time clocks `clock_deviation` apart, seeded by `seed`.
   timebase::TimeBaseKind time_base = timebase::TimeBaseKind::kCounter;
-  int timebase_batch = 64;
   std::chrono::nanoseconds clock_deviation{0};
   std::uint64_t seed = 1;
   /// cs-r: r, the number of plausible-clock entries (§4.3), clamped to
   /// [1, max_threads].
   int plausible_entries = 4;
-  /// tl2: 0 keeps the classic fetch_add commit clock (GV1); >= 1 selects
-  /// the GV4/GV5-style single-CAS scheme with this stride (documented
-  /// false-abort cost, never correctness).
-  int tl2_clock_stride = 0;
   /// zl: a short transaction crossing an active zone waits for it to
   /// quiesce (up to zone_wait_attempts backoff rounds) instead of aborting
   /// at once ("the contention manager ... would typically abort T").

@@ -7,17 +7,17 @@
 //
 // Member order is teardown order, reversed: the pool outlives the
 // EpochManager, whose destructor drains deleters that return nodes to the
-// pool, and everything a derived runtime declares (its store, sstm's
-// descriptor arena) is destroyed before any of this; lsa removes its
-// registry listener in its own destructor, while the registry is alive.
+// pool; the registry outlives the pool, which removes its release listener
+// on destruction; and everything a derived runtime declares (its store,
+// sstm's descriptor arena) is destroyed before any of this.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "history/recorder.hpp"
 #include "object/node_pool.hpp"
 #include "runtime/config.hpp"
-#include "timebase/sharded_clock.hpp"
 #include "util/align.hpp"
 #include "util/ebr.hpp"
 #include "util/stats.hpp"
@@ -27,6 +27,11 @@ namespace zstm::runtime {
 
 class Core {
  public:
+  /// A transaction id carries its slot in this many low bits.
+  static constexpr int kSlotBits = 6;
+  static_assert(util::ThreadRegistry::kMaxThreads <= (1 << kSlotBits),
+                "every registry slot must fit the transaction id's slot bits");
+
   explicit Core(const Config& cfg)
       : cfg_(cfg),
         registry_(cfg.max_threads),
@@ -34,7 +39,8 @@ class Core {
         pool_(registry_, &stats_, cfg.use_node_pool),
         epochs_(registry_),
         recorder_(cfg.record_history, cfg.max_threads),
-        ids_(cfg.max_threads, /*shards=*/cfg.max_threads) {}
+        // vector(n): PaddedCounter holds an atomic and cannot be moved.
+        id_lanes_(static_cast<std::size_t>(cfg.max_threads)) {}
 
   Core(const Core&) = delete;
   Core& operator=(const Core&) = delete;
@@ -50,10 +56,18 @@ class Core {
   util::EpochManager& epochs() { return epochs_; }
   history::Recorder& recorder() { return recorder_; }
 
-  /// Globally unique transaction id from the slot's own lane of the
-  /// exclusive sharded clock (no atomic RMW). Ids are identity only:
-  /// nothing orders by them, and the history checkers reject a duplicate.
-  std::uint64_t next_tx_id(int slot) { return ids_.unique_id(slot); }
+  /// Globally unique, non-zero transaction id, `(tick << kSlotBits) |
+  /// slot`, from the slot's own padded lane. Only the slot's owner
+  /// advances its lane (the registry's claim and release order successive
+  /// owners), so a load and a store suffice: no atomic RMW. Ids are
+  /// identity only: nothing orders by them, and the history checkers
+  /// reject a duplicate.
+  std::uint64_t next_tx_id(int slot) {
+    auto& lane = id_lanes_[static_cast<std::size_t>(slot)].value;
+    const std::uint64_t tick = lane.load(std::memory_order_relaxed) + 1;
+    lane.store(tick, std::memory_order_relaxed);
+    return (tick << kSlotBits) | static_cast<std::uint64_t>(slot);
+  }
 
   /// Start-time tick for the contention manager's age-based policies.
   std::uint64_t next_tick() {
@@ -82,7 +96,7 @@ class Core {
 
  private:
   util::PaddedCounter ticks_;
-  timebase::ShardedClock ids_;
+  std::vector<util::PaddedCounter> id_lanes_;
 };
 
 }  // namespace zstm::runtime

@@ -49,7 +49,7 @@ struct RunResult {
 /// abort (TxAborted from the body or from the commit, the attempt already
 /// cleaned up) returns false. Any other exception out of the body,
 /// fault::ThreadExit included, aborts the attempt, releasing every
-/// locator, stripe and lease it holds, before propagating.
+/// locator and stripe it holds, before propagating.
 template <typename Ctx, typename Tx, typename F>
 bool attempt(Ctx& ctx, Tx& tx, F&& body) {
   try {

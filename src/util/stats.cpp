@@ -28,7 +28,6 @@ const char* counter_name(Counter c) {
     case Counter::kPoolHits: return "pool_hits";
     case Counter::kPoolMisses: return "pool_misses";
     case Counter::kPoolReturns: return "pool_returns";
-    case Counter::kClockAdopts: return "clock_adopts";
     case Counter::kCount: break;
   }
   return "?";

@@ -1,7 +1,5 @@
 #include "util/thread_registry.hpp"
 
-#include "util/cpu_topology.hpp"
-
 namespace zstm::util {
 
 ThreadRegistry::ThreadRegistry(int capacity)
@@ -20,34 +18,19 @@ ThreadRegistry::Registration ThreadRegistry::attach() {
 }
 
 ThreadRegistry::Registration ThreadRegistry::try_attach() {
-  // Pass 0 only considers slots homed in the caller's cache group, so
-  // threads sharing an LLC claim adjacent slots and the per-slot arrays
-  // they index (EBR announcements, stats cells, timebase lanes) stay in
-  // their own group's lines. Pass 1 takes anything free — a full home
-  // group never fails an attach that would have succeeded before. With a
-  // single topology group, pass 0 already scans every slot in order, which
-  // is bit-for-bit the old lowest-free-slot behavior.
-  const int group = current_cache_group();
-  for (int pass = 0; pass < 2; ++pass) {
-    for (int i = 0; i < capacity_; ++i) {
-      if (pass == 0 && slot_home_group(i, capacity_) != group) continue;
-      bool expected = false;
-      if (slots_[static_cast<std::size_t>(i)].value.compare_exchange_strong(
-              expected, true, std::memory_order_acq_rel)) {
-        // Raise the high-water mark so per-slot scans cover this slot.
-        int hw = high_water_.load(std::memory_order_relaxed);
-        while (hw < i + 1 && !high_water_.compare_exchange_weak(
-                                 hw, i + 1, std::memory_order_acq_rel)) {
-        }
-        return Registration(this, i);
+  for (int i = 0; i < capacity_; ++i) {
+    bool expected = false;
+    if (slots_[static_cast<std::size_t>(i)].value.compare_exchange_strong(
+            expected, true, std::memory_order_acq_rel)) {
+      // Raise the high-water mark so per-slot scans cover this slot.
+      int hw = high_water_.load(std::memory_order_relaxed);
+      while (hw < i + 1 && !high_water_.compare_exchange_weak(
+                               hw, i + 1, std::memory_order_acq_rel)) {
       }
+      return Registration(this, i);
     }
   }
   return Registration();
-}
-
-int ThreadRegistry::home_group(int slot) const {
-  return slot_home_group(slot, capacity_);
 }
 
 int ThreadRegistry::add_release_listener(std::function<void(int)> fn) {

@@ -59,18 +59,10 @@ class ThreadRegistry {
     int slot_ = -1;
   };
 
-  /// Claim a free slot, preferring one whose static home group matches the
-  /// cache group of the CPU the calling thread runs on (so per-slot arrays
-  /// indexed by slot id stay clustered per cache group); falls back to the
-  /// lowest free slot, and degenerates to exactly that on single-group
-  /// machines. Throws std::runtime_error if full.
+  /// Claim the lowest free slot. Throws std::runtime_error if full.
   Registration attach();
   /// attach(), but a full registry yields an unattached Registration.
   Registration try_attach();
-
-  /// Static cache-group home of a slot (util::slot_home_group over this
-  /// registry's capacity).
-  int home_group(int slot) const;
 
   int capacity() const { return capacity_; }
 

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "adt/tmap.hpp"
-#include "adt/tqueue.hpp"
 #include "api/stm_api.hpp"
 #include "util/rng.hpp"
 
@@ -153,147 +152,6 @@ TEST(Adt, ConcurrentNetInsertsMatchSize) {
   stm.run(TxKind::kLong, [&](auto& tx) { a = set.audit(tx); });
   EXPECT_TRUE(a.sorted);
   EXPECT_EQ(static_cast<long>(a.size), net.load());
-}
-
-template <typename S>
-void sequential_queue_checks(S& stm) {
-  zstm::adt::TQueue<S> q(stm);
-
-  stm.run(TxKind::kReadOnly, [&](auto& tx) {
-    EXPECT_TRUE(q.empty(tx));
-    EXPECT_FALSE(q.front(tx).has_value());
-    EXPECT_FALSE(q.dequeue(tx).has_value());
-    EXPECT_EQ(q.size(tx), 0u);
-  });
-
-  // FIFO across transactions.
-  for (int i = 0; i < 10; ++i) {
-    stm.run(TxKind::kUpdate, [&](auto& tx) { q.enqueue(tx, i); });
-  }
-  stm.run(TxKind::kReadOnly, [&](auto& tx) {
-    EXPECT_EQ(q.size(tx), 10u);
-    auto f = q.front(tx);
-    ASSERT_TRUE(f.has_value());
-    EXPECT_EQ(*f, 0);
-  });
-  for (int i = 0; i < 10; ++i) {
-    stm.run(TxKind::kUpdate, [&](auto& tx) {
-      auto v = q.dequeue(tx);
-      ASSERT_TRUE(v.has_value());
-      EXPECT_EQ(*v, i);
-    });
-  }
-  stm.run(TxKind::kReadOnly,
-          [&](auto& tx) { EXPECT_TRUE(q.empty(tx)); });
-
-  // FIFO within one transaction, including the drain-to-empty and
-  // refill-from-empty anchor transitions.
-  stm.run(TxKind::kUpdate, [&](auto& tx) {
-    q.enqueue(tx, 100);
-    q.enqueue(tx, 101);
-    EXPECT_EQ(q.dequeue(tx).value_or(-1), 100);
-    EXPECT_EQ(q.dequeue(tx).value_or(-1), 101);
-    EXPECT_TRUE(q.empty(tx));
-    q.enqueue(tx, 102);
-    EXPECT_EQ(q.front(tx).value_or(-1), 102);
-  });
-  stm.run(TxKind::kLong, [&](auto& tx) {
-    std::vector<std::int64_t> seen;
-    q.for_each(tx, [&](std::int64_t v) { seen.push_back(v); });
-    ASSERT_EQ(seen.size(), 1u);
-    EXPECT_EQ(seen[0], 102);
-  });
-}
-
-TEST(Adt, SequentialQueueTypedFacade) {
-  zstm::api::LsaStm stm;
-  sequential_queue_checks(stm);
-}
-
-TEST(Adt, SequentialQueueEveryVariant) {
-  for (const std::string& name : zstm::api::variant_names()) {
-    SCOPED_TRACE(name);
-    AnyStm stm = AnyStm::make(name);
-    sequential_queue_checks(stm);
-  }
-}
-
-TEST(Adt, QueueScratchReusedAcrossRetries) {
-  // Mirror of InsertScratchReusedAcrossRetries: a deliberately aborted
-  // first attempt must reuse the pre-allocated node, not leak one.
-  AnyStm stm = AnyStm::make("lsa");
-  zstm::adt::TQueue<AnyStm> q(stm);
-  zstm::adt::TQueue<AnyStm>::Scratch scratch;
-  int attempts = 0;
-  stm.run(TxKind::kUpdate, [&](auto& tx) {
-    ++attempts;
-    q.enqueue(tx, 7, &scratch);
-    if (attempts == 1) tx.abort();
-  });
-  EXPECT_GE(attempts, 2);
-  EXPECT_TRUE(scratch.allocated);
-  stm.run(TxKind::kReadOnly, [&](auto& tx) {
-    EXPECT_EQ(q.size(tx), 1u);
-    EXPECT_EQ(q.front(tx).value_or(-1), 7);
-  });
-}
-
-TEST(Adt, ConcurrentQueueMpmc) {
-  // 2 producers x 2 consumers. Every enqueued value is dequeued exactly
-  // once, and each consumer sees any single producer's values in
-  // increasing order (per-producer FIFO is preserved under a linearizable
-  // queue regardless of how consumers interleave).
-  AnyStm stm = AnyStm::make("lsa");
-  zstm::adt::TQueue<AnyStm> q(stm);
-  constexpr int kProducers = 2;
-  constexpr int kConsumers = 2;
-  constexpr std::int64_t kPerProducer = 300;
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (std::int64_t i = 0; i < kPerProducer; ++i) {
-        const std::int64_t v = static_cast<std::int64_t>(p) * 1000000 + i;
-        zstm::adt::TQueue<AnyStm>::Scratch scratch;
-        stm.run(TxKind::kUpdate,
-                [&](auto& tx) { q.enqueue(tx, v, &scratch); });
-      }
-    });
-  }
-
-  std::atomic<std::int64_t> taken{0};
-  std::vector<std::vector<std::int64_t>> got(kConsumers);
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&, c] {
-      while (taken.load() < kProducers * kPerProducer) {
-        std::optional<std::int64_t> v;
-        stm.run(TxKind::kUpdate, [&](auto& tx) { v = q.dequeue(tx); });
-        if (v.has_value()) {
-          got[static_cast<std::size_t>(c)].push_back(*v);
-          taken.fetch_add(1);
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  std::set<std::int64_t> all;
-  for (int c = 0; c < kConsumers; ++c) {
-    std::int64_t last[kProducers];
-    for (int p = 0; p < kProducers; ++p) last[p] = -1;
-    for (const std::int64_t v : got[static_cast<std::size_t>(c)]) {
-      EXPECT_TRUE(all.insert(v).second) << "value dequeued twice: " << v;
-      const int p = static_cast<int>(v / 1000000);
-      ASSERT_LT(p, kProducers);
-      EXPECT_GT(v, last[p]) << "per-producer FIFO violated";
-      last[p] = v;
-    }
-  }
-  EXPECT_EQ(all.size(),
-            static_cast<std::size_t>(kProducers * kPerProducer));
-  stm.run(TxKind::kReadOnly, [&](auto& tx) { EXPECT_TRUE(q.empty(tx)); });
 }
 
 }  // namespace

@@ -78,7 +78,7 @@ int main() {
     ok = ok && commit_one(rt);
   }
   {
-    zstm::tl2::Runtime rt(Config{.max_threads = 4, .tl2_clock_stride = 2});
+    zstm::tl2::Runtime rt(Config{.max_threads = 4});
     ok = ok && commit_one(rt);
   }
   {

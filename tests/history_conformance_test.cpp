@@ -14,8 +14,8 @@
 //   cs-vc, cs-r         — check_causal_conditions (the §4.1 obligations)
 //   sstm                — check_serializable
 //
-// The battery reruns under the scalable timebases, under chaos failpoints,
-// and (object variants) under every contention-manager policy.
+// The battery reruns under chaos failpoints and (object variants) under
+// every contention-manager policy.
 //
 // The schedule is randomized but reproducible: the seed comes from
 // ZSTM_HISTORY_SEED when set, otherwise std::random_device, and is printed
@@ -179,47 +179,12 @@ TEST(HistoryConformance, EveryVariantSatisfiesItsCriterion) {
   }
 }
 
-TEST(HistoryConformance, EveryVariantSatisfiesItsCriterionUnderNewTimebases) {
-  // Timebase matrix: rerun the full criterion battery with the
-  // scalable-timebase options on — batched commit stamps for the scalar
-  // runtimes (lsa, lsa-nors, zl; small batch so leases roll over and the
-  // commit fence actually revokes them mid-run) and the GV5-style CAS clock
-  // for tl2 (small stride, adoption exercised by contention). Every
-  // criterion must hold exactly as under the default global counter —
-  // these options trade performance, never admissible histories.
-  const std::uint64_t seed = harness_seed() ^ 0xBA7C4ull;
-  const int rounds = test_env::stress_rounds(250);
-
-  for (const std::string& name : api::variant_names()) {
-    SCOPED_TRACE(name + " [new timebases] seed=" + std::to_string(seed) +
-                 " (replay: ZSTM_HISTORY_SEED=" + std::to_string(seed) + ")");
-    CommonConfig cfg;
-    cfg.max_threads = 8;
-    cfg.record_history = true;
-    if (name == "cs-r") cfg.plausible_entries = 2;
-    cfg.time_base = timebase::TimeBaseKind::kBatchedCounter;
-    cfg.timebase_batch = 4;
-    cfg.tl2_clock_stride = 3;
-
-    api::visit_variant(name, cfg, [&](auto tag, const char*, CommonConfig c) {
-      using S = typename decltype(tag)::type;
-      S stm(c);
-      const history::History h = run_workload(stm, seed, rounds);
-      EXPECT_GT(h.committed_count(), 0u);
-      const history::CheckResult res =
-          apply_checker(criterion_for(name), h);
-      EXPECT_TRUE(res.ok) << "criterion violated under new timebase: "
-                          << res.reason;
-    });
-  }
-}
-
 TEST(HistoryConformance, EveryVariantSatisfiesItsCriterionUnderChaos) {
   // Chaos mode (DESIGN.md §11): rerun the criterion battery with the
   // failpoint registry sabotaging every protocol hot spot — injected
   // aborts in the acquire/arbitrate loops and tl2 revalidation, spurious
   // CAS failures in settle/install and the stripe locks, and full-rate
-  // delays at the delay-only sites to widen every race window. The
+  // delays at EBR retirement to widen its race windows. The
   // criteria must hold anyway: failpoints may slow or retry transactions,
   // never corrupt the histories they commit. The façade ladder runs with
   // the serial-irrevocable rung enabled so chaos cannot starve a
@@ -242,7 +207,6 @@ TEST(HistoryConformance, EveryVariantSatisfiesItsCriterionUnderChaos) {
       {fault::Site::kZlAcquire, 0.08},
       {fault::Site::kTl2StripeLock, 0.2},
       {fault::Site::kTl2Revalidate, 0.08},
-      {fault::Site::kTimebaseLeaseFence, 1.0},
       {fault::Site::kEbrRetire, 1.0},
   };
 

@@ -3,7 +3,8 @@
 // and teardown, the open-for-write path (acquire's arbitration and
 // open_for_write's hook/install loop), exact pruning (fixed, adaptive, and
 // concurrent), prune-vs-pinned-reader interaction through EBR, and the
-// adaptive-retention grow/decay transitions.
+// adaptive-retention grow/decay transitions; and the runtime core's
+// transaction-id lanes.
 //
 // CTest label: `unit` (DESIGN.md §6).
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <latch>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -688,6 +691,42 @@ TEST(ObjectStore, FixedModeIgnoresTooOldFeedback) {
   rig.store.note_too_old(*o, s);
   EXPECT_EQ(rig.store.kept_bound(*o), 4u);
   EXPECT_EQ(rig.stats.snapshot()[util::Counter::kRetentionGrows], 0u);
+}
+
+// --- the core's transaction-id lanes ----------------------------------------
+
+TEST(Core, TxIdsAreUniqueAcrossEverySlotOfAFullRegistry) {
+  // Every slot of a full registry draws ids from its own lane at once: no
+  // two ids collide, none is zero, and the low bits name every slot.
+  constexpr int kThreads = util::ThreadRegistry::kMaxThreads;
+  constexpr int kPerThread = 2000;
+  runtime::Core core(runtime::Config{.max_threads = kThreads});
+  std::latch all_attached(kThreads);
+  std::vector<std::vector<std::uint64_t>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const auto reg = core.registry().attach();
+      all_attached.arrive_and_wait();
+      auto& mine = got[static_cast<std::size_t>(t)];
+      mine.reserve(kPerThread);
+      for (int i = 0; i < kPerThread; ++i) {
+        mine.push_back(core.next_tx_id(reg.slot()));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::set<std::uint64_t> all;
+  std::set<std::uint64_t> slots;
+  for (const auto& v : got) {
+    for (const std::uint64_t id : v) {
+      all.insert(id);
+      slots.insert(id & ((1u << runtime::Core::kSlotBits) - 1));
+    }
+  }
+  EXPECT_EQ(all.size(), static_cast<std::size_t>(kThreads) * kPerThread);
+  EXPECT_EQ(all.count(0), 0u);
+  EXPECT_EQ(slots.size(), static_cast<std::size_t>(kThreads));
 }
 
 }  // namespace
