@@ -13,7 +13,8 @@
 //   scan         one thread, Compute-Total only: the read-set cost (Figure 6)
 //   alloc        heap allocations on the write path, pooled vs heap
 //                (DESIGN.md §7): lsa transfers, cs-vc reads and transfers
-//   cm           contention-manager policies on a hot spot (§4.1)
+//   cm           the one contention rule on a hot spot, every object
+//                runtime (§4.1)
 //   versions     version depth against long scans (§4.4)
 //   plausible_r  REV plausible clocks: accuracy, cs-r throughput, and
 //                clock-operation costs (§4.3)
@@ -284,21 +285,18 @@ void alloc(Doc& doc) {
 
 /// "Conflict arbitration is performed by a configurable module called
 /// contention manager, which is responsible for the liveness of the system"
-/// (§4.1): each policy on lsa, 4 threads transferring among 4 accounts.
+/// (§4.1): every object runtime's one rule (an active owner is aborted, a
+/// committing one waited out; DESIGN.md §1), 4 threads transferring among
+/// 4 accounts.
 void cm(Doc& doc) {
-  for (const cm::Policy policy :
-       {cm::Policy::kAggressive, cm::Policy::kSuicide, cm::Policy::kPolite,
-        cm::Policy::kKarma, cm::Policy::kTimestamp, cm::Policy::kGreedy,
-        cm::Policy::kPolka}) {
+  for (const char* system : {"lsa", "cs-vc", "cs-r", "sstm", "zl"}) {
     const BankParams p{.accounts = 4,
                        .threads = 4,
                        .duration = 150ms,
                        .long_probability = 0};
-    api::CommonConfig cfg = bank_config(p);
-    cfg.cm_policy = policy;
-    const BankResult b = checked_bank(doc, "lsa", p, cfg);
+    const BankResult b = checked_bank(doc, system, p, bank_config(p));
     doc.row()
-        .str("policy", cm::policy_name(policy))
+        .str("system", system)
         .num("tx_per_s", b.transfer_per_s)
         .num("aborts", b.stats[Counter::kAborts])
         .num("cm_kills", b.stats[Counter::kCmKills])
@@ -570,7 +568,7 @@ constexpr Section kSections[] = {
     {"transfer", "transfer-only bank, 256 accounts", transfer},
     {"scan", "one thread, Compute-Total scans only", scan},
     {"alloc", "heap allocations per write / per transaction", alloc},
-    {"cm", "contention managers: lsa, 4 threads, 4 accounts", cm},
+    {"cm", "contention: object runtimes, 4 threads, 4 accounts", cm},
     {"versions", "versions kept: lsa scans of 512 accounts vs 2 writers",
      versions},
     {"plausible_r", "REV plausible clocks: accuracy, cs-r, clock ops",

@@ -96,15 +96,7 @@ struct MaintainResult {
 ///   1. Randomized-exponential backoff between attempts (util::Backoff with
 ///      per-thread jitter, so rivals that abort each other don't wake in
 ///      lockstep and re-collide).
-///   2. From `cm_escalate_after` aborted attempts on, CM-aware escalation:
-///      the attempt count is credited as contention-manager karma
-///      (TxDescBase::add_work) on each fresh descriptor — work-based
-///      policies (Karma/Polka) then increasingly favor the starved
-///      transaction. Backoff is deliberately NOT shortened: priority
-///      comes from the CM decision, never from out-spinning rivals (see
-///      the note in run_impl — hot retries starve the very owner the
-///      transaction is waiting on when threads outnumber cores).
-///   3. From `serial_after` aborted attempts on, the final rung: the
+///   2. From `serial_after` aborted attempts on, the final rung: the
 ///      transaction takes the Stm's global serial-irrevocable token
 ///      (HTM-fallback style). Acquiring the token exclusively waits out
 ///      every in-flight attempt; ordinary attempts share the token, so they
@@ -113,7 +105,7 @@ struct MaintainResult {
 ///      it eventually commits — the façade-level guarantee that no
 ///      transaction starves forever.
 ///
-/// `serial_after == 0` disables rung 3 unless the ZSTM_SERIAL_FALLBACK env
+/// `serial_after == 0` disables rung 2 unless the ZSTM_SERIAL_FALLBACK env
 /// var enables it with the default threshold (8). A per-call attempt budget
 /// (`run(kind, body, max_attempts)`) always wins over escalation: a
 /// transaction that exhausts its budget returns `committed == false`
@@ -122,9 +114,7 @@ struct MaintainResult {
 /// Not supported (unchanged from before): nested `run` calls on the same
 /// Stm — with serialization enabled they would self-deadlock on the token.
 struct RetryPolicy {
-  /// Rung 2 threshold; 0 disables CM-aware escalation.
-  std::uint32_t cm_escalate_after = 16;
-  /// Rung 3 threshold; 0 = disabled unless ZSTM_SERIAL_FALLBACK is set.
+  /// Rung 2 threshold; 0 = disabled unless ZSTM_SERIAL_FALLBACK is set.
   std::uint32_t serial_after = 0;
 };
 
@@ -294,7 +284,7 @@ class Stm {
   /// The plain call is opportunistic: S-STM's trim only succeeds at
   /// quiescence, so under continuous load it may keep returning
   /// reclaimed=0 while `retained` grows. `force = true` escalates exactly
-  /// like RetryPolicy rung 3: it takes the serial-irrevocable token
+  /// like RetryPolicy rung 2: it takes the serial-irrevocable token
   /// exclusively, draining every in-flight façade attempt, and trims in
   /// the resulting quiet window. The drain guarantee needs the serial gate
   /// active (`retry.serial_after != 0` or ZSTM_SERIAL_FALLBACK); with the
@@ -321,7 +311,7 @@ class Stm {
     std::mutex mu;
     std::atomic<bool> dead{false};
     std::vector<Entry*> entries;
-    /// The serial-irrevocable token (RetryPolicy rung 3). Ordinary attempts
+    /// The serial-irrevocable token (RetryPolicy rung 2). Ordinary attempts
     /// hold it shared (only taken when the rung is enabled — an uncontended
     /// shared_mutex op per attempt); an escalated transaction holds it
     /// exclusive, which drains every in-flight attempt first.
@@ -408,24 +398,11 @@ class Stm {
     shared_->entries.clear();
   }
 
-  /// One attempt, with the carried karma (RetryPolicy rung 2) credited to
-  /// the fresh descriptor before the body runs. tl2's handle has no
-  /// descriptor (and tl2 no contention manager), so the credit is skipped.
-  template <typename F>
-  bool attempt_once(Ctx& ctx, TxKind kind, F& body, std::uint64_t carried) {
-    auto&& tx = ctx.begin(kind);
-    if constexpr (requires(Tx& t) { t.descriptor()->add_work(); }) {
-      if (carried != 0) tx.descriptor()->add_work(carried);
-    }
-    return runtime::attempt(ctx, tx, body);
-  }
-
   /// The retry/escalation ladder (see RetryPolicy). A per-call budget
   /// (0 = none) always wins over escalation.
   template <typename F>
   RunResult run_impl(TxKind kind, F& body, std::uint32_t max_attempts) {
     Ctx& ctx = thread_ctx();
-    const RetryPolicy& pol = cfg_.retry;
     const int slot = ctx.slot();
     util::ProgressTracker& watch = *progress_;
     std::uint32_t attempt = 1;
@@ -438,10 +415,9 @@ class Stm {
 
     util::Backoff bo(util::Backoff::kMinSpins, util::Backoff::kMaxSpins,
                      detail::backoff_seed(slot));
-    std::uint64_t carried = 0;
     for (;; ++attempt) {
       if (serial_after_ != 0 && attempt > serial_after_) {
-        // Rung 3: take the token exclusively (drains all in-flight shared
+        // Rung 2: take the token exclusively (drains all in-flight shared
         // attempts), suppress fault injection, and retry under the token
         // until commit. With no façade rival running and no injection, an
         // attempt can only abort through raw-runtime users outside the
@@ -452,7 +428,8 @@ class Stm {
         fault::SuppressGuard suppress;
         watch.note_serial(slot);
         for (;; ++attempt) {
-          if (attempt_once(ctx, kind, body, carried)) {
+          auto&& tx = ctx.begin(kind);
+          if (runtime::attempt(ctx, tx, body)) {
             serial.unlock();
             after_commit(slot);
             return {attempt, true};
@@ -463,11 +440,12 @@ class Stm {
         }
       }
       bool committed;
-      if (serial_after_ != 0) {
-        std::shared_lock<std::shared_mutex> gate(shared_->serial_gate);
-        committed = attempt_once(ctx, kind, body, carried);
-      } else {
-        committed = attempt_once(ctx, kind, body, carried);
+      {
+        std::shared_lock<std::shared_mutex> gate(shared_->serial_gate,
+                                                 std::defer_lock);
+        if (serial_after_ != 0) gate.lock();
+        auto&& tx = ctx.begin(kind);
+        committed = runtime::attempt(ctx, tx, body);
       }
       if (committed) {
         after_commit(slot);
@@ -476,16 +454,12 @@ class Stm {
       if (max_attempts != 0 && attempt >= max_attempts) {
         return {attempt, false};
       }
-      if (pol.cm_escalate_after != 0 && attempt >= pol.cm_escalate_after) {
-        carried = attempt;  // rung 2: karma credit for the next attempt
-      }
-      // Deliberately NO backoff reset on escalation: past the spin cap the
-      // episodes are sched_yield, and a starved transaction's rivals are
-      // usually *mid-transaction on this core* (threads > cores). Hot
-      // retries here would burn whole scheduler quanta that the owner
-      // needs to finish — measured as a ~1000x slowdown of the history
-      // workload on the 1-CPU CI box. Priority comes from the karma
-      // credit (the CM favors the starved side), not from retry rate.
+      // Deliberately no backoff reset: past the spin cap the episodes are
+      // sched_yield, and a starved transaction's rivals are usually
+      // *mid-transaction on this core* (threads > cores). Hot retries here
+      // would burn whole scheduler quanta that the owner needs to finish —
+      // measured as a ~1000x slowdown of the history workload on the 1-CPU
+      // CI box.
       bo.pause();
     }
   }

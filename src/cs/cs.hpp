@@ -10,7 +10,7 @@
 //            (Algorithm 1 line 3).
 //  * Open:   T.ct ← element-wise max(T.ct, v.ct) for the current version v
 //            (line 8); writes install a locator (single writer per object,
-//            conflicts arbitrated by the contention manager, lines 10-13)
+//            an active owner is aborted, lines 10-13)
 //            and duplicate the current version (line 14). Reads are
 //            invisible.
 //  * Validate (lines 20-26): abort iff some read version has a committed
@@ -304,7 +304,6 @@ typename RuntimeT<D>::Tx& RuntimeT<D>::ThreadCtx::begin(TxKind) {
   ct = vcp_;
   tx_.desc_ =
       rt_.pool_.template create<TxDesc>(slot(), id, slot(), std::move(ct));
-  tx_.desc_->set_start_ticks(rt_.next_tick());
   epoch_guard_ = rt_.epochs_.pin_guard(slot());
   tx_.read_set_.clear();
   tx_.write_set_.clear();
@@ -400,7 +399,6 @@ const runtime::Payload& RuntimeT<D>::Tx::read_object(Object& o) {
   }
   RuntimeT& rt = ctx_.rt_;
   const int s = ctx_.slot();
-  desc_->add_work();
   rt.stats_.add(s, util::Counter::kReads);
 
   Version* v = rt.store_.resolve(o, desc_, OnCommitting::kWait, s);
@@ -418,8 +416,8 @@ runtime::Payload& RuntimeT<D>::Tx::write_object(Object& o) {
   RuntimeT& rt = ctx_.rt_;
   const int s = ctx_.slot();
 
-  // Lines 10-14: a single writer per object (the store's contention
-  // manager resolves conflicts), then duplicate the current version.
+  // Lines 10-14: a single writer per object (the store aborts an active
+  // owner), then duplicate the current version.
   Version* tent = rt.store_.open_for_write(
       o, desc_, s, fault::Site::kCsAcquire, [&](Version* base) {
         desc_->ct.merge(base->ct);  // line 8 applies to writes as well

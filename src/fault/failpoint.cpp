@@ -1,5 +1,6 @@
 #include "fault/failpoint.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -135,21 +136,29 @@ Registry::Registry() {
     seed_ = std::strtoull(seed, nullptr, 0);
   }
   if (const char* spec = std::getenv("ZSTM_FAILPOINTS")) {
-    load_spec(spec);
+    std::string rejected;
+    if (!load_spec(spec, &rejected)) {
+      std::fprintf(stderr, "ZSTM_FAILPOINTS: rejected entry '%s'\n",
+                   rejected.c_str());
+      std::abort();
+    }
   }
 }
 
-bool Registry::arm(Site s, double prob, std::uint64_t after, Effect effect) {
+bool Registry::arm(Site s, double prob, std::uint64_t after, Effect effect,
+                   std::function<void()> hook) {
   if (!(prob >= 0.0 && prob <= 1.0)) return false;
   if (effect == Effect::kNone) effect = default_effect(s);
   if (!(allowed_effects(s) & effect_bit(effect))) return false;
   SiteState& st = sites_[static_cast<int>(s)];
   // Publish the parameters before the armed flag: evaluate() acquires the
-  // flag, so a poke that observes armed also observes prob/after/effect.
-  // (Re-arming a site while other threads are poking it is not supported.)
+  // flag, so a poke that observes armed also observes prob/after/effect
+  // and the hook. (Re-arming a site while other threads are poking it is
+  // not supported.)
   st.prob = prob;
   st.after = after;
   st.effect = effect;
+  st.hook = std::move(hook);
   if (!st.armed.exchange(true, std::memory_order_release)) {
     detail::g_armed_sites.fetch_add(1, std::memory_order_relaxed);
   }
@@ -214,6 +223,10 @@ Effect Registry::evaluate(Site s) {
   const std::uint64_t ordinal =
       st.hits.fetch_add(1, std::memory_order_relaxed);
   if (ordinal < st.after) return Effect::kNone;
+  if (st.hook) {
+    st.hook();
+    return Effect::kNone;
+  }
   const std::uint64_t h = mix(
       seed_ + 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(s) + 1) +
       ordinal);
@@ -230,7 +243,7 @@ Effect Registry::evaluate(Site s) {
   }
 }
 
-bool Registry::load_spec(const char* spec) {
+bool Registry::load_spec(const char* spec, std::string* rejected) {
   if (spec == nullptr) return false;
   bool all_ok = true;
   const std::string text(spec);
@@ -241,6 +254,10 @@ bool Registry::load_spec(const char* spec) {
     const std::string entry = text.substr(pos, comma - pos);
     pos = comma + 1;
     if (entry.empty()) continue;
+    const auto reject = [&] {
+      if (all_ok && rejected != nullptr) *rejected = entry;
+      all_ok = false;
+    };
 
     // entry := site:prob[:after[:effect]]
     std::string parts[4];
@@ -256,7 +273,7 @@ bool Registry::load_spec(const char* spec) {
       p = colon + 1;
     }
     if (nparts < 2) {
-      all_ok = false;
+      reject();
       continue;
     }
 
@@ -268,21 +285,21 @@ bool Registry::load_spec(const char* spec) {
       }
     }
     if (site_idx < 0) {
-      all_ok = false;
+      reject();
       continue;
     }
 
     char* end = nullptr;
     const double prob = std::strtod(parts[1].c_str(), &end);
     if (end == parts[1].c_str() || *end != '\0') {
-      all_ok = false;
+      reject();
       continue;
     }
     std::uint64_t after = 0;
     if (nparts >= 3 && !parts[2].empty()) {
       after = std::strtoull(parts[2].c_str(), &end, 0);
       if (end == parts[2].c_str() || *end != '\0') {
-        all_ok = false;
+        reject();
         continue;
       }
     }
@@ -291,13 +308,11 @@ bool Registry::load_spec(const char* spec) {
       bool ok = false;
       effect = parse_effect(parts[3], &ok);
       if (!ok) {
-        all_ok = false;
+        reject();
         continue;
       }
     }
-    if (!arm(static_cast<Site>(site_idx), prob, after, effect)) {
-      all_ok = false;
-    }
+    if (!arm(static_cast<Site>(site_idx), prob, after, effect)) reject();
   }
   return all_ok;
 }
@@ -306,5 +321,12 @@ Registry& registry() {
   static Registry r;
   return r;
 }
+
+namespace {
+// Read the environment before main: poke() consults the registry only once
+// a site is armed, so a recipe that arms nothing would otherwise never be
+// parsed, and a rejected one must stop the process before any transaction.
+[[maybe_unused]] const bool g_env_parsed = (registry(), true);
+}  // namespace
 
 }  // namespace zstm::fault

@@ -35,7 +35,10 @@
 //   ZSTM_FAILPOINT_SEED=42
 //
 // `prob` ∈ [0,1]; `after` skips the first N hits of the site; `effect`
-// defaults per site. Determinism: whether hit #n of site s triggers is a
+// defaults per site. The environment is parsed at start-up, and an entry
+// that names no site, holds a bad number or asks for an effect its site
+// does not allow stops the process with the entry on stderr, so a chaos run
+// never silently loses a site. Determinism: whether hit #n of site s triggers is a
 // pure function of (seed, s, n), so a single-threaded run replays exactly
 // and a multi-threaded run is reproducible up to hit-ordinal interleaving.
 //
@@ -46,6 +49,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <string>
+#include <utility>
 
 namespace zstm::fault {
 
@@ -126,10 +132,17 @@ class Registry {
  public:
   /// Arm `s`: hits beyond the first `after` trigger `effect` with
   /// probability `prob`. `effect == kNone` selects the site's default.
-  /// Returns false (and leaves the site disarmed) if the effect is not in
-  /// the site's allowed mask or prob is not in [0, 1].
+  /// A non-empty `hook` instead runs on each such hit, on the hitting
+  /// thread, and nothing is injected. Returns false (and leaves the site
+  /// disarmed) if the effect is not in the site's allowed mask or prob is
+  /// not in [0, 1].
   bool arm(Site s, double prob, std::uint64_t after = 0,
-           Effect effect = Effect::kNone);
+           Effect effect = Effect::kNone, std::function<void()> hook = {});
+  /// Test seam for scripted interleavings: every hit of `s` runs `hook`
+  /// until `s` is disarmed.
+  void arm_hook(Site s, std::function<void()> hook) {
+    arm(s, 0.0, 0, Effect::kNone, std::move(hook));
+  }
   void disarm(Site s);
   /// Disarm every site and zero all hit/trigger counts (test isolation).
   void disarm_all();
@@ -151,8 +164,9 @@ class Registry {
   std::uint64_t seed() const { return seed_; }
 
   /// Parse a ZSTM_FAILPOINTS-style spec and arm accordingly. Returns false
-  /// on any malformed entry (valid entries before it stay armed).
-  bool load_spec(const char* spec);
+  /// on any malformed entry (the others stay armed) and, when `rejected` is
+  /// given, stores the first such entry there.
+  bool load_spec(const char* spec, std::string* rejected = nullptr);
 
  private:
   friend Registry& registry();
@@ -164,6 +178,7 @@ class Registry {
     double prob = 0.0;
     Effect effect = Effect::kNone;
     std::uint64_t after = 0;
+    std::function<void()> hook;
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> triggers{0};
   };
@@ -174,8 +189,8 @@ class Registry {
   SiteState sites_[static_cast<int>(Site::kCount)];
 };
 
-/// The process-wide registry. First call parses ZSTM_FAILPOINTS /
-/// ZSTM_FAILPOINT_SEED from the environment.
+/// The process-wide registry. It parses ZSTM_FAILPOINTS /
+/// ZSTM_FAILPOINT_SEED from the environment at start-up.
 Registry& registry();
 
 }  // namespace zstm::fault

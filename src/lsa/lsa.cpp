@@ -45,7 +45,6 @@ Tx& ThreadCtx::begin(TxKind kind) {
   const std::uint64_t id = rt_.next_tx_id(slot());
   tx.desc_ = rt_.pool_.create<TxDesc>(slot(), id, slot(),
                                       runtime::TxClass::kShort);
-  tx.desc_->set_start_ticks(rt_.next_tick());
   epoch_guard_ = rt_.epochs_.pin_guard(slot());
   if (rt_.recorder_.enabled()) {
     // Ticked before the snapshot is taken: a commit the snapshot cannot see
@@ -62,6 +61,8 @@ Tx& ThreadCtx::begin(TxKind kind) {
   // point (safe: both bounds are ones no future commit stamp can undercut).
   if (last_serialization_ > tx.ub_) tx.ub_ = last_serialization_;
   tx.publish_zone_ = 0;
+  tx.past_reads_ok_ = true;
+  tx.untracked_reads_ = false;
   tx.declared_read_only_ = read_only;
   tx.track_reads_ = rt_.cfg_.track_readonly_readsets || !read_only ||
                     force_track_reads_once_;
@@ -201,7 +202,6 @@ const runtime::Payload& Tx::read_object(Object& o) {
 
   Runtime& rt = ctx_.rt_;
   const int s = ctx_.slot();
-  desc_->add_work();
   rt.stats_.add(s, util::Counter::kReads);
 
   Version* v = rt.store_.resolve(o, desc_, OnCommitting::kWait, s);
@@ -212,8 +212,11 @@ const runtime::Payload& Tx::read_object(Object& o) {
   if (v->ts > ub_) {
     // The newest version postdates our snapshot and the snapshot cannot be
     // extended over it: fall back to an older version valid at ub. Update
-    // transactions cannot use the past (they serialize at commit time).
-    if (!write_set_.empty()) fail(util::Counter::kValidationFails);
+    // transactions cannot use the past (they serialize at commit time),
+    // and neither can a zl short transaction in a claimed zone.
+    if (!write_set_.empty() || !past_reads_ok_) {
+      fail(util::Counter::kValidationFails);
+    }
     while (v != nullptr && v->ts > ub_) {
       valid_until = v->ts;
       v = v->prev.load(std::memory_order_acquire);
@@ -226,6 +229,7 @@ const runtime::Payload& Tx::read_object(Object& o) {
   }
   if (v->ts > lb_) lb_ = v->ts;
   if (track_reads_) read_set_.push_back({&o, v, valid_until});
+  untracked_reads_ |= !track_reads_;
   if (rt.recorder_.enabled()) rec_.reads.push_back({o.oid, v->vid});
   return *v->data;
 }
@@ -260,6 +264,27 @@ runtime::Payload& Tx::write_object(Object& o) {
   if (base->ts > lb_) lb_ = base->ts;
   write_set_.push_back({&o, tent});
   return *tent->data;
+}
+
+bool Tx::reads_still_current() {
+  if (untracked_reads_) {
+    // Unknown reads cannot be shown current. The caller aborts, so, as in
+    // write_object, the thread's next attempt tracks its reads.
+    ctx_.force_track_reads_once_ = true;
+    return false;
+  }
+  Runtime& rt = ctx_.rt_;
+  const int s = ctx_.slot();
+  // kFail, as in commit validation: the caller may itself be committing
+  // (zl::ShortTx::admit), and two committing transactions must not wait on
+  // each other.
+  for (const auto& r : read_set_) {
+    if (r.valid_until != kOpenEnded ||
+        rt.store_.resolve(*r.obj, desc_, OnCommitting::kFail, s) != r.version) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool Tx::try_extend() {

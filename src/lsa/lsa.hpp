@@ -13,8 +13,8 @@
 //    Config::versions_kept versions are retained ("a TBTM typically needs
 //    old object versions to construct a consistent snapshot", §4.4).
 //  * Writers acquire objects at open time (encounter-time write/write
-//    detection, single writer per object; conflicts go to the contention
-//    manager) and prepare a private duplicate of the current version.
+//    detection, single writer per object; an active owner is aborted) and
+//    prepare a private duplicate of the current version.
 //  * Reads are invisible. A transaction maintains a snapshot validity
 //    interval [lb, ub]; reading a version narrows it, and when the newest
 //    version lies beyond ub the snapshot is *extended* (re-validated at the
@@ -162,6 +162,17 @@ class Tx {
   /// zl::ShortTx just before commit; stays 0 for plain LSA).
   void set_publish_zone(std::uint64_t zone) { publish_zone_ = zone; }
 
+  /// From now on a read that would fall back to an older version aborts
+  /// instead. zl::ShortTx calls it on entering a zone a long transaction
+  /// claimed: the short transaction then serializes after that long one
+  /// and must see every version it read (DESIGN.md §5.5).
+  void forbid_past_reads() { past_reads_ok_ = false; }
+  /// True iff every version read so far is still the newest committed one:
+  /// zl::ShortTx's test before it slides to a later zone (DESIGN.md §5.5).
+  /// False after an untracked read; the caller then aborts, and the
+  /// thread's next attempt tracks its reads so that it can slide.
+  bool reads_still_current();
+
   bool read_only_declared() const { return declared_read_only_; }
   std::uint64_t snapshot_lb() const { return lb_; }
   std::uint64_t snapshot_ub() const { return ub_; }
@@ -189,6 +200,8 @@ class Tx {
   std::uint64_t publish_zone_ = 0;
   bool declared_read_only_ = false;
   bool track_reads_ = true;
+  bool past_reads_ok_ = true;
+  bool untracked_reads_ = false;
   std::vector<ReadEntry> read_set_;
   std::vector<WriteEntry> write_set_;
   history::TxRecord rec_;
@@ -242,8 +255,8 @@ class ThreadCtx {
 };
 
 /// config(), stats(), collect_history(), and the registry, pool, EBR,
-/// recorder, ids, ticks and retire Z-STM's long transactions share, come
-/// from runtime::Core.
+/// recorder, ids and retire Z-STM's long transactions share, come from
+/// runtime::Core.
 class Runtime : public runtime::Core {
  public:
   template <typename T>

@@ -43,6 +43,7 @@ void* NodePool::allocate(int slot, std::size_t size) {
     n = returns_[static_cast<std::size_t>(slot)]
             .head[static_cast<std::size_t>(cls)]
             .exchange(nullptr, std::memory_order_acquire);
+    if (n == nullptr) n = take_from_depot(slot, cls);
     if (n == nullptr) return carve_slab(slot, cls);
     head = n;
   }
@@ -66,6 +67,13 @@ void NodePool::release_block(void* p, int slot) {
     FreeNode*& head = pool->local_[static_cast<std::size_t>(owner)].head[cls];
     fn->next = head;
     head = fn;
+    return;
+  }
+  if (!pool->registry_.active(owner)) {
+    // A vacant owner would keep the block until its slot is claimed again.
+    std::lock_guard<std::mutex> lk(pool->depot_mutex_);
+    fn->next = pool->depot_[cls];
+    pool->depot_[cls] = fn;
     return;
   }
   pool->count_return(slot);
@@ -116,18 +124,38 @@ void* NodePool::allocate_oversize(int slot, std::size_t size) {
   return block + kHeaderBytes;
 }
 
+NodePool::FreeNode* NodePool::take_from_depot(int slot, int cls) {
+  std::lock_guard<std::mutex> lk(depot_mutex_);
+  FreeNode* const first = depot_[cls];
+  FreeNode* last = nullptr;
+  FreeNode* n = first;
+  for (int i = 0; i < kSlabNodes && n != nullptr; ++i, n = n->next) {
+    // Free, so no thread reads the header until this slot hands it out.
+    header_of(n)->owner_slot = static_cast<std::uint32_t>(slot);
+    last = n;
+  }
+  if (last == nullptr) return nullptr;
+  depot_[cls] = last->next;
+  last->next = nullptr;
+  return first;
+}
+
 void NodePool::drain_slot(int slot) {
   if (!enabled_ || slot < 0) return;
   auto& local = local_[static_cast<std::size_t>(slot)];
   auto& returns = returns_[static_cast<std::size_t>(slot)];
-  for (int cls = 0; cls < kClassCount; ++cls) {
-    FreeNode* n = returns.head[static_cast<std::size_t>(cls)].exchange(
-        nullptr, std::memory_order_acquire);
-    while (n != nullptr) {
-      FreeNode* next = n->next;
-      n->next = local.head[static_cast<std::size_t>(cls)];
-      local.head[static_cast<std::size_t>(cls)] = n;
-      n = next;
+  std::lock_guard<std::mutex> lk(depot_mutex_);
+  for (std::size_t cls = 0; cls < kClassCount; ++cls) {
+    // The return stack goes in last, so its blocks are taken first.
+    for (FreeNode* n : {std::exchange(local.head[cls], nullptr),
+                        returns.head[cls].exchange(
+                            nullptr, std::memory_order_acquire)}) {
+      while (n != nullptr) {
+        FreeNode* next = n->next;
+        n->next = depot_[cls];
+        depot_[cls] = n;
+        n = next;
+      }
     }
   }
 }

@@ -10,22 +10,25 @@
 //  * Blocks are carved from 64-byte-aligned slabs in cache-line-multiple
 //    strides, one size class per stride. Each block carries a 16-byte
 //    header {pool, class, owner slot}; the owner is the slot whose slab the
-//    block was carved from and never changes.
+//    block was carved from, or the slot that last took it from the depot.
 //  * allocate(slot) pops the slot's local free list — single-owner, no
-//    atomics. On a local miss it flushes the slot's MPSC return stack; only
-//    when that is empty too does it touch the global heap (one slab per
-//    kSlabNodes allocations — the pool-miss counter).
+//    atomics. On a local miss it flushes the slot's MPSC return stack, then
+//    takes up to kSlabNodes blocks from the depot; only when both are empty
+//    does it touch the global heap (one slab per kSlabNodes allocations —
+//    the pool-miss counter).
 //  * release_block(p, slot) pushes back to the local list when the freeing
 //    slot owns the block, else onto the owner's MPSC return stack (Treiber
-//    push; the owner steals the whole stack with one exchange).
+//    push; the owner steals the whole stack with one exchange), or into
+//    the depot when the owner slot is vacant.
 //  * EBR integration: retirement uses ebr_destroy<T> as the epoch deleter,
 //    so a node goes retire → grace period → free list instead of retire →
 //    grace period → ::operator delete. The happens-before chain that makes
 //    reuse safe is EBR's own (unpin release → epoch advance → collect).
-//  * Thread churn: pool state is keyed by registry slot, not by thread, so
-//    a new thread reusing a slot inherits its predecessor's free lists; a
-//    ThreadRegistry release hook drains the slot's return stacks on detach
-//    so nothing idles in the MPSC stacks while the slot is vacant.
+//  * Thread churn: a ThreadRegistry release hook moves a detaching slot's
+//    free lists and return stacks into the depot, which any slot draws
+//    from before it carves. The pool so holds what its threads need at
+//    once, not what each slot needed at its busiest under whichever
+//    thread held it (DESIGN.md §7, "Depot").
 //
 // `ZSTM_POOL=0` (environment) or Config::use_node_pool = false disables
 // pooling: create/destroy degrade to plain new/delete (for debugging and
@@ -119,8 +122,8 @@ class NodePool {
   void* allocate(int slot, std::size_t size);
   static void release_block(void* p, int slot);
 
-  /// Splice the slot's cross-thread return stacks into its local free
-  /// lists. Runs automatically on ThreadRegistry slot release.
+  /// Move the slot's local free lists and return stacks into the depot.
+  /// Runs automatically on ThreadRegistry slot release.
   void drain_slot(int slot);
 
   // --- test introspection (owner thread or quiesced state only) ---------
@@ -171,6 +174,9 @@ class NodePool {
   }
 
   void* carve_slab(int slot, int cls);
+  /// Up to kSlabNodes depot blocks of class `cls`, re-owned by `slot`, as
+  /// a null-terminated list; nullptr when the depot has none.
+  FreeNode* take_from_depot(int slot, int cls);
   void* allocate_oversize(int slot, std::size_t size);
 
   void count_hit(int slot) {
@@ -197,6 +203,9 @@ class NodePool {
   std::vector<ReturnStacks> returns_;
   std::mutex slabs_mutex_;
   std::vector<void*> slabs_;
+  /// Free blocks of vacant slots, per class, for any slot to take.
+  std::mutex depot_mutex_;
+  FreeNode* depot_[kClassCount] = {};
 };
 
 }  // namespace zstm::object

@@ -1,8 +1,7 @@
 // ObjectStore — ownership and protocol core of the versioned-object
 // substrate (versioned.hpp), shared by all four runtimes.
 //
-// One store per runtime owns every transactional object and the runtime's
-// contention manager (built from its Config::cm_policy) for the runtime's
+// One store per runtime owns every transactional object for the runtime's
 // lifetime, and centralizes the logic that used to be copy-pasted per
 // runtime:
 //
@@ -14,8 +13,8 @@
 //   * acquire              — the open-for-write arbitration loop (Algorithm
 //                            1 lines 10-13, Algorithm 2 Openlong lines
 //                            8-11): settle finished writers, wait out
-//                            committing ones, and let the store's contention
-//                            manager arbitrate an active one.
+//                            committing ones and abort an active one, the
+//                            one contention-management rule (DESIGN.md §1).
 //   * open_for_write       — acquire, run the runtime's pre-write hook on
 //                            the settled head, install the duplicate; the
 //                            one write path of lsa, cs, sstm and zl.
@@ -62,7 +61,6 @@
 #include <memory>
 #include <mutex>
 
-#include "cm/contention_manager.hpp"
 #include "fault/failpoint.hpp"
 #include "object/node_pool.hpp"
 #include "object/versioned.hpp"
@@ -99,8 +97,7 @@ struct RetentionPolicy {
 
 /// Traits must provide:
 ///   Desc        — the runtime's transaction descriptor (derives
-///                 runtime::TxDescBase; its status and contention-
-///                 management inputs are used here).
+///                 runtime::TxDescBase; its status is used here).
 ///   VersionMeta — per-version metadata (aggregate; brace-initialized from
 ///                 the trailing arguments of allocate/make_var).
 ///   ObjectMeta  — per-object metadata (default-constructed).
@@ -114,8 +111,7 @@ class ObjectStore {
   template <typename T>
   using Var = object::Var<T, Object>;
 
-  /// The runtime's store: retention and contention manager from the
-  /// core's Config.
+  /// The runtime's store: retention from the core's Config.
   explicit ObjectStore(runtime::Core& core)
       : ObjectStore(core, RetentionPolicy{core.config().retention_mode,
                                           core.config().versions_kept}) {}
@@ -124,8 +120,7 @@ class ObjectStore {
       : core_(core),
         pool_(core.node_pool()),
         stats_(core.stats_domain()),
-        retention_(retention),
-        cm_(cm::make_manager(core.config().cm_policy)) {
+        retention_(retention) {
     // Normalize so the unsigned bound arithmetic below stays sane: at least
     // one version is always kept (matching the old per-runtime prune loops,
     // which degraded to single-version for versions_kept <= 0).
@@ -304,46 +299,35 @@ class ObjectStore {
 
   /// Open-for-write arbitration: loop until `o`'s locator has no foreign
   /// writer, settling finished writers, waiting out kCommitting ones (their
-  /// outcome decides our base version) and putting an active one to the
-  /// contention manager. Returns that locator (writer null or `self`), or
-  /// nullptr when the caller must abort: the manager chose kAbortSelf or
-  /// failpoint `site` (the caller's own acquire site) injected an abort.
-  /// Backoff and the manager's `attempt` count restart per call, i.e. per
-  /// conflict. Loads are seq_cst: Z-STM's long transactions pair them with
+  /// outcome decides our base version; each wait counts kCmWaits) and
+  /// aborting an active one (counted in kCmKills). That is DSTM's
+  /// Aggressive contention manager, the one rule every object runtime
+  /// uses (DESIGN.md §1). Returns the locator (writer null or `self`), or
+  /// nullptr when failpoint `site` (the caller's own acquire site) injected
+  /// an abort. Loads are seq_cst: Z-STM's long transactions pair them with
   /// their zone claims (DESIGN.md §5.1, §5.4).
   Locator* acquire(Object& o, Desc* self, int slot, fault::Site site) {
     util::Backoff bo;
-    std::uint32_t attempt = 0;
     for (;;) {
       if (fault::poke(site) == fault::Effect::kAbort) return nullptr;
       Locator* l = o.loc.load(std::memory_order_seq_cst);
       Desc* owner = l->writer;
       if (owner == nullptr || owner == self) return l;
       switch (owner->status(std::memory_order_seq_cst)) {
-        case runtime::TxStatus::kCommitted:
-        case runtime::TxStatus::kAborted:
-          settle(o, l, slot);
-          continue;
-        case runtime::TxStatus::kCommitting:
-          bo.pause();
-          continue;
         case runtime::TxStatus::kActive:
-          break;
-      }
-      switch (cm_->arbitrate(*self, *owner, attempt++)) {
-        case cm::Decision::kAbortOther:
+          // A lost CAS means the owner began committing: look again.
           if (owner->abort_by_enemy()) {
             stats_.add(slot, util::Counter::kCmKills);
             settle(o, l, slot);
           }
           continue;
-        case cm::Decision::kAbortSelf:
-          return nullptr;
-        case cm::Decision::kWait:
+        case runtime::TxStatus::kCommitting:
           stats_.add(slot, util::Counter::kCmWaits);
-          self->set_waiting(true);
           bo.pause();
-          self->set_waiting(false);
+          continue;
+        case runtime::TxStatus::kCommitted:
+        case runtime::TxStatus::kAborted:
+          settle(o, l, slot);
           continue;
       }
     }
@@ -354,8 +338,8 @@ class ObjectStore {
   /// — returns the private duplicate to install, or nullptr to look again
   /// (lsa after a snapshot extension); it may also throw to abort. A lost
   /// install CAS discards the duplicate and retries. Returns the installed
-  /// tentative version, counting kWrites and one unit of the writer's work,
-  /// or nullptr when acquire said abort (nothing cloned).
+  /// tentative version, counting kWrites, or nullptr when acquire said
+  /// abort (nothing cloned).
   template <typename Clone>
   Version* open_for_write(Object& o, Desc* self, int slot, fault::Site site,
                           Clone&& clone) {
@@ -365,7 +349,6 @@ class ObjectStore {
       Version* tentative = clone(l->committed);
       if (tentative == nullptr) continue;
       if (install(o, l, self, tentative)) {
-        self->add_work();
         stats_.add(slot, util::Counter::kWrites);
         return tentative;
       }
@@ -484,7 +467,6 @@ class ObjectStore {
   NodePool& pool_;
   util::StatsDomain& stats_;
   RetentionPolicy retention_;
-  std::unique_ptr<cm::ContentionManager> cm_;
   util::PaddedCounter object_ids_;
   std::mutex objects_mutex_;
   std::deque<std::unique_ptr<Object>> objects_;

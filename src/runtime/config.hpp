@@ -11,7 +11,7 @@
 //   zstm::runtime::Config cfg{.max_threads = 8, .versions_kept = 4};
 //   zstm::lsa::Runtime rt(cfg);
 //
-// The three enums the knobs take are declared here, in the namespaces of
+// The two enums the knobs take are declared here, in the namespaces of
 // the subsystems that interpret them.
 #pragma once
 
@@ -19,19 +19,6 @@
 #include <cstdint>
 
 namespace zstm {
-
-namespace cm {
-/// Contention-management policy (cm/contention_manager.hpp).
-enum class Policy {
-  kAggressive,  // always abort the other transaction
-  kSuicide,     // always abort self
-  kPolite,      // bounded waiting, then abort the other
-  kKarma,       // transaction with more invested work wins
-  kTimestamp,   // older transaction wins (greedy-style)
-  kGreedy,      // older-or-waiting owner loses (Guerraoui et al. Greedy)
-  kPolka,       // Karma with exponentially growing patience (Polite+Karma)
-};
-}  // namespace cm
 
 namespace timebase {
 /// Scalar commit timebase of lsa and zl (timebase/scalar_timebase.hpp).
@@ -60,8 +47,6 @@ struct Config {
   /// gives each object its own bound that doubles on too-old-version
   /// aborts and decays while quiet.
   object::RetentionMode retention_mode = object::RetentionMode::kFixed;
-  /// Object runtimes: arbitration of write/write conflicts.
-  cm::Policy cm_policy = cm::Policy::kPolite;
   /// Slab-pool node allocation (DESIGN.md §7); the ZSTM_POOL=0 environment
   /// variable overrides it to false (debugging, ASan).
   bool use_node_pool = true;
@@ -79,11 +64,6 @@ struct Config {
   /// cs-r: r, the number of plausible-clock entries (§4.3), clamped to
   /// [1, max_threads].
   int plausible_entries = 4;
-  /// zl: a short transaction crossing an active zone waits for it to
-  /// quiesce (up to zone_wait_attempts backoff rounds) instead of aborting
-  /// at once ("the contention manager ... would typically abort T").
-  bool wait_on_zone_conflict = false;
-  std::uint32_t zone_wait_attempts = 256;
 };
 
 }  // namespace runtime

@@ -1,9 +1,8 @@
 // runtime::Core — the part every runtime builds the same way (DESIGN.md §1):
 // the one Config, the thread registry, the stats domain, the node pool, EBR,
-// the history recorder, the transaction-id lanes and the contention
-// manager's start ticks. lsa, cs, sstm and tl2 derive from it (zl wraps
-// lsa); the versioned-object store reaches the pool, stats and EBR through
-// it.
+// the history recorder and the transaction-id lanes. lsa, cs, sstm and tl2
+// derive from it (zl wraps lsa); the versioned-object store reaches the
+// pool, stats and EBR through it.
 //
 // Member order is teardown order, reversed: the pool outlives the
 // EpochManager, whose destructor drains deleters that return nodes to the
@@ -69,11 +68,6 @@ class Core {
     return (tick << kSlotBits) | static_cast<std::uint64_t>(slot);
   }
 
-  /// Start-time tick for the contention manager's age-based policies.
-  std::uint64_t next_tick() {
-    return ticks_.value.fetch_add(1, std::memory_order_relaxed);
-  }
-
   /// Retire `p` (a pool-created node) through EBR: it returns to the pool
   /// once no pinned thread can reach it, or is deleted when the pool is
   /// off. Must be called by the thread owning `slot`.
@@ -95,7 +89,6 @@ class Core {
   history::Recorder recorder_;
 
  private:
-  util::PaddedCounter ticks_;
   std::vector<util::PaddedCounter> id_lanes_;
 };
 

@@ -87,34 +87,11 @@ class TxDescBase {
     }
   }
 
-  // --- contention-management inputs ------------------------------------
-  std::uint64_t start_ticks() const { return start_ticks_; }
-  void set_start_ticks(std::uint64_t t) { start_ticks_ = t; }
-
-  /// "Karma": amount of work invested (opens performed across retries).
-  std::uint64_t work() const { return work_.load(std::memory_order_relaxed); }
-  void add_work(std::uint64_t n = 1) {
-    work_.fetch_add(n, std::memory_order_relaxed);
-  }
-
-  std::uint32_t retries() const { return retries_; }
-  void set_retries(std::uint32_t r) { retries_ = r; }
-
-  /// "Greedy": set by the owner thread while it backs off waiting on a
-  /// conflict; a waiting transaction forfeits its priority and may be
-  /// killed by any requester.
-  bool waiting() const { return waiting_.load(std::memory_order_relaxed); }
-  void set_waiting(bool w) { waiting_.store(w, std::memory_order_relaxed); }
-
  private:
   std::atomic<TxStatus> status_{TxStatus::kActive};
   std::uint64_t id_;
   int slot_;
   TxClass class_;
-  std::uint64_t start_ticks_ = 0;
-  std::atomic<std::uint64_t> work_{0};
-  std::uint32_t retries_ = 0;
-  std::atomic<bool> waiting_{false};
 };
 
 }  // namespace zstm::runtime

@@ -173,7 +173,6 @@ Tx& ThreadCtx::begin(TxKind) {
   if (in_transaction()) abort_attempt();
   tx_.desc_ = rt_.allocate_desc(slot());
   tx_.desc_->ct = vcp_;  // T.ct starts from the thread's last committed stamp
-  tx_.desc_->set_start_ticks(rt_.next_tick());
   epoch_guard_ = rt_.epochs_.pin_guard(slot());
   tx_.read_set_.clear();
   tx_.write_set_.clear();
@@ -437,7 +436,6 @@ const runtime::Payload& Tx::read_object(Object& o) {
   }
   Runtime& rt = ctx_.rt_;
   const int s = ctx_.slot();
-  desc_->add_work();
   rt.stats_.add(s, util::Counter::kReads);
 
   for (;;) {

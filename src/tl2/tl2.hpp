@@ -243,8 +243,8 @@ class ThreadCtx {
 };
 
 /// Built on runtime::Core like the object runtimes, tl2 uses its registry,
-/// stats, pool, recorder and id lanes; with no versions to reclaim and no
-/// contention manager, it never touches the core's EBR or start ticks.
+/// stats, pool, recorder and id lanes; with no versions to reclaim, it
+/// never touches the core's EBR.
 class Runtime : public runtime::Core {
  public:
   template <typename T>

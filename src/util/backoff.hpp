@@ -1,5 +1,5 @@
-// Bounded exponential backoff for retry loops and "Polite" contention
-// management. Spins with pause hints first, then yields, so that on
+// Bounded exponential backoff for retry loops and for waiting out a
+// committing owner (ObjectStore::acquire). Spins with pause hints first, then yields, so that on
 // oversubscribed machines (threads > cores, as in the paper's 32-thread runs
 // on 8 cores) waiting transactions release the CPU instead of starving the
 // transaction they are waiting for.

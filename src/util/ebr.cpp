@@ -1,5 +1,7 @@
 #include "util/ebr.hpp"
 
+#include <thread>
+
 #include "fault/failpoint.hpp"
 
 namespace zstm::util {
@@ -28,6 +30,7 @@ EpochManager::~EpochManager() { drain_all(); }
 void EpochManager::pin(int slot) {
   auto& st = slots_[static_cast<std::size_t>(slot)];
   if (st.nesting++ > 0) return;  // already pinned by an outer guard
+  reclaim(slot);
   // seq_cst: the announcement must be globally visible before this thread
   // dereferences any shared version pointer, otherwise a concurrent
   // try_advance() could free memory this thread is about to read.
@@ -64,6 +67,18 @@ void EpochManager::flush(int slot) {
   // past retire_epoch + 2 for everything retired before this call.
   for (int i = 0; i < 3; ++i) collect(slot);
   slots_[static_cast<std::size_t>(slot)].since_collect = 0;
+}
+
+void EpochManager::reclaim(int slot) {
+  // Unannounced, the slot cannot hold the epoch back itself. The list is
+  // scanned again only once no straggler is left, and each yield hands the
+  // CPU to a straggler that may be waiting for one.
+  const auto& list = garbage_[static_cast<std::size_t>(slot)].value;
+  if (list.size() >= kGarbageCap) collect(slot);
+  for (int i = 0; i < kReclaimYields && list.size() >= kGarbageCap; ++i) {
+    std::this_thread::yield();
+    if (try_advance()) collect(slot);
+  }
 }
 
 bool EpochManager::try_advance() {

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -36,6 +37,15 @@ class EpochManager {
   /// every kCollectPeriod-th retire: the all-slots announcement scan is
   /// amortized at the cost of more deferred garbage.
   static constexpr int kCollectPeriod = 64;
+  /// A slot holding this many unfreed retires waits, at its next outermost
+  /// pin, for the epoch to free them (see reclaim()). A straggler pinned in
+  /// an old epoch (a long attempt, a descheduled thread) otherwise lets
+  /// every other slot's garbage, and the pool slabs behind it, grow for as
+  /// long as it stays pinned.
+  static constexpr std::size_t kGarbageCap = 8192;
+  /// Most yields one such wait takes before pinning anyway: a long pin
+  /// slows the retiring slots down but never stops them.
+  static constexpr int kReclaimYields = 1000;
 
   explicit EpochManager(ThreadRegistry& registry);
   ~EpochManager();
@@ -140,6 +150,10 @@ class EpochManager {
   static constexpr std::uint64_t kQuiescent = ~std::uint64_t{0};
 
   bool try_advance();
+  /// pin()'s wait, unpinned, when the slot holds kGarbageCap retires:
+  /// collect, then yield until it holds fewer or kReclaimYields yields
+  /// have passed.
+  void reclaim(int slot);
 
   ThreadRegistry& registry_;
   // Padded, not just alignas: alignas only anchors the *start* of the

@@ -31,8 +31,8 @@ enum class Counter : int {
   kValidationFails,  // commit-time validation aborts
   kZoneConflicts,    // Z-STM short transactions hitting an active zone edge
   kZonePassed,       // Z-STM long transactions passed by a higher zc
-  kCmWaits,          // contention-manager imposed delays
-  kCmKills,          // contention-manager aborts of the enemy
+  kCmWaits,          // acquire's waits on a committing owner
+  kCmKills,          // acquire's aborts of an active owner
   kFalseConflicts,   // plausible-clock-induced aborts (vs. exact VC verdict)
   kRetentionGrows,   // adaptive retention: per-object bound doubled
   kRetentionDecays,  // adaptive retention: per-object bound shrank by one

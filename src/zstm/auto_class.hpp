@@ -146,11 +146,10 @@ runtime::RunResult run_auto(ThreadCtx& ctx, AutoClassifier& cls, int site,
   const runtime::RunResult result = runtime::retry(
       ctx, [&] { return ctx.begin(kind); },
       [&](Tx& tx) {
-        // Opens counted through the descriptor's work counter (maintained
-        // for contention management); the committing attempt's count wins.
-        const std::uint64_t base = tx.descriptor()->work();
+        // Each attempt begins a fresh handle; the committing one's count
+        // wins.
         body(tx);
-        opens = tx.descriptor()->work() - base;
+        opens = tx.opens();
       });
   cls.record(site, opens, result.attempts - 1, as_long);
   return result;

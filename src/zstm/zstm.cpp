@@ -59,7 +59,7 @@ void ShortTx::check_zone(lsa::Object& o) {
   lsa::Runtime& sub = rt.lsa_;
   const int s = ctx_.slot();
 
-  std::uint64_t ozc = o.zc.load(std::memory_order_acquire);
+  const std::uint64_t ozc = o.zc.load(std::memory_order_acquire);
   if (first_open_pending_) {
     // Openshort lines 6-15: the first object determines the zone.
     const std::uint64_t lzc = rt.lzc(s);
@@ -72,9 +72,9 @@ void ShortTx::check_zone(lsa::Object& o) {
         sub.stats_domain().add(s, util::Counter::kZoneConflicts);
         inner_->abort();
       }
-      zc_ = rt.commit_time();  // line 11
+      join_zone(rt.commit_time());  // line 11
     } else {
-      zc_ = ozc;  // line 14
+      join_zone(ozc);  // line 14
     }
     first_open_pending_ = false;
     return;
@@ -82,44 +82,49 @@ void ShortTx::check_zone(lsa::Object& o) {
 
   if (zc_ == ozc) return;  // same zone: proceed (line 16 false)
 
-  // Lines 17-21: different zones.
-  util::Backoff bo;
-  std::uint32_t attempts = 0;
-  for (;;) {
-    const std::uint64_t ct = rt.commit_time();
-    if (zc_ <= ct && ozc <= ct) {
-      // Both zones are in the past; serialize at the current commit time
-      // (line 20).
-      zc_ = ct;
-      return;
-    }
-    // conflict(T, oi.zc): the contention manager delays or aborts T.
-    sub.stats_domain().add(s, util::Counter::kZoneConflicts);
-    if (!rt.config().wait_on_zone_conflict ||
-        ++attempts > rt.config().zone_wait_attempts) {
-      inner_->abort();
-    }
-    bo.pause();
-    ozc = o.zc.load(std::memory_order_acquire);
-  }
+  // Lines 17-21: different zones. Both in the past: serialize at the
+  // current commit time (line 20).
+  if (try_slide(ozc, rt.commit_time())) return;
+  // conflict(T, oi.zc): the paper's contention manager "would typically
+  // abort T", and so do we.
+  sub.stats_domain().add(s, util::Counter::kZoneConflicts);
+  inner_->abort();
+}
+
+bool ShortTx::try_slide(std::uint64_t other, std::uint64_t ct) {
+  if (zc_ > ct || other > ct) return false;
+  // Already at CT, we pass no long transaction, so our reads need no check
+  // (DESIGN.md §5.5).
+  if (zc_ < ct && !inner_->reads_still_current()) return false;
+  join_zone(ct);
+  return true;
+}
+
+void ShortTx::join_zone(std::uint64_t z) {
+  zc_ = z;
+  if (z != 0) inner_->forbid_past_reads();
 }
 
 const runtime::Payload& ShortTx::read_object(lsa::Object& o) {
   check_zone(o);
-  return inner_->read_object(o);
+  const runtime::Payload& p = inner_->read_object(o);
+  verify_zone(o);  // same race closures as the typed read() and write()
+  return p;
 }
 
 runtime::Payload& ShortTx::write_object(lsa::Object& o) {
   check_zone(o);
   runtime::Payload& p = inner_->write_object(o);
-  // Same zone-check/install race closure as the typed write() path.
-  verify_zone_after_write(o);
+  verify_zone(o);
   return p;
 }
 
-void ShortTx::verify_zone_after_write(lsa::Object& o) {
-  // seq_cst load after our seq_cst locator install (ObjectStore::install):
-  // pairs with LongTx::claim_zone + ObjectStore::acquire.
+void ShortTx::verify_zone(lsa::Object& o) {
+  // After a write: a seq_cst load after our seq_cst locator install
+  // (ObjectStore::install), pairing with LongTx::claim_zone +
+  // ObjectStore::acquire (DESIGN.md §5.1). After a read: a version written
+  // in a long transaction's zone was published after that long one's
+  // claim, so having read it we see the claim here (§5.5).
   if (!zone_holds(o)) inner_->abort();
 }
 
@@ -144,12 +149,9 @@ bool ShortTx::zone_holds(lsa::Object& o) {
   // A long transaction claimed this object after our zone check. If every
   // involved zone is already committed we can slide to the current commit
   // time (Algorithm 3 line 20 semantics); otherwise we must not keep a
-  // write the long transaction may have already read past.
-  const std::uint64_t ct = rt.commit_time();
-  if (zc_ <= ct && ozc <= ct) {
-    zc_ = ct;
-    return true;
-  }
+  // write the long transaction may have already read past, nor a read of
+  // its zone's writes.
+  if (try_slide(ozc, rt.commit_time())) return true;
   rt.lsa_.stats_domain().add(ctx_.slot(), util::Counter::kZoneConflicts);
   return false;
 }
@@ -169,7 +171,6 @@ LongTx& ThreadCtx::begin_long() {
   const std::uint64_t id = sub.next_tx_id(s);
   tx.desc_ = sub.node_pool().create<lsa::TxDesc>(s, id, s,
                                                  runtime::TxClass::kLong);
-  tx.desc_->set_start_ticks(sub.next_tick());
   long_epoch_guard_ = sub.epochs().pin_guard(s);
   // Startlong line 3: T.zc ← ++ZC — a fresh, unique zone number.
   tx.zc_ = rt_.zc_.value.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -303,7 +304,7 @@ void LongTx::claim_zone(lsa::Object& o) {
   // seq_cst: this store and the subsequent locator load in
   // ObjectStore::acquire form one half of a Dekker pair with short
   // transactions' locator-install + zone-re-check (ShortTx::
-  // verify_zone_after_write). At least one side must observe the other or
+  // verify_zone). At least one side must observe the other or
   // a short could commit writes that straddle our snapshot frontier.
   std::uint64_t cur = o.zc.load(std::memory_order_seq_cst);
   for (;;) {
@@ -333,7 +334,6 @@ const runtime::Payload& LongTx::read_object(lsa::Object& o) {
   if (lsa::WriteEntry* we = find_write(o)) return *we->tentative->data;
   lsa::Runtime& sub = ctx_.rt_.lsa_;
   const int s = ctx_.slot();
-  desc_->add_work();
   sub.stats_domain().add(s, util::Counter::kReads);
 
   claim_zone(o);

@@ -12,8 +12,8 @@
 //  * Startlong:  T.zc ← ++ZC — a unique logical time (line 3).
 //  * Openlong:   the object's zone stamp o.zc is raised to T.zc; if a long
 //    transaction with a higher zc already touched the object, we were
-//    "passed" and abort (lines 6, 19-21). Any current writer is arbitrated
-//    away by the contention manager (lines 8-11). Writes are visible
+//    "passed" and abort (lines 6, 19-21). An active writer is aborted
+//    (lines 8-11, ObjectStore::acquire). Writes are visible
 //    (locator install); reads take the current committed version — no read
 //    set, no write-set validation ever.
 //  * Commitlong: commit iff T.zc > CT, then CT ← T.zc (lines 24-26) —
@@ -23,9 +23,9 @@
 // Short transactions (Algorithm 3): the first opened object determines the
 // transaction's zone (lines 6-15); every later open checks for a zone
 // crossing (lines 16-22) — crossing an *active* zone (one whose long
-// transaction may still be live, i.e. zone id in (CT, ZC]) is a conflict
-// that the contention manager resolves by delaying or aborting the short
-// transaction. The thread-local LZC forbids moving backwards past an
+// transaction may still be live, i.e. zone id in (CT, ZC]) is a conflict,
+// and the short transaction aborts (the paper's contention manager "would
+// typically abort T"). The thread-local LZC forbids moving backwards past an
 // active long transaction (property 4). Everything else — snapshots,
 // validation, commit — is plain LSA (line 23's OpenLSA).
 //
@@ -50,8 +50,7 @@ namespace zstm::zl {
 using runtime::TxAborted;
 using runtime::TxKind;
 
-/// Zone-crossing conflicts follow Config::wait_on_zone_conflict and
-/// zone_wait_attempts; everything else configures the LSA substrate.
+/// Z-STM has no knobs of its own: the Config configures the LSA substrate.
 using Config = runtime::Config;
 
 class Runtime;
@@ -108,7 +107,11 @@ class ShortTx : private lsa::CommitCheck {
   template <typename T>
   const T& read(const lsa::Var<T>& var) {
     check_zone(*var.object());
-    return inner_->read(var);
+    const T& ref = inner_->read(var);
+    // Close the zone-check/read race: a long transaction that claimed the
+    // object in between may already have a write from its zone current.
+    verify_zone(*var.object());
+    return ref;
   }
   template <typename T>
   T& write(lsa::Var<T>& var) {
@@ -117,8 +120,8 @@ class ShortTx : private lsa::CommitCheck {
     // Close the zone-check/install race against a concurrent long
     // transaction: our locator is now installed (seq_cst), so either the
     // long transaction's open sees it and arbitrates, or we see its zone
-    // stamp here and resolve the crossing (see verify_zone_after_write).
-    verify_zone_after_write(*var.object());
+    // stamp here and resolve the crossing (see verify_zone).
+    verify_zone(*var.object());
     return ref;
   }
   template <typename T>
@@ -142,11 +145,20 @@ class ShortTx : private lsa::CommitCheck {
   explicit ShortTx(ThreadCtx& ctx) : ctx_(ctx) {}
 
   void check_zone(lsa::Object& o);
-  void verify_zone_after_write(lsa::Object& o);
+  /// Aborts unless zone_holds(o): run after every open (DESIGN.md §5.1,
+  /// §5.5).
+  void verify_zone(lsa::Object& o);
   /// Re-reads o.zc (seq_cst): true while it still matches our zone, or
   /// once both zones are committed (sliding to CT); false, counting a zone
   /// conflict, when a still-active long transaction claimed o.
   bool zone_holds(lsa::Object& o);
+  /// Slide to `ct` when both our zone and `other` are committed (Algorithm
+  /// 3 line 20) and, unless we are at `ct` already, every version we read
+  /// is still current: sliding puts us after the long transactions up to
+  /// `ct`, which read current versions (DESIGN.md §5.5).
+  bool try_slide(std::uint64_t other, std::uint64_t ct);
+  /// Enter zone `z`; past zone 0 no read may fall back to the past.
+  void join_zone(std::uint64_t z);
   /// Commit-time zone re-check of every written object (DESIGN.md §5.4).
   bool admit(const std::vector<lsa::WriteEntry>& writes) override;
 
@@ -159,7 +171,9 @@ class ShortTx : private lsa::CommitCheck {
 /// The dispatching handle ThreadCtx::begin(kind) returns: a Z-STM
 /// transaction is short or long, with different native types, and one
 /// branch per access picks the class in flight. run_auto's bodies and the
-/// api façade's receive it.
+/// api façade's receive it. It also counts the opens made through it,
+/// which run_auto's classifier samples (§5.3): a plain member, since only
+/// the owning thread touches the handle.
 class Tx {
  public:
   explicit Tx(ShortTx& tx) : short_(&tx) {}
@@ -167,10 +181,12 @@ class Tx {
 
   template <typename T>
   const T& read(const lsa::Var<T>& var) {
+    ++opens_;
     return long_ != nullptr ? long_->read(var) : short_->read(var);
   }
   template <typename T>
   T& write(lsa::Var<T>& var) {
+    ++opens_;
     return long_ != nullptr ? long_->write(var) : short_->write(var);
   }
   template <typename T>
@@ -183,22 +199,22 @@ class Tx {
   }
 
   const runtime::Payload& read_object(lsa::Object& o) {
+    ++opens_;
     return long_ != nullptr ? long_->read_object(o) : short_->read_object(o);
   }
   runtime::Payload& write_object(lsa::Object& o) {
+    ++opens_;
     return long_ != nullptr ? long_->write_object(o) : short_->write_object(o);
   }
 
   bool is_long() const { return long_ != nullptr; }
-  /// The descriptor of the class in flight (contention-manager karma).
-  lsa::TxDesc* descriptor() const {
-    return long_ != nullptr ? long_->descriptor()
-                            : short_->inner().descriptor();
-  }
+  /// Reads and writes made through this handle so far.
+  std::uint64_t opens() const { return opens_; }
 
  private:
   ShortTx* short_ = nullptr;
   LongTx* long_ = nullptr;
+  std::uint64_t opens_ = 0;
 };
 
 class ThreadCtx {

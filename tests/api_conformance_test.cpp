@@ -7,8 +7,8 @@
 // on/off equivalence — and on the implicit-attachment lifecycle (thread
 // churn must reclaim registry slots; this extends tests/node_pool_test.cpp's
 // slot-release pattern to the API layer). It also pins the attempt
-// contract: bodies receive each runtime's own handle, begin(kind) applies
-// DESIGN.md §8's kind table, and RetryPolicy rung 2 credits karma.
+// contract: bodies receive each runtime's own handle, and begin(kind)
+// applies DESIGN.md §8's kind table.
 //
 // CTest label: `conformance` (DESIGN.md §6/§8); rounds scale with
 // ZSTM_STRESS_ROUNDS and the suite runs under the TSan CI job.
@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -137,12 +138,20 @@ TYPED_TEST(ApiConformance, AbortedAttemptLeavesNoTraceAndRetries) {
 
   int tries = 0;
   const api::RunResult r = stm.run(TxKind::kUpdate, [&](auto& tx) {
+    const int attempt = ++tries;
     tx.write(x) = 99;  // visible only if this attempt commits
-    if (++tries < 2) tx.abort();
+    if (attempt < 2) tx.abort();
     tx.write(x) = 1;
   });
   EXPECT_TRUE(r.committed);
-  EXPECT_EQ(r.attempts, 2u);
+  // Every attempt is reported. The one voluntary abort costs exactly one
+  // attempt, unless a failpoint recipe (ctest --preset chaos) injects more.
+  EXPECT_EQ(r.attempts, static_cast<std::uint32_t>(tries));
+  if (std::getenv("ZSTM_FAILPOINTS") == nullptr) {
+    EXPECT_EQ(r.attempts, 2u);
+  } else {
+    EXPECT_GE(r.attempts, 2u);
+  }
   stm.run(TxKind::kReadOnly, [&](auto& tx) { EXPECT_EQ(tx.read(x), 1); });
 }
 
@@ -344,43 +353,6 @@ TEST(TxKindTable, ZlRunsTheLongKindsLong) {
     th->abort_attempt();
     EXPECT_FALSE(th->in_transaction());
   }
-}
-
-// --- RetryPolicy rung 2: karma credited through tx.descriptor() ------------
-
-/// Aborts the first three attempts; from cm_escalate_after = 2 on, each
-/// fresh descriptor starts with the aborted-attempt count as work.
-template <typename S>
-void expect_rung2_karma(TxKind kind) {
-  CommonConfig cfg;
-  cfg.max_threads = 4;
-  cfg.retry.cm_escalate_after = 2;
-  S stm(cfg);
-  auto x = stm.make_var(0L);
-  std::vector<std::uint64_t> work;
-  const api::RunResult r = stm.run(kind, [&](auto& tx) {
-    work.push_back(tx.descriptor()->work());
-    if (work.size() <= 3) tx.abort();
-    tx.write(x) += 1;
-  });
-  EXPECT_TRUE(r.committed);
-  EXPECT_EQ(r.attempts, 4u);
-  EXPECT_EQ(work, (std::vector<std::uint64_t>{0, 0, 2, 3}));
-}
-
-template <typename S>
-class RetryRung2 : public ::testing::Test {};
-
-using CmVariants = ::testing::Types<api::LsaStm, api::CsVcStm,
-                                    api::CsRevStm, api::SStm, api::ZStm>;
-TYPED_TEST_SUITE(RetryRung2, CmVariants);
-
-TYPED_TEST(RetryRung2, CreditsAttemptsAsKarma) {
-  expect_rung2_karma<TypeParam>(TxKind::kUpdate);
-}
-
-TEST(RetryRung2Zl, CreditsLongAttemptsAsKarma) {
-  expect_rung2_karma<api::ZStm>(TxKind::kLongUpdate);
 }
 
 // --- AnyStm: name resolution and erased-handle semantics --------------------

@@ -14,7 +14,7 @@ using runtime::TxClass;
 
 struct Builder {
   History h;
-  std::uint64_t next_tick = 1;
+  std::uint64_t next_seq = 1;
 
   Builder() { h.txs.reserve(64); }  // keep tx() references stable
 
@@ -24,8 +24,8 @@ struct Builder {
     r.thread_slot = slot;
     r.tx_class = cls;
     r.committed = true;
-    r.begin_seq = next_tick++;
-    r.end_seq = next_tick++;
+    r.begin_seq = next_seq++;
+    r.end_seq = next_seq++;
     h.txs.push_back(r);
     return h.txs.back();
   }

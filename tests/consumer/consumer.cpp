@@ -74,7 +74,8 @@ int main() {
   }
   {
     zstm::sstm::Runtime rt(
-        Config{.max_threads = 4, .cm_policy = zstm::cm::Policy::kKarma});
+        Config{.max_threads = 4,
+               .retention_mode = zstm::object::RetentionMode::kAdaptive});
     ok = ok && commit_one(rt);
   }
   {
@@ -83,7 +84,7 @@ int main() {
   }
   {
     zstm::zl::Runtime rt(
-        Config{.max_threads = 4, .wait_on_zone_conflict = true});
+        Config{.max_threads = 4, .track_readonly_readsets = false});
     ok = ok && commit_one(rt, [&](auto& th, auto&& body) {
            return rt.run_short(th, body);
          });

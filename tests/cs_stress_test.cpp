@@ -71,7 +71,6 @@ TEST(CsStress, BankInvariantRevScalar) {
 
 TEST(CsStress, BankInvariantAggressiveCm) {
   Config cfg{.max_threads = 16};
-  cfg.cm_policy = cm::Policy::kAggressive;
   auto rt = make_vc_runtime(cfg);
   run_bank(rt, 4, test_env::stress_rounds(1500));
 }

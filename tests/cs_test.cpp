@@ -138,7 +138,6 @@ TEST(Cs, FigureThreeReaderOfCausallyOverwrittenVersionAborts) {
 
 TEST(Cs, WriteWriteConflictSingleWriterRule) {
   Config cfg = quiet_config();
-  cfg.cm_policy = cm::Policy::kAggressive;
   auto rt = make_vc_runtime(cfg);
   auto x = rt->make_var<int>(0);
   auto a = rt->attach();

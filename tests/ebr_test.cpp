@@ -107,6 +107,46 @@ TEST(Ebr, StragglerBlocksAdvancement) {
   EXPECT_EQ(ebr.global_epoch(), e1);
 }
 
+// A slot left holding kGarbageCap retires by a straggler frees down below
+// the cap at its next pin, once the straggler has unpinned.
+TEST(Ebr, PinFreesGarbageOverTheCapOnceTheStragglerLeaves) {
+  ThreadRegistry reg(4);
+  EpochManager ebr(reg);
+  auto a = reg.attach();
+  auto b = reg.attach();
+  std::atomic<int> alive{0};
+  const int n = static_cast<int>(EpochManager::kGarbageCap) + 10;
+  {
+    auto straggler = ebr.pin_guard(a.slot());
+    for (int i = 0; i < n; ++i) ebr.retire(b.slot(), new Tracked(alive));
+    EXPECT_EQ(alive.load(), n);  // nothing freeable while a is pinned
+  }
+  auto g = ebr.pin_guard(b.slot());
+  EXPECT_LT(alive.load(), static_cast<int>(EpochManager::kGarbageCap));
+}
+
+// The wait is bounded: a straggler that stays pinned slows the next pin
+// down but never blocks it, and nothing it may still reach is freed.
+TEST(Ebr, PinOverTheCapReturnsWhileAStragglerStaysPinned) {
+  ThreadRegistry reg(4);
+  EpochManager ebr(reg);
+  auto a = reg.attach();
+  auto b = reg.attach();
+  std::atomic<int> alive{0};
+  const int n = static_cast<int>(EpochManager::kGarbageCap) + 10;
+  {
+    auto straggler = ebr.pin_guard(a.slot());
+    for (int i = 0; i < n; ++i) ebr.retire(b.slot(), new Tracked(alive));
+    {
+      auto g = ebr.pin_guard(b.slot());
+      EXPECT_TRUE(ebr.pinned(b.slot()));
+    }
+    EXPECT_EQ(alive.load(), n);
+  }
+  ebr.drain_all();
+  EXPECT_EQ(alive.load(), 0);
+}
+
 TEST(Ebr, CountsAreMonotone) {
   ThreadRegistry reg(2);
   EpochManager ebr(reg);

@@ -17,13 +17,11 @@
 namespace zstm {
 namespace {
 
-TEST(FailureInjection, StalledOwnerIsEventuallyKilledByPolite) {
+TEST(FailureInjection, StalledOwnerIsKilled) {
   // A transaction acquires write ownership and stalls (simulating a
-  // descheduled or crashed thread mid-transaction). Polite waits a bounded
-  // number of episodes, then kills it — the system stays live.
-  lsa::Config cfg{.max_threads = 8};
-  cfg.cm_policy = cm::Policy::kPolite;
-  lsa::Runtime rt(cfg);
+  // descheduled or crashed thread mid-transaction). The next writer kills
+  // it — the system stays live.
+  lsa::Runtime rt(lsa::Config{.max_threads = 8});
   auto x = rt.make_var<int>(0);
 
   auto staller = rt.attach();
@@ -60,11 +58,9 @@ TEST(FailureInjection, AbandonedContextReleasesOwnershipOnDestruction) {
 }
 
 TEST(FailureInjection, EnemyAbortStormPreservesCounts) {
-  // Aggressive CM on a single hot object: maximal enemy-abort traffic must
-  // not lose or duplicate increments.
-  lsa::Config cfg{.max_threads = 8};
-  cfg.cm_policy = cm::Policy::kAggressive;
-  lsa::Runtime rt(cfg);
+  // A single hot object: maximal enemy-abort traffic must not lose or
+  // duplicate increments.
+  lsa::Runtime rt(lsa::Config{.max_threads = 8});
   auto x = rt.make_var<long>(0);
   constexpr int kThreads = 4;
   const int kIncrements = test_env::stress_rounds(2000);
@@ -117,9 +113,7 @@ TEST(FailureInjection, SstmSurvivesKilledReaders) {
   // Readers registered in visible-reader lists get enemy-killed mid-flight
   // by cycle resolution or CM; the lists must never dangle (descriptors are
   // runtime-retained) and the system must stay consistent.
-  sstm::Config cfg{.max_threads = 16};
-  cfg.cm_policy = cm::Policy::kAggressive;
-  sstm::Runtime rt(cfg);
+  sstm::Runtime rt(sstm::Config{.max_threads = 16});
   auto x = rt.make_var<long>(0);
   auto y = rt.make_var<long>(0);
 

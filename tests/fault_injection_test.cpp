@@ -1,5 +1,6 @@
 // The failpoint registry (src/fault/, DESIGN.md §11): site registration and
-// allowed-effect masks, deterministic triggering under a fixed seed, the
+// allowed-effect masks, a rejected environment recipe stopping the process,
+// deterministic triggering under a fixed seed, the
 // zero-cost disabled path, OOM injection surfacing as a clean abort, effect
 // delivery through real runtimes, one abort counted per aborted
 // open-for-write attempt, and the façade's serial-irrevocable fallback
@@ -12,12 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "api/stm_api.hpp"
-#include "cm/contention_manager.hpp"
 #include "cs/cs.hpp"
 #include "fault/failpoint.hpp"
 #include "lsa/lsa.hpp"
@@ -80,6 +82,49 @@ TEST(FaultRegistry, SpecParsing) {
   EXPECT_FALSE(registry().load_spec("lsa.acquire:banana"));
   // A disallowed effect in a spec is a parse failure, not a silent skip.
   EXPECT_FALSE(registry().load_spec("store.settle_cas:1.0:0:abort"));
+  // The first rejected entry is reported; the others still arm.
+  std::string rejected;
+  EXPECT_FALSE(registry().load_spec(
+      "cs.acquire:0.1,sstm.aquire:0.1,zl.acquire:x", &rejected));
+  EXPECT_EQ(rejected, "sstm.aquire:0.1");
+  EXPECT_TRUE(registry().armed(Site::kCsAcquire));
+}
+
+void commit_one_transaction() {
+  lsa::Runtime rt(small_lsa());
+  auto x = rt.make_var<long>(0);
+  auto th = rt.attach();
+  rt.run(*th, [&](lsa::Tx& tx) { tx.write(x, 1L); });
+}
+
+TEST(FaultRegistryDeathTest, RejectedEnvironmentRecipeStopsTheProcess) {
+  // The registry reads ZSTM_FAILPOINTS before main, so each child must be a
+  // fresh exec of this binary with the recipe in its environment (the
+  // threadsafe death-test style). It must die before its one transaction
+  // can run, naming the entry it rejected.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const char* saved = std::getenv("ZSTM_FAILPOINTS");
+  const std::string restore = saved != nullptr ? saved : "";
+  struct Case {
+    const char* recipe;
+    const char* rejected;
+  };
+  constexpr Case kCases[] = {
+      {"lsa.aquire:0.05", "lsa.aquire:0.05"},  // misspelled site
+      {"lsa.acquire:0.05,ebr.retire:1.0:0:abort",
+       "ebr.retire:1.0:0:abort"},              // effect the site refuses
+      {"zl.acquire:often", "zl.acquire:often"},  // not a probability
+  };
+  for (const Case& c : kCases) {
+    ::setenv("ZSTM_FAILPOINTS", c.recipe, 1);
+    EXPECT_DEATH(commit_one_transaction(),
+                 std::string("rejected entry '") + c.rejected + "'");
+  }
+  if (saved != nullptr) {
+    ::setenv("ZSTM_FAILPOINTS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("ZSTM_FAILPOINTS");
+  }
 }
 
 // --- disabled path ----------------------------------------------------------
@@ -255,37 +300,34 @@ TEST(FaultEffects, DelayInjectionOnlyWidensWindows) {
 // --- one kAborts per aborted attempt ----------------------------------------
 
 /// The native runtimes whose writes open through ObjectStore::open_for_write,
-/// each with its own acquire failpoint site and contention-manager policy.
+/// each with its own acquire failpoint site.
 struct LsaRig {
   using Aborted = lsa::TxAborted;
   static constexpr Site kAcquire = Site::kLsaAcquire;
-  static std::unique_ptr<lsa::Runtime> make(cm::Policy p) {
-    lsa::Config cfg = small_lsa();
-    cfg.cm_policy = p;
-    return std::make_unique<lsa::Runtime>(cfg);
+  static std::unique_ptr<lsa::Runtime> make() {
+    return std::make_unique<lsa::Runtime>(small_lsa());
   }
 };
 struct CsVcRig {
   using Aborted = cs::TxAborted;
   static constexpr Site kAcquire = Site::kCsAcquire;
-  static std::unique_ptr<cs::VcRuntime> make(cm::Policy p) {
-    return cs::make_vc_runtime(cs::Config{.max_threads = 4, .cm_policy = p});
+  static std::unique_ptr<cs::VcRuntime> make() {
+    return cs::make_vc_runtime(cs::Config{.max_threads = 4});
   }
 };
 struct CsRevRig {
   using Aborted = cs::TxAborted;
   static constexpr Site kAcquire = Site::kCsAcquire;
-  static std::unique_ptr<cs::RevRuntime> make(cm::Policy p) {
+  static std::unique_ptr<cs::RevRuntime> make() {
     return cs::make_rev_runtime(
-        cs::Config{.max_threads = 4, .cm_policy = p, .plausible_entries = 2});
+        cs::Config{.max_threads = 4, .plausible_entries = 2});
   }
 };
 struct SstmRig {
   using Aborted = sstm::TxAborted;
   static constexpr Site kAcquire = Site::kSstmAcquire;
-  static std::unique_ptr<sstm::Runtime> make(cm::Policy p) {
-    return std::make_unique<sstm::Runtime>(
-        sstm::Config{.max_threads = 4, .cm_policy = p});
+  static std::unique_ptr<sstm::Runtime> make() {
+    return std::make_unique<sstm::Runtime>(sstm::Config{.max_threads = 4});
   }
 };
 
@@ -297,29 +339,13 @@ TYPED_TEST_SUITE(OneAbortPerAttempt, ObjectRigs);
 
 TYPED_TEST(OneAbortPerAttempt, InjectedAcquireAbort) {
   Clean c;
-  auto rt = TypeParam::make(cm::Policy::kPolite);
+  auto rt = TypeParam::make();
   auto x = rt->template make_var<long>(0);
   auto th = rt->attach();
   ASSERT_TRUE(registry().arm(TypeParam::kAcquire, 1.0));
   auto& tx = th->begin();
   EXPECT_THROW(tx.write(x, 1L), typename TypeParam::Aborted);
   EXPECT_EQ(registry().triggers(TypeParam::kAcquire), 1u);
-  EXPECT_EQ(rt->stats()[util::Counter::kAborts], 1u);
-}
-
-TYPED_TEST(OneAbortPerAttempt, SuicideCmConflict) {
-  Clean c;
-  auto rt = TypeParam::make(cm::Policy::kSuicide);
-  auto x = rt->template make_var<long>(0);
-  // Two contexts on one thread: the owner holds x while the requester
-  // opens it, so the conflict is certain and the requester self-aborts.
-  auto owner = rt->attach();
-  auto requester = rt->attach();
-  owner->begin().write(x, 1L);
-  auto& tx = requester->begin();
-  EXPECT_THROW(tx.write(x, 2L), typename TypeParam::Aborted);
-  EXPECT_EQ(rt->stats()[util::Counter::kAborts], 1u);
-  owner->commit();  // the owner was left untouched
   EXPECT_EQ(rt->stats()[util::Counter::kAborts], 1u);
 }
 

@@ -1,6 +1,6 @@
 // Multi-threaded stress tests for LSA-STM: invariant preservation, torn-
 // snapshot hunting, and machine-checked strict serializability of recorded
-// histories, swept over time bases, contention managers and version depths.
+// histories, swept over thread counts, time bases and version depths.
 //
 // CTest label: `stress` — randomized multi-threaded rounds; run under TSan
 // in CI (DESIGN.md §6).
@@ -23,7 +23,6 @@ namespace {
 struct StressParam {
   int threads;
   timebase::TimeBaseKind time_base;
-  cm::Policy policy;
   int versions_kept;
   const char* label;
 };
@@ -40,7 +39,6 @@ class LsaStress : public ::testing::TestWithParam<StressParam> {
     cfg.max_threads = 16;
     cfg.time_base = p.time_base;
     cfg.clock_deviation = std::chrono::nanoseconds(500);
-    cfg.cm_policy = p.policy;
     cfg.versions_kept = p.versions_kept;
     return cfg;
   }
@@ -187,18 +185,13 @@ TEST_P(LsaStress, RecordedHistoryIsStrictlySerializable) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, LsaStress,
     ::testing::Values(
-        StressParam{2, timebase::TimeBaseKind::kCounter, cm::Policy::kPolite,
-                    8, "t2_counter_polite_k8"},
-        StressParam{4, timebase::TimeBaseKind::kCounter, cm::Policy::kPolite,
-                    8, "t4_counter_polite_k8"},
-        StressParam{4, timebase::TimeBaseKind::kCounter,
-                    cm::Policy::kAggressive, 8, "t4_counter_aggressive_k8"},
-        StressParam{4, timebase::TimeBaseKind::kCounter, cm::Policy::kKarma, 1,
-                    "t4_counter_karma_k1"},
-        StressParam{4, timebase::TimeBaseKind::kSyncClock, cm::Policy::kPolite,
-                    8, "t4_syncclock_polite_k8"},
-        StressParam{8, timebase::TimeBaseKind::kSyncClock,
-                    cm::Policy::kTimestamp, 4, "t8_syncclock_timestamp_k4"}),
+        StressParam{2, timebase::TimeBaseKind::kCounter, 8, "t2_counter_k8"},
+        StressParam{4, timebase::TimeBaseKind::kCounter, 8, "t4_counter_k8"},
+        StressParam{4, timebase::TimeBaseKind::kCounter, 1, "t4_counter_k1"},
+        StressParam{4, timebase::TimeBaseKind::kSyncClock, 8,
+                    "t4_syncclock_k8"},
+        StressParam{8, timebase::TimeBaseKind::kSyncClock, 4,
+                    "t8_syncclock_k4"}),
     [](const ::testing::TestParamInfo<StressParam>& info) {
       return info.param.label;
     });

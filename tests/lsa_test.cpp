@@ -190,16 +190,14 @@ TEST(Lsa, SnapshotExtensionAllowsFreshRead) {
 }
 
 TEST(Lsa, WriteWriteConflictGoesToContentionManager) {
-  Config cfg = quiet_config();
-  cfg.cm_policy = cm::Policy::kAggressive;
-  Runtime rt(cfg);
+  Runtime rt(quiet_config());
   auto x = rt.make_var<int>(0);
   auto a = rt.attach();
   auto b = rt.attach();
 
   Tx& ta = a->begin();
   ta.write(x, 1);
-  // B's aggressive CM kills A and takes the object.
+  // B kills the active owner A and takes the object.
   rt.run(*b, [&](Tx& tx) { tx.write(x, 2); });
   EXPECT_THROW(a->commit(), TxAborted);  // A discovers the enemy abort
   EXPECT_GE(rt.stats()[Counter::kCmKills], 1u);
@@ -207,40 +205,6 @@ TEST(Lsa, WriteWriteConflictGoesToContentionManager) {
   int seen = 0;
   rt.run(*a, [&](Tx& tx) { seen = tx.read(x); });
   EXPECT_EQ(seen, 2);
-}
-
-TEST(Lsa, PoliteManagerWaitsOutShortOwnership) {
-  Config cfg = quiet_config();
-  cfg.cm_policy = cm::Policy::kPolite;
-  Runtime rt(cfg);
-  auto x = rt.make_var<int>(0);
-  auto a = rt.attach();
-  auto b = rt.attach();
-
-  Tx& ta = a->begin();
-  ta.write(x, 1);
-  // B conflicts; Polite waits 8 episodes then kills A.
-  rt.run(*b, [&](Tx& tx) { tx.write(x, 2); });
-  EXPECT_GE(rt.stats()[Counter::kCmWaits], 1u);
-  EXPECT_THROW(a->commit(), TxAborted);
-}
-
-TEST(Lsa, SuicidePolicyAbortsRequester) {
-  Config cfg = quiet_config();
-  cfg.cm_policy = cm::Policy::kSuicide;
-  Runtime rt(cfg);
-  auto x = rt.make_var<int>(0);
-  auto a = rt.attach();
-  auto b = rt.attach();
-
-  Tx& ta = a->begin();
-  ta.write(x, 1);
-  Tx& tb = b->begin();
-  EXPECT_THROW(tb.write(x, 2), TxAborted);  // B kills itself
-  a->commit();
-  int seen = 0;
-  rt.run(*b, [&](Tx& tx) { seen = tx.read(x); });
-  EXPECT_EQ(seen, 1);
 }
 
 TEST(Lsa, SingleVersionModeForcesRetryOfStaleReader) {

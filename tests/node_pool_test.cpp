@@ -1,7 +1,8 @@
 // Unit + stress tests for the epoch-integrated slab allocator
 // (src/object/node_pool.hpp, DESIGN.md §7): same-thread reuse, the
-// cross-thread MPSC return path, the slot-release drain that keeps pools
-// alive across thread churn, inline (SBO) vs heap payload storage, and a
+// cross-thread MPSC return path, the depot that hands a vacant slot's
+// blocks to other slots across thread churn, inline (SBO) vs heap payload
+// storage, and a
 // TSan-targeted stress round mixing pooled allocation with concurrent
 // prunes.
 //
@@ -132,13 +133,13 @@ TEST(NodePool, SlotReleaseDrainsReturnStacksAndSurvivesChurn) {
       rig.pool.destroy(other.slot(), n);
     }).join();
     EXPECT_EQ(rig.pool.foreign_return_count(os), 1u);
-    // Registration release fires the drain hook.
+    // Registration release fires the drain hook: both lists go to the depot.
   }
   EXPECT_EQ(rig.pool.foreign_return_count(os), 0u);
-  EXPECT_GE(rig.pool.local_free_count(os), 1u);
+  EXPECT_EQ(rig.pool.local_free_count(os), 0u);
 
-  // A new thread claiming the same slot inherits the free list: the very
-  // first allocation is a hit, no slab carve.
+  // A new thread claiming the same slot takes the blocks back from the
+  // depot: the very first allocation is a hit, no slab carve.
   const std::uint64_t misses_before =
       rig.stats.snapshot()[util::Counter::kPoolMisses];
   auto successor = rig.registry.attach();
@@ -147,6 +148,38 @@ TEST(NodePool, SlotReleaseDrainsReturnStacksAndSurvivesChurn) {
   EXPECT_EQ(again, n);
   EXPECT_EQ(rig.stats.snapshot()[util::Counter::kPoolMisses], misses_before);
   rig.pool.destroy(os, again);
+}
+
+// A vacant slot's free blocks, and a block freed while its owner slot is
+// vacant, go to the depot; another slot takes them there before carving,
+// and owns them from then on.
+TEST(NodePool, VacantSlotBlocksServeAnotherSlotThroughTheDepot) {
+  ZSTM_REQUIRE_POOL();
+  Rig rig;
+  auto keeper = rig.registry.attach();
+  const int ks = keeper.slot();
+  int vacated = -1;
+  Node* live = nullptr;
+  std::thread([&] {
+    auto r = rig.registry.attach();
+    vacated = r.slot();
+    rig.pool.destroy(vacated, rig.pool.create<Node>(vacated));
+    live = rig.pool.create<Node>(vacated);
+  }).join();
+  ASSERT_NE(vacated, ks);
+  rig.pool.destroy(ks, live);  // its owner is vacant now
+  EXPECT_EQ(rig.pool.foreign_return_count(vacated), 0u);
+  EXPECT_EQ(rig.stats.snapshot()[util::Counter::kPoolReturns], 0u);
+
+  const std::uint64_t misses_before =
+      rig.stats.snapshot()[util::Counter::kPoolMisses];
+  Node* again = rig.pool.create<Node>(ks);
+  EXPECT_EQ(again, live);  // the depot is LIFO too
+  EXPECT_EQ(rig.stats.snapshot()[util::Counter::kPoolMisses], misses_before);
+  const std::size_t stocked = rig.pool.local_free_count(ks);
+  EXPECT_GE(stocked, 1u);  // the rest of the depot batch
+  rig.pool.destroy(ks, again);
+  EXPECT_EQ(rig.pool.local_free_count(ks), stocked + 1);  // now ks's own
 }
 
 TEST(NodePool, OversizeAndSlotlessAllocationsBypassTheLists) {
@@ -207,7 +240,9 @@ TEST(NodePool, OversizedTriviallyCopyablePayloadFallsBackToHeap) {
 // Aggressive single-version retention makes every commit prune, so pooled
 // versions cycle allocate -> publish -> retire -> free list while other
 // threads still read them through pinned epochs. Under TSan this checks the
-// happens-before chain EBR previously inherited from malloc/free.
+// happens-before chain EBR previously inherited from malloc/free. Halfway
+// through, each worker detaches and attaches again while the others run, so
+// its slot's blocks pass through the depot under load.
 TEST(NodePool, StressPooledAllocationWithConcurrentPrunes) {
   constexpr int kThreads = 4;
   constexpr int kVars = 32;
@@ -227,6 +262,10 @@ TEST(NodePool, StressPooledAllocationWithConcurrentPrunes) {
       auto th = rt.attach();
       util::Xorshift rng(static_cast<std::uint64_t>(t) * 31 + 7);
       for (int i = 0; i < rounds; ++i) {
+        if (i == rounds / 2) {
+          th.reset();
+          th = rt.attach();
+        }
         if (t % 2 == 0) {
           const std::size_t a = rng.next_below(kVars);
           std::size_t b = rng.next_below(kVars);

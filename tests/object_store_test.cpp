@@ -1,10 +1,10 @@
 // Unit tests for the shared versioned-object substrate (src/object/):
 // chain walking, locator settling and the embedded locators' allocation
-// and teardown, the open-for-write path (acquire's arbitration and
+// and teardown, the open-for-write path (acquire's one rule and
 // open_for_write's hook/install loop), exact pruning (fixed, adaptive, and
 // concurrent), prune-vs-pinned-reader interaction through EBR, and the
-// adaptive-retention grow/decay transitions; and the runtime core's
-// transaction-id lanes.
+// adaptive-retention grow/decay transitions; the descriptor's status
+// protocol; and the runtime core's transaction-id lanes.
 //
 // CTest label: `unit` (DESIGN.md §6).
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "cm/contention_manager.hpp"
 #include "fault/failpoint.hpp"
 #include "object/object_store.hpp"
 #include "runtime/core.hpp"
@@ -52,11 +51,10 @@ using Locator = Store::Locator;
 using Object = Store::Object;
 
 /// Test rig: a runtime core (registry, stats, pool, EBR) and a store on it
-/// with the given retention and contention-management policies.
+/// with the given retention policy.
 struct Rig {
-  explicit Rig(RetentionPolicy policy, cm::Policy cm = cm::Policy::kPolite)
-      : core(runtime::Config{.max_threads = 8, .cm_policy = cm}),
-        store(core, policy) {}
+  explicit Rig(RetentionPolicy policy)
+      : core(runtime::Config{.max_threads = 8}), store(core, policy) {}
 
   runtime::Core core;
   util::ThreadRegistry& registry = core.registry();
@@ -278,13 +276,12 @@ TEST(ObjectStore, OpenForWriteSettlesAbortedWriterAndInstalls) {
   EXPECT_EQ(l->writer, &d);
   EXPECT_EQ(l->committed, base);
   EXPECT_EQ(rig.stats.snapshot()[util::Counter::kWrites], 1u);
-  EXPECT_EQ(d.work(), 1u);
   d.finish_abort();
   rig.store.release(*o, &d, s);
 }
 
-TEST(ObjectStore, AcquireWaitsPolitelyThenKillsActiveOwner) {
-  Rig rig(fixed_policy(8));  // Polite: eight waits, then kill
+TEST(ObjectStore, AcquireKillsActiveOwnerWithoutWaiting) {
+  Rig rig(fixed_policy(8));
   auto reg = rig.registry.attach();
   const int s = reg.slot();
   Object* o = rig.store.allocate(new runtime::TypedPayload<long>(5));
@@ -297,14 +294,39 @@ TEST(ObjectStore, AcquireWaitsPolitelyThenKillsActiveOwner) {
   ASSERT_NE(l, nullptr);
   EXPECT_EQ(l, &base->settled);  // the killed owner's write was settled away
   const util::StatsSnapshot snap = rig.stats.snapshot();
-  EXPECT_EQ(snap[util::Counter::kCmWaits], 8u);
+  EXPECT_EQ(snap[util::Counter::kCmWaits], 0u);
   EXPECT_EQ(snap[util::Counter::kCmKills], 1u);
   EXPECT_EQ(owner.status(), runtime::TxStatus::kAborted);
-  EXPECT_FALSE(d.waiting());
 }
 
-TEST(ObjectStore, OpenForWriteReturnsNullOnSelfAbortWithoutCloning) {
-  Rig rig(fixed_policy(8), cm::Policy::kSuicide);
+TEST(ObjectStore, AcquireWaitsOutCommittingOwner) {
+  // A committing owner cannot be killed, and its outcome decides the base
+  // version: acquire waits (counting kCmWaits) until it has finished. The
+  // owner finishes from the acquire failpoint, which the loop pokes on
+  // every look.
+  Rig rig(fixed_policy(8));
+  auto reg = rig.registry.attach();
+  const int s = reg.slot();
+  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(5));
+  TestDesc owner(1, s, runtime::TxClass::kShort);
+  Version* owned = install_rival(rig, *o, owner, s, 6);
+  ASSERT_TRUE(owner.begin_commit());
+  int looks = 0;
+  fault::registry().arm_hook(fault::Site::kLsaAcquire, [&] {
+    if (++looks == 3) owner.finish_commit();
+  });
+
+  TestDesc d(2, s, runtime::TxClass::kShort);
+  Locator* l = rig.store.acquire(*o, &d, s, fault::Site::kLsaAcquire);
+  fault::registry().disarm_all();
+  ASSERT_NE(l, nullptr);
+  EXPECT_EQ(l, &owned->settled);  // the committed write is the new head
+  EXPECT_EQ(rig.stats.snapshot()[util::Counter::kCmWaits], 2u);
+  EXPECT_EQ(rig.stats.snapshot()[util::Counter::kCmKills], 0u);
+}
+
+TEST(ObjectStore, OpenForWriteReturnsNullOnInjectedAbortWithoutCloning) {
+  Rig rig(fixed_policy(8));
   auto reg = rig.registry.attach();
   const int s = reg.slot();
   Object* o = rig.store.allocate(new runtime::TypedPayload<long>(5));
@@ -313,11 +335,13 @@ TEST(ObjectStore, OpenForWriteReturnsNullOnSelfAbortWithoutCloning) {
 
   TestDesc d(2, s, runtime::TxClass::kShort);
   int clones = 0;
+  ASSERT_TRUE(fault::registry().arm(fault::Site::kLsaAcquire, 1.0));
   Version* tent = rig.store.open_for_write(
       *o, &d, s, fault::Site::kLsaAcquire, [&](Version* base) {
         ++clones;
         return rig.store.clone_version(s, *base->data);
       });
+  fault::registry().disarm_all();
   EXPECT_EQ(tent, nullptr);
   EXPECT_EQ(clones, 0);
   EXPECT_EQ(owner.status(), runtime::TxStatus::kActive);
@@ -691,6 +715,47 @@ TEST(ObjectStore, FixedModeIgnoresTooOldFeedback) {
   rig.store.note_too_old(*o, s);
   EXPECT_EQ(rig.store.kept_bound(*o), 4u);
   EXPECT_EQ(rig.stats.snapshot()[util::Counter::kRetentionGrows], 0u);
+}
+
+// --- the descriptor's status protocol (the commit CAS discipline every STM
+// relies on) -----------------------------------------------------------------
+
+TEST(TxDesc, EnemyAbortOnlyWhileActive) {
+  TestDesc d(1, 0, runtime::TxClass::kShort);
+  EXPECT_EQ(d.status(), runtime::TxStatus::kActive);
+  ASSERT_TRUE(d.begin_commit());
+  EXPECT_EQ(d.status(), runtime::TxStatus::kCommitting);
+  EXPECT_FALSE(d.abort_by_enemy());  // immune once committing
+  d.finish_commit();
+  EXPECT_EQ(d.status(), runtime::TxStatus::kCommitted);
+  EXPECT_FALSE(d.abort_by_enemy());
+}
+
+TEST(TxDesc, EnemyAbortWinsOverLateCommit) {
+  TestDesc d(1, 0, runtime::TxClass::kShort);
+  ASSERT_TRUE(d.abort_by_enemy());
+  EXPECT_EQ(d.status(), runtime::TxStatus::kAborted);
+  EXPECT_FALSE(d.begin_commit());  // victim discovers the abort
+}
+
+TEST(TxDesc, FinishAbortFromCommitting) {
+  TestDesc d(1, 0, runtime::TxClass::kShort);
+  ASSERT_TRUE(d.begin_commit());
+  d.finish_abort();
+  EXPECT_EQ(d.status(), runtime::TxStatus::kAborted);
+}
+
+TEST(TxDesc, FinishAbortIdempotentOnFinalStates) {
+  TestDesc d(1, 0, runtime::TxClass::kShort);
+  ASSERT_TRUE(d.begin_commit());
+  d.finish_commit();
+  d.finish_abort();  // must not demote a committed transaction
+  EXPECT_EQ(d.status(), runtime::TxStatus::kCommitted);
+}
+
+TEST(TxDesc, StatusNamesReadable) {
+  EXPECT_STREQ(runtime::to_string(runtime::TxStatus::kActive), "active");
+  EXPECT_STREQ(runtime::to_string(runtime::TxStatus::kCommitted), "committed");
 }
 
 // --- the core's transaction-id lanes ----------------------------------------

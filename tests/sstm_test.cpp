@@ -153,7 +153,6 @@ INSTANTIATE_TEST_SUITE_P(BothOrders, Figure2, ::testing::Bool(),
 
 TEST(Sstm, WriteWriteConflictArbitrated) {
   Config cfg = quiet_config();
-  cfg.cm_policy = cm::Policy::kAggressive;
   Runtime rt(cfg);
   auto x = rt.make_var<int>(0);
   auto a = rt.attach();

@@ -22,7 +22,6 @@ namespace {
 struct ZParam {
   int threads;
   bool update_total;  // Compute-Total writes private transactional state
-  bool wait_mode;
   const char* label;
 };
 
@@ -32,7 +31,6 @@ TEST_P(ZStress, BankWithLongComputeTotal) {
   const ZParam& p = GetParam();
   Config cfg;
   cfg.max_threads = 16;
-  cfg.wait_on_zone_conflict = p.wait_mode;
   Runtime rt(cfg);
 
   constexpr int kAccounts = 64;
@@ -92,11 +90,10 @@ TEST_P(ZStress, BankWithLongComputeTotal) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, ZStress,
-    ::testing::Values(ZParam{2, false, false, "t2_readonly_abort"},
-                      ZParam{4, false, false, "t4_readonly_abort"},
-                      ZParam{4, true, false, "t4_update_abort"},
-                      ZParam{4, true, true, "t4_update_wait"},
-                      ZParam{8, true, false, "t8_update_abort"}),
+    ::testing::Values(ZParam{2, false, "t2_readonly_abort"},
+                      ZParam{4, false, "t4_readonly_abort"},
+                      ZParam{4, true, "t4_update_abort"},
+                      ZParam{8, true, "t8_update_abort"}),
     [](const ::testing::TestParamInfo<ZParam>& info) {
       return info.param.label;
     });

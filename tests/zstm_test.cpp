@@ -1,14 +1,14 @@
 // Functional tests for Z-STM (Algorithms 2 and 3): zone assignment and
-// crossing rules, long-transaction timestamp ordering, visible long writes,
-// LZC thread-order protection, and z-linearizability of recorded histories.
+// crossing rules, long-transaction timestamp and zone ordering, visible long
+// writes, LZC thread-order protection, and z-linearizability of recorded
+// histories.
 //
 // CTest label: `unit` (DESIGN.md §6).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <thread>
 
+#include "fault/failpoint.hpp"
 #include "history/checkers.hpp"
 #include "zstm/zstm.hpp"
 
@@ -125,9 +125,7 @@ TEST(ZLong, AbortDiscardsLongWrites) {
 }
 
 TEST(ZLong, LongWriteConflictsArbitrated) {
-  Config cfg = quiet_config();
-  cfg.cm_policy = cm::Policy::kAggressive;
-  Runtime rt(cfg);
+  Runtime rt(quiet_config());
   auto x = rt.make_var<int>(0);
   auto a = rt.attach();
   auto b = rt.attach();
@@ -135,7 +133,7 @@ TEST(ZLong, LongWriteConflictsArbitrated) {
   LongTx& l1 = a->begin_long();
   l1.write(x, 1);
   LongTx& l2 = b->begin_long();
-  l2.write(x, 2);  // aggressive CM kills l1's ownership
+  l2.write(x, 2);  // kills the active owner l1
   b->commit_long();
   EXPECT_THROW(a->commit_long(), TxAborted);
   rt.run_short(*a, [&](ShortTx& tx) { EXPECT_EQ(tx.read(x), 2); });
@@ -242,76 +240,271 @@ TEST(ZShort, TransferUpdatesObjectRightAfterLongReadIt) {
   EXPECT_EQ(seen, 15);
 }
 
-TEST(ZShort, ZoneWaitModeProceedsAfterLongCommits) {
-  Config cfg = quiet_config();
-  cfg.wait_on_zone_conflict = true;
-  cfg.zone_wait_attempts = 1u << 20;
-  Runtime rt(cfg);
-  auto o1 = rt.make_var<int>(0);
-  auto o2 = rt.make_var<int>(0);
-
-  auto a = rt.attach();
-  LongTx& tl = a->begin_long();
-  (void)tl.read(o1);
-
-  std::thread shorter([&] {
-    auto b = rt.attach();
-    rt.run_short(*b, [&](ShortTx& tx) {
-      (void)tx.read(o1);
-      (void)tx.read(o2);  // waits for the long transaction to finish
-      tx.write(o2, 1);
-    });
-  });
-  // Give the short a moment to hit the zone conflict, then release it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  a->commit_long();
-  shorter.join();
-
-  auto th = rt.attach();
-  int seen = 0;
-  rt.run_short(*th, [&](ShortTx& tx) { seen = tx.read(o2); });
-  EXPECT_EQ(seen, 1);
-}
-
 TEST(ZShort, WriterWaitedOutByLongCannotCommitIntoClaimedZone) {
-  // DESIGN.md §5.4. S2 owns o2 when the long transaction L claims it, and
-  // Karma makes L wait S2 out instead of killing it. Meanwhile S1 adopts
-  // L's zone through o2, reads the pre-S2 version and writes o1, which L
-  // read first. Were S2 to commit now, L would read its write:
-  // L →rw S1 →rw S2 →wr L. S2's commit-time zone re-check must refuse.
+  // DESIGN.md §5.4. S2 owns o2 when the long transaction L claims it. L
+  // kills an active writer, so the window is S2 entering kCommitting after
+  // L's zone claim on o2 and before L loads o2's writer status; L then
+  // waits S2 out. The zl.acquire failpoint sits in exactly that window (the
+  // top of ObjectStore::acquire), and its hook runs the window on this one
+  // thread: S1 adopts L's zone through o2, reads the pre-S2 version and
+  // writes o1, which L read first; then S2 commits. Were S2 to succeed, L
+  // would read its write: L →rw S1 →rw S2 →wr L. S2's commit-time zone
+  // re-check (ShortTx::admit) must refuse.
   Config cfg = quiet_config();
-  cfg.cm_policy = cm::Policy::kKarma;
   cfg.record_history = true;
   Runtime rt(cfg);
   auto o1 = rt.make_var<long>(0);
   auto o2 = rt.make_var<long>(0);
   auto c1 = rt.attach();
   auto c2 = rt.attach();
+  auto cl = rt.attach();
 
   ShortTx& s2 = c2->begin_short();
   s2.write(o2, 2L);
-  s2.inner().descriptor()->add_work(1u << 30);  // outweighs L under Karma
 
-  std::atomic<std::uint64_t> long_zone{0};
-  long long_saw_o2 = -1;
-  std::thread long_thread([&] {
-    auto cl = rt.attach();
-    rt.run_long(*cl, [&](LongTx& tx) {
-      long_zone.store(tx.zone());
-      (void)tx.read(o1);
-      long_saw_o2 = tx.read(o2);  // waits until S2 finishes
+  LongTx& l = cl->begin_long();
+  bool window_run = false;
+  fault::registry().arm_hook(fault::Site::kZlAcquire, [&] {
+    if (window_run || o2.object()->zc.load() != l.zone()) return;
+    window_run = true;
+    rt.run_short(*c1, [&](ShortTx& tx) {
+      tx.write(o1, tx.read(o2) + 1);
+      EXPECT_EQ(tx.zone(), l.zone());
     });
+    EXPECT_THROW(c2->commit_short(), TxAborted);
   });
-  while (long_zone.load() == 0 ||
-         o2.object()->zc.load() != long_zone.load()) {
-    std::this_thread::yield();
-  }
-
-  rt.run_short(*c1, [&](ShortTx& tx) { tx.write(o1, tx.read(o2) + 1); });
-  EXPECT_THROW(c2->commit_short(), TxAborted);
-  long_thread.join();
+  (void)l.read(o1);
+  const long long_saw_o2 = l.read(o2);
+  fault::registry().disarm_all();
+  cl->commit_long();
+  EXPECT_TRUE(window_run);
   EXPECT_EQ(long_saw_o2, 0);
 
+  auto res = history::check_z_linearizable(rt.collect_history());
+  EXPECT_TRUE(res) << res.reason;
+}
+
+TEST(ZLong, WriteAbortsOnceItsOwnZonesCommitIsCurrent) {
+  // Algorithm 2's zone order on a long write (LongTx::write_object): L
+  // reads o, which claims o's zone; a short transaction adopts L's zone
+  // through o and commits a write to o, which serializes that write after
+  // L. L can then no longer insert a write to o before it, so L's attempt
+  // aborts as a zone conflict.
+  Config cfg = quiet_config();
+  cfg.record_history = true;
+  Runtime rt(cfg);
+  auto o = rt.make_var<long>(0);
+  auto cl = rt.attach();
+  auto cs = rt.attach();
+
+  LongTx& l = cl->begin_long();
+  EXPECT_EQ(l.read(o), 0);
+  rt.run_short(*cs, [&](ShortTx& tx) {
+    tx.write(o) += 1;
+    EXPECT_EQ(tx.zone(), l.zone());
+  });
+  const std::uint64_t conflicts = rt.stats()[Counter::kZoneConflicts];
+  EXPECT_THROW(l.write(o, 5L), TxAborted);
+  EXPECT_EQ(rt.stats()[Counter::kZoneConflicts], conflicts + 1);
+  EXPECT_FALSE(cl->in_long_transaction());
+
+  long seen = 0;
+  rt.run_short(*cs, [&](ShortTx& tx) { seen = tx.read(o); });
+  EXPECT_EQ(seen, 1);
+  auto res = history::check_z_linearizable(rt.collect_history());
+  EXPECT_TRUE(res) << res.reason;
+}
+
+// DESIGN.md §5.5: three windows through which a short transaction's reads
+// could escape its zone. Each test replays one on this one thread and
+// ends with the history check that caught it.
+
+/// Runs `step` in T's open short attempt, then commits T; true when T
+/// aborted instead.
+template <typename F>
+bool aborts_before_commit(ThreadCtx& t_ctx, F&& step) {
+  try {
+    step();
+    t_ctx.commit_short();
+    return false;
+  } catch (const TxAborted&) {
+    return true;
+  }
+}
+
+TEST(ZShort, ReadThatRacesALongClaimIsReChecked) {
+  // T checks o2's zone (0), and before its read resolves o2 the long
+  // transaction L claims o2 and S, adopting L's zone, commits a write to
+  // it. The settle-CAS failpoint's hook opens that gap: T's read settles
+  // an aborted writer X first. Were T to keep S's write, its thread's next
+  // transaction T2 writes o3, which L reads: L →rw S →wr T →po T2 →wr L.
+  Config cfg = quiet_config();
+  cfg.record_history = true;
+  Runtime rt(cfg);
+  auto o1 = rt.make_var<long>(0);
+  auto o2 = rt.make_var<long>(0);
+  auto o3 = rt.make_var<long>(0);
+  auto ct = rt.attach();
+  auto cl = rt.attach();
+  auto cs = rt.attach();
+  auto cx = rt.attach();
+
+  ShortTx& x = cx->begin_short();
+  x.write(o2, 9L);
+  ASSERT_TRUE(x.inner().descriptor()->abort_by_enemy());  // left unsettled
+
+  ShortTx& t = ct->begin_short(/*read_only=*/true);
+  (void)t.read(o1);  // zone 0
+  LongTx& l = cl->begin_long();
+  bool gap_run = false;
+  fault::registry().arm_hook(fault::Site::kStoreSettleCas, [&] {
+    if (gap_run) return;
+    gap_run = true;
+    EXPECT_EQ(l.read(o2), 0);  // claims o2
+    rt.run_short(*cs, [&](ShortTx& tx) { tx.write(o2, 1L); });
+  });
+  EXPECT_TRUE(aborts_before_commit(*ct, [&] { (void)t.read(o2); }));
+  fault::registry().disarm_all();
+  EXPECT_TRUE(gap_run);
+  cx->abort_short_attempt();
+
+  rt.run_short(*ct, [&](ShortTx& tx) { tx.write(o3, 3L); });
+  EXPECT_EQ(l.read(o3), 3);
+  cl->commit_long();
+  auto res = history::check_z_linearizable(rt.collect_history());
+  EXPECT_TRUE(res) << res.reason;
+}
+
+TEST(ZShort, ShortInAClaimedZoneNeverReadsInThePast) {
+  // T joins L's zone, so it serializes after L and must see what L read.
+  // T read S's zone-1 write to o2; S' then supersedes o1, which T read
+  // first, so T's snapshot cannot be extended past S'. W commits o4 after
+  // that, and L reads W's write. A read of o4 in the past would give
+  // L →rw S →wr T →rw W →wr L.
+  Config cfg = quiet_config();
+  cfg.record_history = true;
+  Runtime rt(cfg);
+  auto o1 = rt.make_var<long>(0);
+  auto o2 = rt.make_var<long>(0);
+  auto o4 = rt.make_var<long>(0);
+  auto ct = rt.attach();
+  auto cl = rt.attach();
+  auto cs = rt.attach();
+  auto cw = rt.attach();  // a fresh LZC: cs commits in zone 1 first
+
+  LongTx& l = cl->begin_long();
+  (void)l.read(o1);
+  (void)l.read(o2);
+  ShortTx& t = ct->begin_short(/*read_only=*/true);
+  (void)t.read(o1);
+  EXPECT_EQ(t.zone(), l.zone());
+  rt.run_short(*cs, [&](ShortTx& tx) { tx.write(o2, 2L); });  // S
+  EXPECT_EQ(t.read(o2), 2);  // extends T's snapshot over S's commit
+  rt.run_short(*cs, [&](ShortTx& tx) { tx.write(o1, 1L); });  // S'
+  rt.run_short(*cw, [&](ShortTx& tx) { tx.write(o4, 4L); });  // W, zone 0
+  EXPECT_EQ(l.read(o4), 4);
+  EXPECT_TRUE(aborts_before_commit(*ct, [&] { (void)t.read(o4); }));
+  cl->commit_long();
+  auto res = history::check_z_linearizable(rt.collect_history());
+  EXPECT_TRUE(res) << res.reason;
+}
+
+TEST(ZShort, SlideIsRefusedOnceAReadWasSuperseded) {
+  // T (zone 0) read o6 before W superseded it; L read W's write and
+  // committed. Crossing into L's zone then would slide T behind L, yet T
+  // also reads S's zone-1 write to o2, which its snapshot already covers:
+  // L →rw S →wr T →rw W →wr L. The slide must be refused.
+  Config cfg = quiet_config();
+  cfg.record_history = true;
+  Runtime rt(cfg);
+  auto o2 = rt.make_var<long>(0);
+  auto o6 = rt.make_var<long>(0);
+  auto ct = rt.attach();
+  auto cl = rt.attach();
+  auto cs = rt.attach();
+  auto cw = rt.attach();  // a fresh LZC: cs commits in zone 1 first
+
+  LongTx& l = cl->begin_long();
+  (void)l.read(o2);
+  rt.run_short(*cs, [&](ShortTx& tx) { tx.write(o2, 2L); });  // S
+  ShortTx& t = ct->begin_short(/*read_only=*/true);
+  EXPECT_EQ(t.read(o6), 0);  // zone 0
+  rt.run_short(*cw, [&](ShortTx& tx) { tx.write(o6, 6L); });  // W
+  EXPECT_EQ(l.read(o6), 6);
+  cl->commit_long();
+  const std::uint64_t conflicts = rt.stats()[Counter::kZoneConflicts];
+  EXPECT_TRUE(aborts_before_commit(*ct, [&] { (void)t.read(o2); }));
+  EXPECT_EQ(rt.stats()[Counter::kZoneConflicts], conflicts + 1);
+  auto res = history::check_z_linearizable(rt.collect_history());
+  EXPECT_TRUE(res) << res.reason;
+}
+
+TEST(ZShort, ReadOnlyShortWithoutReadSetsStillCommits) {
+  // With track_readonly_readsets off, a read-only short transaction's reads
+  // are untracked, yet a slide needs them current. Thread b's LZC (2) is
+  // above o1's zone (1), so its first open joins CT = 2; the re-check of
+  // o1's older stamp keeps it at CT, which needs no read check: one
+  // attempt. A fresh thread c joins o1's zone 1 and must slide to CT = 2
+  // to read o2 (zone 0). Its first attempt cannot show its reads current;
+  // the second tracks them and commits.
+  Config cfg = quiet_config();
+  cfg.track_readonly_readsets = false;
+  cfg.record_history = true;
+  Runtime rt(cfg);
+  auto o1 = rt.make_var<long>(1);
+  auto o2 = rt.make_var<long>(2);
+  auto o3 = rt.make_var<long>(3);
+  auto b = rt.attach();
+  auto c = rt.attach();
+  rt.run_long(*b, [&](LongTx& tx) { (void)tx.read(o1); });  // zone 1
+  rt.run_long(*b, [&](LongTx& tx) { (void)tx.read(o3); });  // zone 2
+  ASSERT_EQ(rt.commit_time(), 2u);
+  ASSERT_EQ(b->last_zone_committed(), 2u);
+
+  // The attempt that committed, or 0 if none did within the budget.
+  const auto commit_within_budget = [&](ThreadCtx& ctx, bool read_o2) {
+    for (int attempt = 1; attempt <= 4; ++attempt) {
+      try {
+        ShortTx& tx = ctx.begin_short(/*read_only=*/true);
+        EXPECT_EQ(tx.read(o1), 1);
+        if (read_o2) {
+          EXPECT_EQ(tx.read(o2), 2);
+        }
+        ctx.commit_short();
+        return attempt;
+      } catch (const TxAborted&) {
+      }
+    }
+    return 0;
+  };
+  EXPECT_EQ(commit_within_budget(*b, /*read_o2=*/false), 1);
+  EXPECT_EQ(commit_within_budget(*c, /*read_o2=*/true), 2);
+  auto res = history::check_z_linearizable(rt.collect_history());
+  EXPECT_TRUE(res) << res.reason;
+}
+
+TEST(ZShort, CrossingAtCommitTimeNeedsNoReadCheck) {
+  // T joins zone 1 = CT through o1 and reads it; S then supersedes o1.
+  // Crossing to o2 (zone 0) keeps T at CT: T moves past no long
+  // transaction, so its superseded read does not refuse the crossing.
+  Config cfg = quiet_config();
+  cfg.record_history = true;
+  Runtime rt(cfg);
+  auto o1 = rt.make_var<long>(0);
+  auto o2 = rt.make_var<long>(0);
+  auto ct = rt.attach();
+  auto cl = rt.attach();
+  auto cs = rt.attach();
+  rt.run_long(*cl, [&](LongTx& tx) { (void)tx.read(o1); });  // CT = 1
+
+  ShortTx& t = ct->begin_short(/*read_only=*/true);
+  EXPECT_EQ(t.read(o1), 0);
+  EXPECT_EQ(t.zone(), 1u);
+  rt.run_short(*cs, [&](ShortTx& tx) { tx.write(o1, 1L); });  // S
+  const std::uint64_t conflicts = rt.stats()[Counter::kZoneConflicts];
+  EXPECT_EQ(t.read(o2), 0);
+  EXPECT_NO_THROW(ct->commit_short());
+  EXPECT_EQ(rt.stats()[Counter::kZoneConflicts], conflicts);
   auto res = history::check_z_linearizable(rt.collect_history());
   EXPECT_TRUE(res) << res.reason;
 }
