@@ -172,7 +172,7 @@ server::ServiceConfig service_config(const Args& args,
   scfg.workers = args.workers;
   scfg.queue_capacity = args.queue;
   scfg.buckets = 256;
-  scfg.stm.max_threads = args.workers + 4;  // workers + pacer/main/hk slack
+  scfg.stm.max_threads = args.workers + 4;  // workers + pacer/main slack
   return scfg;
 }
 
@@ -218,14 +218,13 @@ StepOut run_inproc(const Args& args, const std::string& variant, int rate,
   out.p99_us = us(m.all.quantile(0.99));
   out.shed = load.shed;
 
-  std::printf("%-8s %8d %10.0f %8llu %8llu %8.1f %9.1f %9.1f %9.1f %7llu %6llu\n",
+  std::printf("%-8s %8d %10.0f %8llu %8llu %8.1f %9.1f %9.1f %9.1f %7llu\n",
               variant.c_str(), rate, thruput,
               static_cast<unsigned long long>(load.accepted),
               static_cast<unsigned long long>(load.shed),
               us(m.all.quantile(0.50)), us(m.all.quantile(0.99)),
               us(m.all.quantile(0.999)), us(m.all.max()),
-              static_cast<unsigned long long>(m.progress.serial_entries),
-              static_cast<unsigned long long>(m.reclaimed_total));
+              static_cast<unsigned long long>(m.progress.serial_entries));
 
   auto& row = doc.row();
   row.str("system", variant)
@@ -253,12 +252,7 @@ StepOut run_inproc(const Args& args, const std::string& variant, int rate,
            us(m.per_op[static_cast<std::size_t>(server::Op::kScan)].quantile(
                0.99)))
       .num("serial_entries", m.progress.serial_entries)
-      .num("max_attempts", static_cast<std::uint64_t>(m.progress.max_attempts))
-      .num("trims", m.reclaimed_total)
-      .num("maintain_forced", m.maintain_forced)
-      .num("desc_retained", static_cast<std::uint64_t>(m.retained_last))
-      .num("desc_high_water",
-           static_cast<std::uint64_t>(m.retained_high_water));
+      .num("max_attempts", static_cast<std::uint64_t>(m.progress.max_attempts));
   return out;
 }
 
@@ -367,10 +361,10 @@ int main(int argc, char** argv) {
     std::printf("net: %d io thread(s), %d conn(s)\n", args.io_threads,
                 args.conns);
   }
-  std::printf("%-8s %8s %10s %8s %8s %8s %9s %9s %9s %7s %6s\n", "system",
+  std::printf("%-8s %8s %10s %8s %8s %8s %9s %9s %9s %7s%s\n", "system",
               "rate", "thruput/s", args.net ? "resps" : "accepted", "shed",
               "p50us", "p99us", "p999us", "maxus", "serial",
-              args.net ? "proterr" : "trims");
+              args.net ? " proterr" : "");
 
   benchjson::Doc doc(args.net ? "kv_net" : "kv");
   bool failed = false;

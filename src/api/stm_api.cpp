@@ -36,7 +36,6 @@ class AnyStmOf final : public detail::AnyStmBase {
 
   util::StatsSnapshot stats() const override { return stm_.stats(); }
   void reset_stats() override { stm_.reset_stats(); }
-  MaintainResult maintain(bool force) override { return stm_.maintain(force); }
   util::ProgressTracker::Snapshot progress() const override {
     return stm_.progress();
   }

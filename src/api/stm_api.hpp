@@ -79,17 +79,6 @@ namespace zstm::api {
 using runtime::RunResult;
 using runtime::TxKind;
 
-/// What one `maintain()` call did (DESIGN.md §12.4). `reclaimed` counts
-/// resources freed by this call; `retained` is a gauge of deferred
-/// resources still held afterwards (S-STM: transaction descriptors awaiting
-/// a quiescent trim; 0 on runtimes with nothing to defer). A long-running
-/// service watches `retained` to confirm the automatic trim keeps it
-/// bounded.
-struct MaintainResult {
-  std::size_t reclaimed = 0;
-  std::size_t retained = 0;
-};
-
 /// The façade's progress policy: how `run` spaces retries and when it
 /// escalates (DESIGN.md §11.3). The ladder, in order:
 ///
@@ -122,12 +111,6 @@ struct RetryPolicy {
 /// plus the façade's own knobs. A Stm<R> hands its runtime the Config part
 /// as it is.
 struct CommonConfig : runtime::Config {
-  /// Every N commits a thread makes, it also runs `maintain()` (S-STM's
-  /// quiescent descriptor trim; a no-op elsewhere). This is the fallback
-  /// trigger for callers without a housekeeping thread — the KV server uses
-  /// both. 0 (default) disables it and keeps the commit path free of the
-  /// counter update.
-  std::uint32_t maintain_every = 0;
   /// The retry/escalation ladder.
   RetryPolicy retry;
 };
@@ -194,9 +177,6 @@ class Stm {
         rt_(detail::create<R>(cfg)),
         shared_(std::make_shared<Shared>()),
         progress_(std::make_unique<util::ProgressTracker>(cfg.max_threads)),
-        maint_counters_(cfg.maintain_every != 0
-                            ? static_cast<std::size_t>(cfg.max_threads)
-                            : 0),
         serial_after_(detail::resolve_serial_after(cfg.retry)),
         id_(next_id()) {}
 
@@ -209,7 +189,6 @@ class Stm {
         rt_(std::move(other.rt_)),
         shared_(std::move(other.shared_)),
         progress_(std::move(other.progress_)),
-        maint_counters_(std::move(other.maint_counters_)),
         serial_after_(other.serial_after_),
         id_(other.id_) {
     other.id_ = 0;  // the id travels with the runtime; the husk is inert
@@ -221,7 +200,6 @@ class Stm {
       rt_ = std::move(other.rt_);
       shared_ = std::move(other.shared_);
       progress_ = std::move(other.progress_);
-      maint_counters_ = std::move(other.maint_counters_);
       serial_after_ = other.serial_after_;
       id_ = other.id_;
       other.id_ = 0;
@@ -274,33 +252,6 @@ class Stm {
     return progress_->snapshot();
   }
   void reset_progress() { progress_->reset(); }
-
-  /// Periodic/idle housekeeping (DESIGN.md §12.4): on S-STM this is the
-  /// quiescent descriptor trim; on every other runtime a cheap no-op.
-  /// Callable from any thread — including one that never ran a
-  /// transaction, like a server's housekeeping thread — but never from
-  /// inside a transaction body.
-  ///
-  /// The plain call is opportunistic: S-STM's trim only succeeds at
-  /// quiescence, so under continuous load it may keep returning
-  /// reclaimed=0 while `retained` grows. `force = true` escalates exactly
-  /// like RetryPolicy rung 2: it takes the serial-irrevocable token
-  /// exclusively, draining every in-flight façade attempt, and trims in
-  /// the resulting quiet window. The drain guarantee needs the serial gate
-  /// active (`retry.serial_after != 0` or ZSTM_SERIAL_FALLBACK); with the
-  /// gate disabled a forced call degrades to the opportunistic one.
-  MaintainResult maintain(bool force = false) {
-    std::unique_lock<std::shared_mutex> drain;
-    if (force && serial_after_ != 0) {
-      drain = std::unique_lock<std::shared_mutex>(shared_->serial_gate);
-    }
-    if constexpr (requires { rt_->trim_descriptors(); }) {
-      const std::size_t reclaimed = rt_->trim_descriptors();
-      return {reclaimed, rt_->descriptor_count()};
-    } else {
-      return {};
-    }
-  }
 
  private:
   struct Entry;
@@ -430,8 +381,6 @@ class Stm {
         for (;; ++attempt) {
           auto&& tx = ctx.begin(kind);
           if (runtime::attempt(ctx, tx, body)) {
-            serial.unlock();
-            after_commit(slot);
             return {attempt, true};
           }
           if (max_attempts != 0 && attempt >= max_attempts) {
@@ -447,10 +396,7 @@ class Stm {
         auto&& tx = ctx.begin(kind);
         committed = runtime::attempt(ctx, tx, body);
       }
-      if (committed) {
-        after_commit(slot);
-        return {attempt, true};
-      }
+      if (committed) return {attempt, true};
       if (max_attempts != 0 && attempt >= max_attempts) {
         return {attempt, false};
       }
@@ -464,28 +410,10 @@ class Stm {
     }
   }
 
-  /// The every-N-commits maintenance fallback (CommonConfig::maintain_every,
-  /// DESIGN.md §12.4). Counters are per registry slot — only the slot's
-  /// owner thread touches its cell between attach and release, so the
-  /// relaxed ordering is about slot reuse across thread churn, not
-  /// concurrent increments.
-  void after_commit(int slot) {
-    if (maint_counters_.empty()) return;
-    auto& n = maint_counters_[static_cast<std::size_t>(slot)].value;
-    if (n.fetch_add(1, std::memory_order_relaxed) + 1 >=
-        cfg_.maintain_every) {
-      n.store(0, std::memory_order_relaxed);
-      maintain();
-    }
-  }
-
   CommonConfig cfg_;
   std::unique_ptr<R> rt_;
   std::shared_ptr<Shared> shared_;
   std::unique_ptr<util::ProgressTracker> progress_;
-  /// Sized max_threads when maintain_every != 0; empty (hook disabled and
-  /// commit path untouched) otherwise.
-  std::vector<util::Padded<std::atomic<std::uint32_t>>> maint_counters_;
   std::uint32_t serial_after_ = 0;
   std::uint64_t id_ = 0;
 };
@@ -635,7 +563,6 @@ struct AnyStmBase {
   virtual void reset_stats() = 0;
   virtual util::ProgressTracker::Snapshot progress() const = 0;
   virtual const CommonConfig& config() const = 0;
-  virtual MaintainResult maintain(bool force) = 0;
 };
 
 }  // namespace detail
@@ -682,10 +609,6 @@ class AnyStm {
   /// Starvation-watchdog snapshot (see Stm<R>::progress).
   util::ProgressTracker::Snapshot progress() const {
     return impl_->progress();
-  }
-  /// Periodic/idle housekeeping (see Stm<R>::maintain).
-  MaintainResult maintain(bool force = false) {
-    return impl_->maintain(force);
   }
 
  private:

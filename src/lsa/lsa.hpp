@@ -174,8 +174,6 @@ class Tx {
   bool reads_still_current();
 
   bool read_only_declared() const { return declared_read_only_; }
-  std::uint64_t snapshot_lb() const { return lb_; }
-  std::uint64_t snapshot_ub() const { return ub_; }
   TxDesc* descriptor() const { return desc_; }
   std::size_t read_set_size() const { return read_set_.size(); }
   std::size_t write_set_size() const { return write_set_.size(); }

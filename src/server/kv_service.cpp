@@ -1,6 +1,6 @@
-// KvService implementation (DESIGN.md §12). The interesting parts are the
-// shutdown protocol and the housekeeping escalation; the request loop
-// itself is a thin dispatch onto KvStore.
+// KvService implementation (DESIGN.md §12). The interesting part is the
+// shutdown protocol; the request loop itself is a thin dispatch onto
+// KvStore.
 #include "server/kv_service.hpp"
 
 #include <cassert>
@@ -34,12 +34,10 @@ void KvService::start() {
   // service contract (thread-churn coverage for registry slot reuse).
   queue_ = std::make_unique<MpmcQueue<Request>>(cfg_.queue_capacity);
   wstate_ = std::vector<WorkerState>(static_cast<std::size_t>(cfg_.workers));
-  stopping_.store(false, std::memory_order_release);
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));
   for (int i = 0; i < cfg_.workers; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
-  housekeeper_ = std::thread([this] { housekeeper_loop(); });
   accepting_.store(true, std::memory_order_release);
   running_ = true;
 }
@@ -56,15 +54,6 @@ void KvService::stop() {
   queue_->close();
   for (auto& w : workers_) w.join();
   workers_.clear();
-  // 3. Retire the housekeeper, then take one final (quiescent) trim so the
-  //    retained gauge reported after stop() reflects a clean heap.
-  {
-    std::lock_guard<std::mutex> lk(hk_mutex_);
-    stopping_.store(true, std::memory_order_release);
-  }
-  hk_cv_.notify_all();
-  housekeeper_.join();
-  note_maintain(stm_.maintain(), false);
   running_ = false;
 }
 
@@ -104,11 +93,6 @@ ServiceMetrics KvService::metrics() {
       m.all.merge(w.hist[op]);
     }
   }
-  m.maintain_calls = maintain_calls_.load(std::memory_order_relaxed);
-  m.maintain_forced = maintain_forced_.load(std::memory_order_relaxed);
-  m.reclaimed_total = reclaimed_total_.load(std::memory_order_relaxed);
-  m.retained_last = retained_last_.load(std::memory_order_relaxed);
-  m.retained_high_water = retained_hw_.load(std::memory_order_relaxed);
   m.progress = stm_.progress();
   m.stm = stm_.stats();
   return m;
@@ -172,41 +156,6 @@ Response KvService::execute(const Request& req) {
       break;
   }
   return resp;
-}
-
-void KvService::housekeeper_loop() {
-  std::unique_lock<std::mutex> lk(hk_mutex_);
-  for (;;) {
-    hk_cv_.wait_for(lk, cfg_.maintain_interval, [this] {
-      return stopping_.load(std::memory_order_acquire);
-    });
-    if (stopping_.load(std::memory_order_acquire)) return;
-    lk.unlock();
-    // Opportunistic pass first (free when the runtime happens to be
-    // quiescent — common in open-loop idle gaps); escalate to the
-    // serial-gate drain only when the retained gauge says the
-    // opportunistic passes are losing.
-    api::MaintainResult r = stm_.maintain();
-    bool forced = false;
-    if (r.retained > kMaintainForceWatermark) {
-      r = stm_.maintain(/*force=*/true);
-      forced = true;
-    }
-    note_maintain(r, forced);
-    lk.lock();
-  }
-}
-
-void KvService::note_maintain(const api::MaintainResult& r, bool forced) {
-  maintain_calls_.fetch_add(1, std::memory_order_relaxed);
-  if (forced) maintain_forced_.fetch_add(1, std::memory_order_relaxed);
-  reclaimed_total_.fetch_add(r.reclaimed, std::memory_order_relaxed);
-  retained_last_.store(r.retained, std::memory_order_relaxed);
-  std::size_t hw = retained_hw_.load(std::memory_order_relaxed);
-  while (r.retained > hw &&
-         !retained_hw_.compare_exchange_weak(hw, r.retained,
-                                             std::memory_order_relaxed)) {
-  }
 }
 
 }  // namespace zstm::server

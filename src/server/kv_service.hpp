@@ -1,8 +1,6 @@
 // KvService — the STM-backed key-value service (DESIGN.md §12): a worker
 // pool draining a bounded MPMC request queue into a KvStore whose runtime
-// variant is chosen by name, plus a housekeeping thread that drives the
-// façade's maintain() hook (S-STM descriptor trim) and escalates to a
-// forced stop-the-world trim when the retained gauge crosses a watermark.
+// variant is chosen by name.
 //
 // The service is the measurement harness the figure benches are not:
 // requests carry their *scheduled* arrival time, workers record
@@ -10,23 +8,20 @@
 // delay — the thing an open-loop arrival process makes visible — lands in
 // the latency tail where it belongs (no coordinated omission).
 //
-// Lifecycle: start() spawns workers + housekeeper; submit() enqueues (and
-// sheds, returning false, when the ring is full — open-loop honesty);
-// stop() stops accepting, waits for in-flight submits, closes the queue,
-// lets the workers drain every accepted request, joins everything, and
-// runs a final maintain. start() may be called again after stop() — the
-// worker threads are new each time, which exercises registry-slot
-// reclamation through the façade's thread-exit hook.
+// Lifecycle: start() spawns the workers; submit() enqueues (and sheds,
+// returning false, when the ring is full — open-loop honesty); stop()
+// stops accepting, waits for in-flight submits, closes the queue, lets the
+// workers drain every accepted request and joins them. start() may be
+// called again after stop() — the worker threads are new each time, which
+// exercises registry-slot reclamation through the façade's thread-exit
+// hook.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -76,19 +71,13 @@ struct ServiceConfig {
   int workers = 2;
   std::size_t queue_capacity = 1 << 14;
   std::size_t buckets = 256;
-  /// Housekeeping cadence; the thread also wakes immediately on stop().
-  std::chrono::milliseconds maintain_interval{10};
-  /// Façade config. The service defaults differ from CommonConfig's: the
-  /// serial-irrevocable rung is on (bounds the latency tail AND gives the
-  /// forced trim its drain) and the every-N-commits maintain fallback is
-  /// armed, so descriptor reclamation never depends on the housekeeper
-  /// alone.
+  /// Façade config. The service default differs from CommonConfig's: the
+  /// serial-irrevocable rung is on, which bounds the latency tail.
   api::CommonConfig stm = default_stm_config();
 
   static api::CommonConfig default_stm_config() {
     api::CommonConfig c;
     c.retry.serial_after = 64;
-    c.maintain_every = 1024;
     return c;
   }
 };
@@ -99,11 +88,6 @@ struct ServiceMetrics {
   std::uint64_t completed = 0;
   std::array<util::LatencyHistogram, kOpCount> per_op;
   util::LatencyHistogram all;
-  std::uint64_t maintain_calls = 0;
-  std::uint64_t maintain_forced = 0;
-  std::uint64_t reclaimed_total = 0;
-  std::size_t retained_last = 0;
-  std::size_t retained_high_water = 0;
   util::ProgressTracker::Snapshot progress;
   util::StatsSnapshot stm;
 };
@@ -142,14 +126,8 @@ class KvService {
     std::atomic<std::uint64_t> completed{0};
   };
 
-  /// Retained gauge (S-STM descriptors) above which housekeeping escalates
-  /// to maintain(force=true) — the serial-gate drain.
-  static constexpr std::size_t kMaintainForceWatermark = 1 << 14;
-
   void worker_loop(int idx);
-  void housekeeper_loop();
   Response execute(const Request& req);
-  void note_maintain(const api::MaintainResult& r, bool forced);
 
   ServiceConfig cfg_;
   api::AnyStm stm_;
@@ -157,22 +135,11 @@ class KvService {
   std::unique_ptr<MpmcQueue<Request>> queue_;
   std::vector<std::thread> workers_;
   std::vector<WorkerState> wstate_;
-  std::thread housekeeper_;
 
   std::atomic<bool> accepting_{false};
-  std::atomic<bool> stopping_{false};
   bool running_ = false;
   std::atomic<std::uint64_t> submit_in_flight_{0};
   std::atomic<std::uint64_t> accepted_{0};
-
-  std::mutex hk_mutex_;
-  std::condition_variable hk_cv_;
-
-  std::atomic<std::uint64_t> maintain_calls_{0};
-  std::atomic<std::uint64_t> maintain_forced_{0};
-  std::atomic<std::uint64_t> reclaimed_total_{0};
-  std::atomic<std::size_t> retained_last_{0};
-  std::atomic<std::size_t> retained_hw_{0};
 };
 
 }  // namespace zstm::server

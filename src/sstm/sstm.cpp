@@ -1,6 +1,9 @@
 #include "sstm/sstm.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <thread>
+#include <utility>
 
 #include "fault/failpoint.hpp"
 
@@ -20,10 +23,25 @@ Runtime::~Runtime() = default;
 TxDesc* Runtime::allocate_desc(int slot) {
   TxDesc* raw =
       pool_.create<TxDesc>(slot, next_tx_id(slot), slot, domain_.zero());
+  std::deque<TxDesc*> trimmed;
   {
     std::lock_guard<std::mutex> lk(descs_mutex_);
+    if (descs_.live.size() >= next_trim_) {
+      // The one reclamation trigger (DESIGN.md §11.5). Holding descs_mutex_
+      // keeps every other begin out, so the attempts in flight drain. The
+      // wait is bounded: this thread may hold an open attempt on another
+      // of its contexts on this runtime. A drain that times out is retried
+      // a watermark's worth of begins later.
+      for (int i = 0;
+           i < util::EpochManager::kReclaimYields && !quiescent(); ++i) {
+        std::this_thread::yield();
+      }
+      trimmed = trim_locked();
+      next_trim_ = descs_.live.size() + kTrimWatermark;
+    }
     descs_.live.push_back(raw);
   }
+  for (TxDesc* d : trimmed) pool_.destroy(slot, d);
   return raw;
 }
 
@@ -32,37 +50,38 @@ std::size_t Runtime::descriptor_count() {
   return descs_.live.size();
 }
 
-// The caller may own no slot here (a housekeeper, a test's main thread) or
-// one whose worker is mid-transaction, so the defensive settle runs on a
-// slot this call attaches for itself.
 std::size_t Runtime::trim_descriptors() {
-  const util::ThreadRegistry::Registration reg = registry_.try_attach();
-  if (!reg.attached()) return 0;
-  return trim(reg.slot());
+  std::deque<TxDesc*> trimmed;
+  {
+    std::lock_guard<std::mutex> lk(descs_mutex_);
+    trimmed = trim_locked();
+  }
+  for (TxDesc* d : trimmed) pool_.destroy(-1, d);
+  return trimmed.size();
 }
 
-std::size_t Runtime::trim(int slot) {
-  std::scoped_lock lk(descs_mutex_, commit_mutex_);
-  // Failpoints stay out of maintenance: an injected settle-CAS failure
-  // here would leave a locator referencing a descriptor we free below.
-  fault::SuppressGuard suppress;
-
-  // Quiescence check. Every attempt holds an epoch pin from begin() to
-  // finish_attempt(), and begin() allocates its descriptor (blocking on
-  // descs_mutex_, which we hold) *before* pinning — so "nothing pinned and
-  // every retained descriptor final" cannot be invalidated while we work.
-  // The descriptor scan additionally covers a thread inside allocate_desc's
-  // pre-pin window: its descriptor is already kActive.
+// Every attempt holds an epoch pin from begin() to finish_attempt(), and
+// begin() registers its descriptor (under descs_mutex_, which the caller
+// holds) *before* pinning, so quiescence cannot end while the caller
+// holds the mutex. The descriptor scan covers a thread between
+// registration and pin: its descriptor is already kActive.
+bool Runtime::quiescent() {
   for (int s = 0; s < cfg_.max_threads; ++s) {
-    if (epochs_.pinned(s)) return 0;
+    if (epochs_.pinned(s)) return false;
   }
   for (TxDesc* d : descs_.live) {
     const runtime::TxStatus st = d->status();
     if (st != runtime::TxStatus::kCommitted &&
         st != runtime::TxStatus::kAborted) {
-      return 0;
+      return false;
     }
   }
+  return true;
+}
+
+std::deque<TxDesc*> Runtime::trim_locked() {
+  if (!quiescent()) return {};
+  std::lock_guard<std::mutex> commit_lock(commit_mutex_);
 
   // Fold every reader-list reference into per-version stamps. At
   // quiescence a committed reader's predecessor closure is all-final, so
@@ -91,18 +110,15 @@ std::size_t Runtime::trim(int slot) {
       } else {
         folded.merge(cur->ct);
       }
-      for (TxDesc* q : cur->preds_snapshot()) work.push_back(q);
+      // No lock or copy: only a live transaction adds to its preds.
+      for (TxDesc* q : cur->preds) work.push_back(q);
     }
   };
   store_.for_each_object([&](Object& o) {
-    // Settle any leftover locator first (a racing settle CAS may have been
-    // lost — or failpoint-suppressed — on the final attempt touching o),
-    // so no locator keeps a writer pointer into the freed descriptors.
-    Locator* l = o.loc.load(std::memory_order_acquire);
-    if (l->writer != nullptr) {
-      store_.settle(o, l, slot);
-      l = o.loc.load(std::memory_order_acquire);
-    }
+    // No locator names a writer: each attempt's release settled its own
+    // locators before finish_attempt unpinned it (DESIGN.md §11.5).
+    const Locator* l = o.loc.load(std::memory_order_acquire);
+    assert(l->writer == nullptr);
     for (Version* v = l->committed; v != nullptr;
          v = v->prev.load(std::memory_order_acquire)) {
       for (TxDesc* r : v->readers) fold_into(v->folded, r);
@@ -114,17 +130,16 @@ std::size_t Runtime::trim(int slot) {
     }
   });
 
-  const std::size_t freed = descs_.live.size();
-  for (TxDesc* d : descs_.live) pool_.destroy(-1, d);
-  descs_.live.clear();
-  return freed;
+  // Nothing reaches the descriptors now, so the caller frees them after
+  // it lets the next begin in.
+  return std::exchange(descs_.live, {});
 }
 
 std::unique_ptr<ThreadCtx> Runtime::attach() {
   return std::unique_ptr<ThreadCtx>(new ThreadCtx(*this, registry_.attach()));
 }
 
-bool Runtime::reaches(TxDesc* from, const TxDesc* target, int max_nodes) {
+bool Runtime::reaches(TxDesc* from, const TxDesc* target) {
   // Iterative search with an explicit visited set: predecessor graphs can
   // contain cycles (that is exactly what this function detects), and a
   // depth-bounded DFS without memoization goes exponential on them — while
@@ -140,7 +155,7 @@ bool Runtime::reaches(TxDesc* from, const TxDesc* target, int max_nodes) {
     for (const TxDesc* q : visited) seen |= (q == cur);
     if (seen) continue;
     visited.push_back(cur);
-    if (static_cast<int>(visited.size()) > max_nodes) return false;
+    if (static_cast<int>(visited.size()) > kCycleSearchCap) return true;
     // Only live transactions are expanded: a committed predecessor's
     // ordering constraints were folded into timestamps by the merge rules.
     const runtime::TxStatus st = cur->status();
@@ -162,11 +177,6 @@ ThreadCtx::ThreadCtx(Runtime& rt, util::ThreadRegistry::Registration reg)
 
 ThreadCtx::~ThreadCtx() {
   if (in_transaction()) abort_attempt();
-  // The settle inside the trim runs on this thread's still-registered slot:
-  // slot 0's owner may be detaching at the same moment.
-  if (rt_.descriptor_count() >= Runtime::kDetachTrimWatermark) {
-    rt_.trim(slot());
-  }
 }
 
 Tx& ThreadCtx::begin(TxKind) {
@@ -307,7 +317,7 @@ void ThreadCtx::commit() {
           st != runtime::TxStatus::kCommitting) {
         continue;
       }
-      if (p != d && Runtime::reaches(p, d, 4096)) {
+      if (p != d && Runtime::reaches(p, d)) {
         if (p->abort_by_enemy()) {
           rt_.stats_.add(s, util::Counter::kCmKills);
           continue;  // the edge through p is now dead

@@ -28,8 +28,9 @@
 // commit mutex instead of a CAS+helping protocol (publication itself is
 // still the single status CAS), reader lists are guarded by per-version
 // spin locks, and transaction descriptors are retained until a quiescent
-// trim (Runtime::trim_descriptors) folds every reader-list reference into
-// per-version stamps, so the lists never dangle. These are exactly the
+// trim folds every reader-list reference into per-version stamps, so the
+// lists never dangle; begin runs that trim once kTrimWatermark descriptors
+// are retained (DESIGN.md §11.5). These are exactly the
 // kind of costs the paper attributes to S-STM ("the runtime overhead ...
 // can be deemed prohibitive"), which zstm_bench's transfer section
 // quantifies.
@@ -109,7 +110,7 @@ struct VersionMeta {
   std::vector<TxDesc*> readers;
 
   /// Ordering constraints of finished readers, folded into a single stamp
-  /// by Runtime::trim_descriptors() before their descriptors are freed.
+  /// by the quiescent trim before their descriptors are freed.
   /// Dimension 0 until the first trim touches this version (VcStamp::merge
   /// indexes `other` by *this* stamp's dimension, so consumers must guard
   /// on dimension() != 0). Written only at quiescence; read without
@@ -248,44 +249,46 @@ class Runtime : public runtime::Core {
     return store_.allocate(initial, domain_.zero());
   }
 
-  /// Quiescence-based descriptor trim (the carried-over S-STM leak,
-  /// DESIGN.md §11): when no transaction is in flight, fold every finished
+  /// Descriptors retained before a begin trims (DESIGN.md §11.5).
+  static constexpr std::size_t kTrimWatermark = 4096;
+  /// Descriptors the commit-time cycle search visits before it gives up,
+  /// which counts as finding a cycle.
+  static constexpr int kCycleSearchCap = 4096;
+
+  /// The quiescent trim without begin's drain: fold every finished
   /// reader's ordering constraint into its version's `folded` stamp, clear
-  /// the reader/past-reader lists, settle any leftover locators, and
-  /// return the descriptors to the node pool. Returns the number of
-  /// descriptors freed; 0 if the runtime was not quiescent (an attempt was
-  /// live — the call is then a safe no-op and may be retried later) or
-  /// every registry slot was taken. Any thread may call it, outside a
-  /// transaction: the call attaches a registry slot of its own for the
-  /// settle, whose retires and pool frees are owner-only.
+  /// the reader and past-reader lists and free the descriptors. Returns the
+  /// number freed; 0 when an attempt is in flight. Never waits; callable
+  /// from any thread outside a transaction on this runtime.
   std::size_t trim_descriptors();
   /// Retained (not yet trimmed) descriptor count — test introspection.
   std::size_t descriptor_count();
-
-  /// A detaching thread trims once this many descriptors are retained, so
-  /// users that never call maintain() stay bounded (DESIGN.md §11.5).
-  static constexpr std::size_t kDetachTrimWatermark = 4096;
 
  private:
   friend class ThreadCtx;
   friend class Tx;
 
-  /// trim_descriptors() body; `slot` is the slot whose pool and EBR lists
-  /// the defensive settle uses, and the caller must own it.
-  std::size_t trim(int slot);
+  /// Both need descs_mutex_ held: no attempt in flight (no slot pinned,
+  /// every retained descriptor final), and the trim that requires it,
+  /// which hands back the descriptors it folded for the caller to free.
+  bool quiescent();
+  std::deque<TxDesc*> trim_locked();
 
+  /// Registers a fresh descriptor; trims first once the retained count
+  /// reaches next_trim_.
   TxDesc* allocate_desc(int slot);
 
   /// True if `target` is reachable from `from` along predecessor edges of
-  /// live (active/committing) transactions.
-  static bool reaches(TxDesc* from, const TxDesc* target, int max_nodes);
+  /// live (active/committing) transactions, or if the search gives up
+  /// after kCycleSearchCap descriptors: an abort is always safe.
+  static bool reaches(TxDesc* from, const TxDesc* target);
 
   timebase::VcDomain domain_;
 
   /// Pool-backed descriptor storage. Reader and past-reader lists may
   /// reference a descriptor long after its transaction finished, so
-  /// descriptors are retained until a quiescent trim_descriptors() folds
-  /// every such reference into per-version stamps (or until teardown).
+  /// descriptors are retained until a quiescent trim folds every such
+  /// reference into per-version stamps (or until teardown).
   struct DescArena {
     explicit DescArena(object::NodePool& p) : pool(&p) {}
     ~DescArena() {
@@ -296,6 +299,7 @@ class Runtime : public runtime::Core {
   };
 
   std::mutex descs_mutex_;
+  std::size_t next_trim_ = kTrimWatermark;  // guarded by descs_mutex_
   /// Frees into the core's pool, which outlives it; declared before store_
   /// (the store's destructor reads locator writers' status, so the
   /// descriptors must still be alive when it runs).

@@ -132,7 +132,6 @@ class ShortTx : private lsa::CommitCheck {
   [[noreturn]] void abort() { inner_->abort(); }
 
   std::uint64_t zone() const { return zc_; }
-  bool zone_assigned() const { return !first_open_pending_; }
   lsa::Tx& inner() { return *inner_; }
 
   // Object-level API (used by the zstm::api façade and by tests); same

@@ -422,10 +422,11 @@ TYPED_TEST(FaultSerialFallback, ExplicitBudgetStillWinsWithoutSerialMode) {
 
 // --- trimming under injection (cross-feature) -------------------------------
 
-TEST(FaultEffects, SstmTrimSettlesInjectionStrandedLocators) {
-  // A settle-CAS failpoint can leave a locator pointing at a finished
-  // writer; trim_descriptors must settle it before freeing descriptors
-  // (otherwise the store would read freed memory at teardown).
+TEST(FaultEffects, SstmReleaseLeavesNoInjectionStrandedLocator) {
+  // A settle-CAS failpoint fails the CAS with the locator still naming the
+  // finished writer; release retries until its own locators are settled,
+  // so the trim that frees the descriptors finds none naming a writer (it
+  // asserts so in debug builds) and teardown reads no freed descriptor.
   Clean c;
   registry().set_seed(9);
   ASSERT_TRUE(registry().arm(Site::kStoreSettleCas, 0.7));

@@ -17,14 +17,15 @@
 // The battery reruns under chaos failpoints, and for zl and lsa-nors under
 // synchronized real-time clocks (DESIGN.md §10).
 //
-// The schedule is randomized but reproducible: the seed comes from
-// ZSTM_HISTORY_SEED when set, otherwise std::random_device, and is printed
-// on failure for replay. Rounds scale with ZSTM_STRESS_ROUNDS.
+// The schedule is randomized but reproducible: each test run's seed comes
+// from ZSTM_HISTORY_SEED when set, otherwise std::random_device, and is
+// printed for replay. Rounds scale with ZSTM_STRESS_ROUNDS.
 //
 // CTest label: `history` — run in CI in release and under TSan.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <random>
 #include <string>
@@ -43,15 +44,20 @@ namespace {
 using api::CommonConfig;
 using api::TxKind;
 
+/// The test's seed: ZSTM_HISTORY_SEED when set, otherwise a fresh one on
+/// every call, so each test and each --gtest_repeat run draws its own.
+/// Printed up front, so even a run that hangs or crashes can be replayed.
 std::uint64_t harness_seed() {
-  static const std::uint64_t seed = [] {
-    if (const char* s = std::getenv("ZSTM_HISTORY_SEED");
-        s != nullptr && *s != '\0') {
-      return static_cast<std::uint64_t>(std::strtoull(s, nullptr, 0));
-    }
+  std::uint64_t seed;
+  if (const char* s = std::getenv("ZSTM_HISTORY_SEED");
+      s != nullptr && *s != '\0') {
+    seed = std::strtoull(s, nullptr, 0);
+  } else {
     std::random_device rd;
-    return (static_cast<std::uint64_t>(rd()) << 32) | rd();
-  }();
+    seed = (static_cast<std::uint64_t>(rd()) << 32) | rd();
+  }
+  std::printf("replay: ZSTM_HISTORY_SEED=%llu\n",
+              static_cast<unsigned long long>(seed));
   return seed;
 }
 
@@ -191,7 +197,8 @@ TEST(HistoryConformance, EveryVariantSatisfiesItsCriterionUnderChaos) {
   // transaction forever (kExitThread and kOom stay out of the recipe —
   // they unwind through the workload body, which is a different test's
   // job: tests/exception_safety_test.cpp and fault_injection_test.cpp).
-  const std::uint64_t seed = harness_seed() ^ 0xC4405ull;
+  const std::uint64_t replay = harness_seed();
+  const std::uint64_t seed = replay ^ 0xC4405ull;
   const int rounds = test_env::stress_rounds(150);
 
   struct Recipe {
@@ -212,7 +219,7 @@ TEST(HistoryConformance, EveryVariantSatisfiesItsCriterionUnderChaos) {
 
   for (const std::string& name : api::variant_names()) {
     SCOPED_TRACE(name + " [chaos] seed=" + std::to_string(seed) +
-                 " (replay: ZSTM_HISTORY_SEED=" + std::to_string(seed) + ")");
+                 " (replay: ZSTM_HISTORY_SEED=" + std::to_string(replay) + ")");
     fault::registry().disarm_all();
     fault::registry().set_seed(seed);
     for (const Recipe& r : kRecipe) {
@@ -248,12 +255,13 @@ TEST(HistoryConformance, ZlAndLsaNorsKeepTheirPromisesUnderSyncClocks) {
   // real-time order: not strict serializability for lsa-nors, and for zl
   // not z-linearizability's clause (2), whose zone-0 short transactions
   // are plain LSA.
-  const std::uint64_t seed = harness_seed() ^ 0x5C10Cull;
+  const std::uint64_t replay = harness_seed();
+  const std::uint64_t seed = replay ^ 0x5C10Cull;
   const int rounds = test_env::stress_rounds(250);
 
   for (const std::string name : {"zl", "lsa-nors"}) {
     SCOPED_TRACE(name + " [sync clocks] seed=" + std::to_string(seed) +
-                 " (replay: ZSTM_HISTORY_SEED=" + std::to_string(seed) + ")");
+                 " (replay: ZSTM_HISTORY_SEED=" + std::to_string(replay) + ")");
     CommonConfig cfg;
     cfg.max_threads = 8;
     cfg.record_history = true;
@@ -277,9 +285,11 @@ TEST(HistoryConformance, Tl2HistoriesAreAlsoSerializableUnderContention) {
   // A tighter screw for the new backend: two hot accounts, more threads
   // than accounts, so nearly every commit conflicts. Strict
   // serializability must survive the abort storm.
-  const std::uint64_t seed = harness_seed() ^ 0xD1CEu;
+  const std::uint64_t replay = harness_seed();
+  const std::uint64_t seed = replay ^ 0xD1CEu;
   const int rounds = test_env::stress_rounds(400);
-  SCOPED_TRACE("seed=" + std::to_string(seed));
+  SCOPED_TRACE("seed=" + std::to_string(seed) +
+               " (replay: ZSTM_HISTORY_SEED=" + std::to_string(replay) + ")");
 
   CommonConfig cfg;
   cfg.max_threads = 10;

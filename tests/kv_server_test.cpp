@@ -2,8 +2,7 @@
 // same service, value conservation under concurrent transfers, scan
 // snapshot consistency while updates race, clean shutdown with in-flight
 // requests, registry-slot reclamation across service restarts (thread
-// churn), failpoint chaos recovery, and the bounded-descriptor guarantee
-// the sstm housekeeping exists for.
+// churn) and failpoint chaos recovery.
 //
 // CTest label: `server`.
 #include <gtest/gtest.h>
@@ -29,7 +28,6 @@ ServiceConfig small_config(const std::string& variant, int workers = 2) {
   cfg.workers = workers;
   cfg.queue_capacity = 1 << 12;
   cfg.buckets = 64;
-  cfg.maintain_interval = std::chrono::milliseconds(2);
   cfg.stm.max_threads = workers + 6;
   return cfg;
 }
@@ -217,7 +215,7 @@ TEST(KvServer, RestartChurnReclaimsRegistrySlots) {
   // the per-run need, 12 restarts only work if thread-exit hands registry
   // slots back every round.
   ServiceConfig cfg = small_config("zl", 3);
-  cfg.stm.max_threads = 6;  // 3 workers + main + housekeeping slack
+  cfg.stm.max_threads = 6;  // 3 workers + main + slack
   KvService svc(cfg);
   svc.preload(0, 16, 1);
   for (int round = 0; round < 12; ++round) {
@@ -270,37 +268,6 @@ TEST(KvServer, ChaosFailpointsRecover) {
   EXPECT_EQ(fin.count, 64u);
   EXPECT_EQ(fin.sum, 64 * 100);
   fault::registry().reset_counts();
-}
-
-TEST(KvServer, SstmDescriptorCountStaysBounded) {
-  // The regression the housekeeping + maintain_every plumbing exists for:
-  // under sustained update load, sstm's retained descriptor count must stay
-  // bounded (trims keep up) instead of growing with total commits, and a
-  // stopped service holds zero.
-  ServiceConfig cfg = small_config("sstm", 2);
-  cfg.maintain_interval = std::chrono::milliseconds(1);
-  cfg.stm.maintain_every = 64;
-  KvService svc(cfg);
-  svc.preload(0, 32, 10);
-  svc.start();
-  LoadGenConfig lcfg;
-  lcfg.rate = 6000.0;
-  lcfg.duration = std::chrono::milliseconds(test_env::stress_rounds(400));
-  lcfg.keyspace = 32;
-  lcfg.mix.put = 0.5;  // update-heavy: every commit retires a descriptor
-  lcfg.mix.del = 0.0;
-  lcfg.seed = 5;
-  const LoadGenResult load = run_open_loop(svc, lcfg);
-  svc.stop();
-
-  const ServiceMetrics m = svc.metrics();
-  EXPECT_GT(load.accepted, 100u);
-  EXPECT_GT(m.reclaimed_total, 0u);
-  EXPECT_EQ(m.retained_last, 0u);  // final quiescent trim got everything
-  // Bounded: the high-water mark must be far below "every commit retained".
-  EXPECT_LT(m.retained_high_water, m.completed)
-      << "descriptor count grew with commit count — trims are not keeping up";
-  EXPECT_EQ(svc.stm().maintain().retained, 0u);
 }
 
 TEST(MpmcQueue, FullSheddingAndDrainAfterClose) {

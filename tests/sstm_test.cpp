@@ -163,6 +163,60 @@ TEST(Sstm, WriteWriteConflictArbitrated) {
   EXPECT_THROW(a->commit(), TxAborted);
 }
 
+/// A cycle the commit-time search reaches only past `rounds` other
+/// descriptors. L reads oL; X reads ox and writes oL; a writer commits ox
+/// and L reads it, so X must precede L. Then, `rounds` times, P reads o_i,
+/// a writer commits o_i, L reads it (so P must precede L too) and P
+/// commits. X's commit finds L must follow it, and its search from L meets
+/// every P before X. Below the cap it finds X; past the cap it gives up,
+/// which counts as a cycle. Either way X kills L. Past the cap the run also
+/// crosses the trim watermark twice while L and X stay open on this
+/// thread, so begin's drain must give up rather than wait for itself.
+class CycleSearch : public ::testing::TestWithParam<int> {};
+
+TEST_P(CycleSearch, XKillsL) {
+  const int rounds = GetParam();
+  Config cfg = quiet_config();
+  cfg.record_history = true;
+  Runtime rt(cfg);
+  auto ol = rt.make_var<int>(0);
+  auto ox = rt.make_var<int>(0);
+  std::vector<Var<int>> os;
+  for (int i = 0; i < rounds; ++i) os.push_back(rt.make_var<int>(0));
+  auto l = rt.attach();
+  auto x = rt.attach();
+  auto p = rt.attach();
+  auto w = rt.attach();
+
+  Tx& tl = l->begin();
+  (void)tl.read(ol);
+  Tx& tx = x->begin();
+  (void)tx.read(ox);
+  tx.write(ol, 1);
+  rt.run(*w, [&](Tx& t) { t.write(ox, 1); });
+  (void)tl.read(ox);  // X must precede L
+  for (auto& o : os) {
+    Tx& tp = p->begin();
+    (void)tp.read(o);
+    rt.run(*w, [&](Tx& t) { t.write(o, 1); });
+    (void)tl.read(o);  // P must precede L
+    p->commit();
+  }
+  EXPECT_NO_THROW(x->commit());
+  EXPECT_EQ(rt.stats()[Counter::kCmKills], 1u);
+  EXPECT_THROW(l->commit(), TxAborted);
+
+  const auto res = history::check_serializable(rt.collect_history());
+  EXPECT_TRUE(res) << res.reason;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rounds, CycleSearch, ::testing::Values(10, Runtime::kCycleSearchCap + 104),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return info.param < Runtime::kCycleSearchCap ? "BelowTheCap"
+                                                   : "PastTheCap";
+    });
+
 TEST(Sstm, ConcurrentHistoryIsSerializable) {
   Config cfg = quiet_config();
   cfg.max_threads = 16;

@@ -1,11 +1,14 @@
-// S-STM descriptor trim (the carried-over retained-descriptor leak):
-// Runtime::trim_descriptors() must free every finished descriptor at
-// quiescence, refuse to run while an attempt is live, and preserve
-// serializability by folding reader constraints into per-version stamps.
+// S-STM descriptor trim (DESIGN.md §11.5): Runtime::trim_descriptors()
+// must free every finished descriptor at quiescence, refuse to run while
+// an attempt is live, and preserve serializability by folding reader
+// constraints into per-version stamps; begin must run the same trim once
+// kTrimWatermark descriptors are retained, so retention stays bounded with
+// no call from the user.
 //
 // CTest label: `unit` (DESIGN.md §6).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -81,94 +84,164 @@ TEST(SstmTrim, ChurnLoopStaysBounded) {
   });
 }
 
-TEST(SstmTrim, FacadeMaintainTrims) {
-  // api::Stm::maintain() is the façade spelling of trim_descriptors():
-  // reclaimed/retained must mirror the raw counters, and on a runtime with
-  // nothing to trim it reports an empty result.
-  api::SStm stm;
-  auto x = stm.make_var<int>(0);
-  for (int i = 0; i < 50; ++i) {
-    stm.run(api::TxKind::kUpdate, [&](auto& tx) { tx.write(x, i); });
-  }
-  EXPECT_EQ(stm.runtime().descriptor_count(), 50u);
-  const api::MaintainResult r = stm.maintain();
-  EXPECT_EQ(r.reclaimed, 50u);
-  EXPECT_EQ(r.retained, 0u);
+struct Retention {
+  std::size_t high_water = 0;  // largest descriptor_count() sampled
+  int trims_seen = 0;          // most falls of the count one worker saw
+};
 
-  api::LsaStm lsa;
-  const api::MaintainResult empty = lsa.maintain();
-  EXPECT_EQ(empty.reclaimed, 0u);
-  EXPECT_EQ(empty.retained, 0u);
+template <typename T>
+void raise_to(std::atomic<T>& a, T v) {
+  T cur = a.load(std::memory_order_relaxed);
+  while (v > cur && !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
 }
 
-TEST(SstmTrim, MaintainEveryNCommitsKeepsCountBounded) {
-  // The automatic fallback trigger (CommonConfig::maintain_every): a long
-  // single-threaded run must never accumulate more than one trigger
-  // period's worth of descriptors, with no maintain() call ever made by
-  // the test — descriptor_count() is a read-only gauge.
-  api::CommonConfig cfg;
-  cfg.maintain_every = 32;
-  api::SStm stm(cfg);
-  auto x = stm.make_var<long>(0);
-  std::size_t high_water = 0;
-  for (int i = 0; i < 500; ++i) {
-    stm.run(api::TxKind::kUpdate,
-            [&](auto& tx) { tx.write(x, tx.read(x) + 1); });
-    high_water = std::max(high_water, stm.runtime().descriptor_count());
-  }
-  EXPECT_LE(high_water, 32u);
-  // Without the trigger the same loop retains every descriptor.
-  api::SStm bare;
-  auto y = bare.make_var<long>(0);
-  for (int i = 0; i < 100; ++i) {
-    bare.run(api::TxKind::kUpdate,
-             [&](auto& tx) { tx.write(y, tx.read(y) + 1); });
-  }
-  EXPECT_EQ(bare.runtime().descriptor_count(), 100u);
-  stm.run(api::TxKind::kReadOnly,
-          [&](auto& tx) { EXPECT_EQ(tx.read(x), 500); });
-}
-
-TEST(SstmTrim, DetachingThreadsTrimPastWatermark) {
-  // A façade user that never calls maintain(): threads that commit more
-  // than a watermark's worth of transactions and then exit leave nothing
-  // retained, because the last detach finds the runtime quiescent.
-  api::SStm stm;
-  auto x = stm.make_var<long>(0);
-  constexpr int kThreads = 4;
-  const int per_thread =
-      static_cast<int>(Runtime::kDetachTrimWatermark) / kThreads + 64;
-  std::atomic<int> finished{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < per_thread; ++i) {
-        stm.run(api::TxKind::kUpdate,
-                [&](auto& tx) { tx.write(x, tx.read(x) + 1); });
+/// Workers run `op` on `stm` until `done(commits, trims_seen)` holds, each
+/// sampling descriptor_count() after every op. Only a trim lowers the
+/// count, and no one here calls trim_descriptors, so every fall a worker
+/// sees is a distinct begin-triggered trim.
+template <typename Op, typename Done>
+Retention run_sampled(api::SStm& stm, int threads, Op op, Done done) {
+  std::atomic<long> commits{0};
+  std::atomic<std::size_t> high_water{0};
+  std::atomic<int> trims_seen{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> workers;
+  workers.reserve(static_cast<std::size_t>(threads));
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      util::Xorshift rng(0x5eedULL + static_cast<std::uint64_t>(t));
+      std::size_t last = 0;
+      int falls = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        op(rng);
+        const long n_commits = commits.fetch_add(1) + 1;
+        const std::size_t n = stm.runtime().descriptor_count();
+        raise_to(high_water, n);
+        if (n < last) raise_to(trims_seen, ++falls);
+        last = n;
+        if (done(n_commits, trims_seen.load())) stop.store(true);
       }
-      // Nobody detaches before every commit is in: the trim must not find
-      // a sibling mid-attempt.
-      finished.fetch_add(1);
-      while (finished.load() < kThreads) std::this_thread::yield();
     });
   }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(stm.runtime().descriptor_count(), 0u);
+  for (auto& w : workers) w.join();
+  return {high_water.load(), trims_seen.load()};
+}
+
+constexpr std::size_t kWatermark = Runtime::kTrimWatermark;
+
+TEST(SstmTrim, BeginTrimsAtTheWatermark) {
+  // No caller ever trims: begin does once kTrimWatermark descriptors are
+  // retained, so one thread's count never exceeds the watermark.
+  api::SStm stm;
+  auto x = stm.make_var<long>(0);
+  std::size_t high_water = 0;
+  int trims_seen = 0;
+  std::size_t last = 0;
+  for (std::size_t i = 0; i < 3 * kWatermark; ++i) {
+    stm.run(api::TxKind::kUpdate,
+            [&](auto& tx) { tx.write(x, tx.read(x) + 1); });
+    const std::size_t n = stm.runtime().descriptor_count();
+    high_water = std::max(high_water, n);
+    if (n < last) ++trims_seen;
+    last = n;
+  }
+  EXPECT_LE(high_water, kWatermark);
+  EXPECT_EQ(trims_seen, 2);
   stm.run(api::TxKind::kReadOnly, [&](auto& tx) {
-    EXPECT_EQ(tx.read(x), static_cast<long>(kThreads) * per_thread);
+    EXPECT_EQ(tx.read(x), static_cast<long>(3 * kWatermark));
   });
 }
 
-TEST(SstmTrim, TrimFromAnotherThreadSettlesOnItsOwnSlot) {
-  // Any thread may trim — KvService's housekeeper does while its worker 0
-  // owns slot 0. The trim's defensive settle retires into an EBR list and
-  // may collect into a pool free list, both owner-only, so it must run on a
-  // slot the trimming thread owns, never on the worker's. The worker
-  // attaches first (slot 0 on a one-cache-group host) and commits in a
-  // loop with the settle CAS failing half the time; this thread trims
-  // throughout. ThreadSanitizer flags any unordered use of one slot's
-  // lists from both threads.
+TEST(SstmTrim, ConcurrentTransfersKeepRetentionBounded) {
+  // Four threads transfer for eight watermarks' worth of commits. Each
+  // begin-triggered drain waits a bounded time for the attempts in flight;
+  // one that times out (a preempted worker on a loaded host) is retried a
+  // watermark later, so the bound allows four misses in a row.
+  constexpr int kThreads = 4;
+  constexpr int kAccounts = 8;
+  constexpr long kInitial = 1000;
+  api::CommonConfig cfg;
+  cfg.max_threads = kThreads + 2;
+  api::SStm stm(cfg);
+  std::vector<api::SStm::Var<long>> accounts;
+  for (int i = 0; i < kAccounts; ++i) accounts.push_back(stm.make_var(kInitial));
+
+  const Retention r = run_sampled(
+      stm, kThreads,
+      [&](util::Xorshift& rng) {
+        const std::size_t a = rng.next_below(kAccounts);
+        const std::size_t b = (a + 1 + rng.next_below(kAccounts - 1)) % kAccounts;
+        stm.run(api::TxKind::kUpdate, [&](auto& tx) {
+          tx.write(accounts[a]) -= 1;
+          tx.write(accounts[b]) += 1;
+        });
+      },
+      [](long commits, int) {
+        return commits >= static_cast<long>(8 * kWatermark);
+      });
+  EXPECT_LE(r.high_water, 5 * kWatermark + kThreads);
+  EXPECT_GE(r.trims_seen, 1);
+  long total = 0;
+  stm.run(api::TxKind::kReadOnly, [&](auto& tx) {
+    total = 0;
+    for (auto& acc : accounts) total += tx.read(acc);
+  });
+  EXPECT_EQ(total, kAccounts * kInitial);
+}
+
+TEST(SstmTrim, BeginTriggeredTrimsPreserveSerializability) {
+  // The history battery's transfer and write-skew ops, recorded, with at
+  // least two begin-triggered trims landing while the workers run: the
+  // folded stamps must carry every trimmed reader's constraint.
+  constexpr int kThreads = 4;
+  constexpr int kAccounts = 6;
+  api::CommonConfig cfg;
+  cfg.max_threads = kThreads + 2;
+  cfg.record_history = true;
+  api::SStm stm(cfg);
+  std::vector<api::SStm::Var<long>> accounts;
+  for (int i = 0; i < kAccounts; ++i) accounts.push_back(stm.make_var(50L));
+
+  const Retention r = run_sampled(
+      stm, kThreads,
+      [&](util::Xorshift& rng) {
+        const std::size_t a = rng.next_below(kAccounts);
+        const std::size_t b = (a + 1 + rng.next_below(kAccounts - 1)) % kAccounts;
+        if (rng.next_below(2) == 0) {
+          stm.run(api::TxKind::kUpdate, [&](auto& tx) {
+            tx.write(accounts[a]) -= 1;
+            tx.write(accounts[b]) += 1;
+          });
+          return;
+        }
+        // Write skew over two hot accounts (history_conformance_test).
+        const std::size_t rd = rng.next_below(2);
+        stm.run(api::TxKind::kUpdate, [&](auto& tx) {
+          const long seen = tx.read(accounts[rd]);
+          tx.write(accounts[1 - rd]) += (seen & 1);
+          std::this_thread::yield();
+        });
+      },
+      [](long commits, int trims_seen) {
+        return (commits >= static_cast<long>(4 * kWatermark) &&
+                trims_seen >= 2) ||
+               commits >= static_cast<long>(16 * kWatermark);
+      });
+  EXPECT_GE(r.trims_seen, 2);
+
+  const history::History h = stm.runtime().collect_history();
+  const history::CheckResult res = history::check_serializable(h);
+  EXPECT_TRUE(res.ok) << res.reason;
+}
+
+TEST(SstmTrim, TrimFromAnotherThreadWhileAWorkerCommits) {
+  // Any thread may trim while another commits. The worker commits in a
+  // loop with the settle CAS failing half the time; its release retries
+  // until its own locators are settled, so a trim that finds the runtime
+  // quiescent finds no locator naming a writer (the trim asserts it).
+  // ThreadSanitizer flags any unordered use of the reader lists the trim
+  // folds.
   fault::registry().disarm_all();
   ASSERT_TRUE(fault::registry().arm(fault::Site::kStoreSettleCas, 0.5, 0,
                                     fault::Effect::kCasFail));
