@@ -308,10 +308,9 @@ void cm(Doc& doc) {
 /// "Keeping multiple copies does not only increase the memory overhead but
 /// also the runtime overhead" (§4.4): thread 0 scans 512 lsa accounts
 /// (retrying until it commits) against two transfer threads, per number of
-/// versions kept, then in adaptive retention, whose per-object bound starts
-/// at 1 and grows on too-old-version aborts.
+/// versions kept.
 void versions(Doc& doc) {
-  const auto run = [&](object::RetentionMode mode, int kept) {
+  for (const int kept : {1, 2, 4, 8, 16}) {
     const BankParams p{.accounts = 512,
                        .threads = 3,
                        .duration = 200ms,
@@ -319,23 +318,14 @@ void versions(Doc& doc) {
                        .long_attempt_budget = 0};
     api::CommonConfig cfg = bank_config(p);
     cfg.versions_kept = kept;
-    cfg.retention_mode = mode;
     const BankResult b = checked_bank(doc, "lsa", p, cfg);
     doc.row()
-        .str("mode", mode == object::RetentionMode::kAdaptive ? "adaptive"
-                                                              : "fixed")
         .num("versions_kept", kept)
         .num("scans_per_s", b.compute_total_per_s)
         .num("attempts_per_scan",
              per(b.compute_total_attempts, b.compute_total_commits))
-        .num("transfers_per_s", b.transfer_per_s)
-        .num("retention_grows", b.stats[Counter::kRetentionGrows])
-        .num("retention_decays", b.stats[Counter::kRetentionDecays]);
-  };
-  for (const int kept : {1, 2, 4, 8, 16}) {
-    run(object::RetentionMode::kFixed, kept);
+        .num("transfers_per_s", b.transfer_per_s);
   }
-  run(object::RetentionMode::kAdaptive, 1);
   doc.print();
 }
 

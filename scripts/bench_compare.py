@@ -8,15 +8,17 @@ integer knobs like `threads` / `r` / `versions_kept` / `accounts`); numeric
 fields are printed side by side with a percentage delta. Perf deltas are
 informational (CI runs the compare non-gating; shared runners are noisy).
 
-Exit status: 0 when every baseline row has a match; 1 when a baseline row
-is missing from the current run, so a harness that stops emitting a row
-does not pass silently; 2 on unreadable input or when no row matches.
+Exit status: 0 when every baseline row has a match carrying every numeric
+baseline field; 1 when a baseline row, or a numeric field of a matched
+baseline row, is missing from the current run, so a harness that stops
+emitting a row or a column does not pass silently (fields only the current
+run has are informational); 2 on unreadable input or when no row matches.
 """
 
 import json
 import sys
 
-# String fields (e.g. `system`, `transport`, `phase`) are identity
+# String fields (e.g. `system`, `transport`) are identity
 # automatically; these small integer knobs join them.
 ID_INT_FIELDS = {"threads", "r", "versions_kept", "rate", "io_threads",
                  "conns", "accounts", "entries"}
@@ -65,6 +67,7 @@ def main():
 
     matched = 0
     missing = 0
+    missing_fields = 0
     for key, base in base_rows.items():
         cur = cur_rows.get(key)
         label = " ".join(f"{k}={v}" for k, v in key) or "(row)"
@@ -79,6 +82,8 @@ def main():
                 continue
             cv = cur.get(field)
             if not isinstance(cv, (int, float)):
+                deltas.append(f"{field}: missing from current run")
+                missing_fields += 1
                 continue
             if bv:
                 pct = 100.0 * (cv - bv) / bv
@@ -100,8 +105,10 @@ def main():
     if missing:
         print(f"bench_compare: {missing} baseline row(s) missing from the "
               "current run", file=sys.stderr)
-        return 1
-    return 0
+    if missing_fields:
+        print(f"bench_compare: {missing_fields} baseline field(s) missing "
+              "from the current run", file=sys.stderr)
+    return 1 if missing or missing_fields else 0
 
 
 if __name__ == "__main__":

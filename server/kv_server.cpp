@@ -15,14 +15,9 @@
 //
 //   ./kv_server --net [--port=0] [--io-threads=2] [--conns=8] [--idle-ms=0]
 //
-// Saturation sweep (§13.5): `--ramp` multiplies the arrival rate by
-// --ramp-step (default 2) from --rate up to --ramp-max, one --duration-ms
-// step each, and records the knee — the first rate where p99 exceeds
-// --knee-p99-us or anything is shed — per variant.
-//
 // `--json` writes BENCH_kv.json (in-process) or BENCH_kv_net.json (--net),
 // scripts/bench_compare.py compatible; the identity of a row is system +
-// rate + threads (+ transport/io_threads/conns/phase for net rows) + the
+// rate + threads (+ transport/io_threads/conns for net rows) + the
 // stringified knobs. Exit status is nonzero if any variant completes zero
 // requests.
 #include <cstdio>
@@ -60,11 +55,6 @@ struct Args {
   int io_threads = 2;
   int conns = 8;
   int idle_ms = 0;
-  // --ramp
-  bool ramp = false;
-  int ramp_max = 0;  ///< 0 = 32x the base rate
-  double ramp_step = 2.0;
-  double knee_p99_us = 50000.0;
 };
 
 bool parse_flag(const char* arg, const char* name, const char** value) {
@@ -136,20 +126,12 @@ Args parse_args(int argc, char** argv) {
       a.conns = std::atoi(v);
     } else if (parse_flag(argv[i], "--idle-ms", &v) && v != nullptr) {
       a.idle_ms = std::atoi(v);
-    } else if (parse_flag(argv[i], "--ramp-max", &v) && v != nullptr) {
-      a.ramp_max = std::atoi(v);
-    } else if (parse_flag(argv[i], "--ramp-step", &v) && v != nullptr) {
-      a.ramp_step = std::atof(v);
-    } else if (parse_flag(argv[i], "--knee-p99-us", &v) && v != nullptr) {
-      a.knee_p99_us = std::atof(v);
     } else if (std::strcmp(argv[i], "--poisson") == 0) {
       a.poisson = true;
     } else if (std::strcmp(argv[i], "--json") == 0) {
       a.json = true;
     } else if (std::strcmp(argv[i], "--net") == 0) {
       a.net = true;
-    } else if (std::strcmp(argv[i], "--ramp") == 0) {
-      a.ramp = true;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
       std::exit(2);
@@ -158,8 +140,6 @@ Args parse_args(int argc, char** argv) {
   if (a.variants.empty()) {
     a.variants = api::variant_names();
   }
-  if (a.ramp_max <= 0) a.ramp_max = a.rate * 32;
-  if (a.ramp_step < 1.1) a.ramp_step = 1.1;
   return a;
 }
 
@@ -176,9 +156,9 @@ server::ServiceConfig service_config(const Args& args,
   return scfg;
 }
 
-server::LoadGenConfig load_config(const Args& args, int rate) {
+server::LoadGenConfig load_config(const Args& args) {
   server::LoadGenConfig lcfg;
-  lcfg.rate = static_cast<double>(rate);
+  lcfg.rate = static_cast<double>(args.rate);
   lcfg.duration = std::chrono::milliseconds(args.duration_ms);
   lcfg.keyspace = args.keys;
   lcfg.zipf_theta = args.zipf;
@@ -189,23 +169,15 @@ server::LoadGenConfig load_config(const Args& args, int rate) {
   return lcfg;
 }
 
-/// What ramp-knee detection needs from one (variant, rate) step.
-struct StepOut {
-  bool ok = false;        ///< completed at least one request
-  double p99_us = 0.0;
-  std::uint64_t shed = 0;  ///< all shed causes, client and server side
-};
-
-/// One in-process run. `phase` tags the row ("ramp"); nullptr keeps the
-/// classic BENCH_kv row identity untouched.
-StepOut run_inproc(const Args& args, const std::string& variant, int rate,
-                   const char* phase, benchjson::Doc& doc) {
+/// One in-process run. Returns whether it completed any request.
+bool run_inproc(const Args& args, const std::string& variant,
+                benchjson::Doc& doc) {
   server::KvService svc(service_config(args, variant));
   svc.preload(0, args.keys, 100);
 
   svc.start();
   const server::LoadGenResult load =
-      server::run_open_loop(svc, load_config(args, rate));
+      server::run_open_loop(svc, load_config(args));
   svc.stop();
 
   server::ServiceMetrics m = svc.metrics();
@@ -213,27 +185,21 @@ StepOut run_inproc(const Args& args, const std::string& variant, int rate,
   const double thruput =
       secs > 0 ? static_cast<double>(m.completed) / secs : 0.0;
 
-  StepOut out;
-  out.ok = m.completed > 0;
-  out.p99_us = us(m.all.quantile(0.99));
-  out.shed = load.shed;
-
   std::printf("%-8s %8d %10.0f %8llu %8llu %8.1f %9.1f %9.1f %9.1f %7llu\n",
-              variant.c_str(), rate, thruput,
+              variant.c_str(), args.rate, thruput,
               static_cast<unsigned long long>(load.accepted),
               static_cast<unsigned long long>(load.shed),
               us(m.all.quantile(0.50)), us(m.all.quantile(0.99)),
               us(m.all.quantile(0.999)), us(m.all.max()),
               static_cast<unsigned long long>(m.progress.serial_entries));
 
-  auto& row = doc.row();
-  row.str("system", variant)
+  doc.row()
+      .str("system", variant)
       .num("threads", args.workers)
-      .num("rate", rate)
+      .num("rate", args.rate)
       .str("zipf", std::to_string(args.zipf))
-      .str("keys", std::to_string(args.keys));
-  if (phase != nullptr) row.str("phase", phase);
-  row.num("offered", load.offered)
+      .str("keys", std::to_string(args.keys))
+      .num("offered", load.offered)
       .num("accepted", load.accepted)
       .num("shed", load.shed)
       .num("completed", m.completed)
@@ -253,14 +219,13 @@ StepOut run_inproc(const Args& args, const std::string& variant, int rate,
                0.99)))
       .num("serial_entries", m.progress.serial_entries)
       .num("max_attempts", static_cast<std::uint64_t>(m.progress.max_attempts));
-  return out;
+  return m.completed > 0;
 }
 
 /// One networked run: service + TcpServer on loopback, load over TCP.
-StepOut run_net(const Args& args, const std::string& variant, int rate,
-                const char* phase, benchjson::Doc& doc) {
-  StepOut out;
-
+/// Returns whether it received any response.
+bool run_net(const Args& args, const std::string& variant,
+             benchjson::Doc& doc) {
   server::KvService svc(service_config(args, variant));
   svc.preload(0, args.keys, 100);
   svc.start();
@@ -273,11 +238,11 @@ StepOut run_net(const Args& args, const std::string& variant, int rate,
   if (!ts.start()) {
     std::fprintf(stderr, "kv_server: TCP server failed to start\n");
     svc.stop();
-    return out;
+    return false;
   }
 
   const net::NetLoadResult load = net::run_net_open_loop(
-      "127.0.0.1", ts.port(), load_config(args, rate), args.conns);
+      "127.0.0.1", ts.port(), load_config(args), args.conns);
 
   ts.stop();  // before the service: in-flight completions target live loops
   svc.stop();
@@ -290,12 +255,8 @@ StepOut run_net(const Args& args, const std::string& variant, int rate,
   const std::uint64_t shed_total =
       load.client_shed + load.server_shed + load.unflushed;
 
-  out.ok = load.all.count() > 0;
-  out.p99_us = us(load.all.quantile(0.99));
-  out.shed = shed_total;
-
   std::printf("%-8s %8d %10.0f %8llu %8llu %8.1f %9.1f %9.1f %9.1f %7llu %6llu\n",
-              variant.c_str(), rate, thruput,
+              variant.c_str(), args.rate, thruput,
               static_cast<unsigned long long>(load.responses),
               static_cast<unsigned long long>(shed_total),
               us(load.all.quantile(0.50)), us(load.all.quantile(0.99)),
@@ -307,16 +268,15 @@ StepOut run_net(const Args& args, const std::string& variant, int rate,
     return us(load.per_op[static_cast<int>(op)].quantile(0.99));
   };
 
-  auto& row = doc.row();
-  row.str("system", variant)
+  doc.row()
+      .str("system", variant)
       .str("transport", "tcp")
       .num("threads", args.workers)
       .num("io_threads", args.io_threads)
       .num("conns", args.conns)
-      .num("rate", rate)
+      .num("rate", args.rate)
       .str("zipf", std::to_string(args.zipf))
       .str("keys", std::to_string(args.keys))
-      .str("phase", phase != nullptr ? phase : "fixed")
       .num("offered", load.offered)
       .num("sent", load.sent)
       .num("client_shed", load.client_shed)
@@ -342,7 +302,7 @@ StepOut run_net(const Args& args, const std::string& variant, int rate,
       .num("serial_entries", m.progress.serial_entries)
       .num("max_attempts",
            static_cast<std::uint64_t>(m.progress.max_attempts));
-  return out;
+  return load.all.count() > 0;
 }
 
 }  // namespace
@@ -352,11 +312,10 @@ int main(int argc, char** argv) {
 
   std::printf(
       "kv_server: open-loop %d req/s for %d ms, %d workers, %llu keys, "
-      "zipf %.2f%s%s%s\n",
+      "zipf %.2f%s%s\n",
       args.rate, args.duration_ms, args.workers,
       static_cast<unsigned long long>(args.keys), args.zipf,
-      args.poisson ? ", poisson" : "", args.net ? ", tcp loopback" : "",
-      args.ramp ? ", ramp" : "");
+      args.poisson ? ", poisson" : "", args.net ? ", tcp loopback" : "");
   if (args.net) {
     std::printf("net: %d io thread(s), %d conn(s)\n", args.io_threads,
                 args.conns);
@@ -369,56 +328,10 @@ int main(int argc, char** argv) {
   benchjson::Doc doc(args.net ? "kv_net" : "kv");
   bool failed = false;
 
-  const auto run_step = [&](const std::string& variant, int rate,
-                            const char* phase) {
-    return args.net ? run_net(args, variant, rate, phase, doc)
-                    : run_inproc(args, variant, rate, phase, doc);
-  };
-
   for (const std::string& variant : args.variants) {
-    if (!args.ramp) {
-      if (!run_step(variant, args.rate, nullptr).ok) failed = true;
-      continue;
-    }
-
-    // Saturation sweep: geometric rate steps until the knee (or the cap).
-    // The knee is the first rate where the tail blows past the bound or
-    // anything at all is shed — the open-loop definition of "can't keep up".
-    int knee_rate = 0;
-    int last_rate = 0;
-    bool any_ok = false;
-    for (double r = args.rate; static_cast<int>(r) <= args.ramp_max;
-         r *= args.ramp_step) {
-      const int rate = static_cast<int>(r);
-      last_rate = rate;
-      const StepOut step = run_step(variant, rate, "ramp");
-      any_ok = any_ok || step.ok;
-      if (step.ok && (step.p99_us > args.knee_p99_us || step.shed > 0)) {
-        knee_rate = rate;
-        break;
-      }
-    }
-    if (!any_ok) failed = true;
-
-    std::printf("%-8s knee: %s%d req/s (p99 bound %.0f us)\n", variant.c_str(),
-                knee_rate > 0 ? "" : ">", knee_rate > 0 ? knee_rate : last_rate,
-                args.knee_p99_us);
-
-    auto& row = doc.row();
-    row.str("system", variant).str("phase", "knee");
-    if (args.net) {
-      row.str("transport", "tcp")
-          .num("io_threads", args.io_threads)
-          .num("conns", args.conns);
-    }
-    row.num("threads", args.workers)
-        .num("rate", args.rate)
-        .str("zipf", std::to_string(args.zipf))
-        .str("keys", std::to_string(args.keys))
-        .num("knee_rate", knee_rate)
-        .num("knee_found", knee_rate > 0 ? 1 : 0)
-        .num("max_rate_tested", last_rate)
-        .num("knee_p99_bound_us", args.knee_p99_us);
+    const bool ok = args.net ? run_net(args, variant, doc)
+                             : run_inproc(args, variant, doc);
+    if (!ok) failed = true;
   }
 
   if (args.json && !doc.write()) return 1;

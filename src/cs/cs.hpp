@@ -238,7 +238,6 @@ class RuntimeT : public runtime::Core {
       Version* succ = Store::successor_of(cur, r.version);
       if (succ == nullptr) {
         // Pruned: conservative abort (paper's single-version semantics).
-        store_.note_too_old(*r.obj, slot);
         return false;
       }
       // Successor timestamps grow along the chain, so checking the

@@ -223,7 +223,6 @@ const runtime::Payload& Tx::read_object(Object& o) {
     }
     if (v == nullptr) {
       // The version valid at ub was pruned (retention bound exceeded).
-      rt.store().note_too_old(o, s);
       fail(util::Counter::kValidationFails);
     }
   }
@@ -309,7 +308,6 @@ bool Tx::try_extend() {
     Version* succ = Store::successor_of(cur, r.version);
     if (succ == nullptr) {
       // Chain pruned past our version; cannot bound its validity.
-      rt.store().note_too_old(*r.obj, s);
       rt.stats_.add(s, util::Counter::kExtensionFails);
       return false;
     }

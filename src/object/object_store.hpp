@@ -45,13 +45,10 @@
 // retire of their own. With the pool disabled (ZSTM_POOL=0) everything
 // degrades to plain new/delete.
 //
-// Version retention (paper §4.4) is a per-store policy. kFixed keeps the
-// classic global bound (Config::versions_kept). kAdaptive replaces it with
-// a *per-object* bound that doubles when a transaction aborts because the
-// version it needed was already pruned (note_too_old) and decays by one
-// after `decay_period` consecutive prunes without such an abort — objects
-// that long transactions scan grow deep histories, write-only hot spots
-// shrink to nearly single-version storage.
+// Version retention (paper §4.4) is one fixed bound per store: every
+// object keeps max(Config::versions_kept, 1) committed versions. A
+// transaction that needs a pruned version aborts at its own call site
+// (DESIGN.md §1.2).
 #pragma once
 
 #include <algorithm>
@@ -79,22 +76,6 @@ namespace zstm::object {
 /// transactions from waiting on each other.
 enum class OnCommitting { kWait, kFail };
 
-/// The store's retention policy. A runtime's store takes mode and initial
-/// from its Config (retention_mode, versions_kept); the adaptive floor,
-/// ceiling and decay period keep these defaults outside the store's own
-/// tests.
-struct RetentionPolicy {
-  RetentionMode mode = RetentionMode::kFixed;
-  /// Bound in kFixed mode; initial per-object bound in kAdaptive mode.
-  int initial = 8;
-  /// Adaptive floor/ceiling for the per-object bound.
-  int min_kept = 1;
-  int max_kept = 64;
-  /// Adaptive decay: consecutive prunes without a too-old abort before the
-  /// bound shrinks by one.
-  int decay_period = 64;
-};
-
 /// Traits must provide:
 ///   Desc        — the runtime's transaction descriptor (derives
 ///                 runtime::TxDescBase; its status is used here).
@@ -111,28 +92,15 @@ class ObjectStore {
   template <typename T>
   using Var = object::Var<T, Object>;
 
-  /// The runtime's store: retention from the core's Config.
+  /// The runtime's store: the retention bound is the core's
+  /// Config::versions_kept, clamped so at least one version is always kept
+  /// (the unsigned bound arithmetic in prune relies on it).
   explicit ObjectStore(runtime::Core& core)
-      : ObjectStore(core, RetentionPolicy{core.config().retention_mode,
-                                          core.config().versions_kept}) {}
-
-  ObjectStore(runtime::Core& core, RetentionPolicy retention)
       : core_(core),
         pool_(core.node_pool()),
         stats_(core.stats_domain()),
-        retention_(retention) {
-    // Normalize so the unsigned bound arithmetic below stays sane: at least
-    // one version is always kept (matching the old per-runtime prune loops,
-    // which degraded to single-version for versions_kept <= 0).
-    if (retention_.min_kept < 1) retention_.min_kept = 1;
-    if (retention_.initial < retention_.min_kept) {
-      retention_.initial = retention_.min_kept;
-    }
-    if (retention_.max_kept < retention_.initial) {
-      retention_.max_kept = retention_.initial;
-    }
-    if (retention_.decay_period < 1) retention_.decay_period = 1;
-  }
+        kept_(static_cast<std::uint32_t>(
+            std::max(core.config().versions_kept, 1))) {}
 
   ObjectStore(const ObjectStore&) = delete;
   ObjectStore& operator=(const ObjectStore&) = delete;
@@ -173,8 +141,6 @@ class ObjectStore {
     auto obj = std::make_unique<Object>();
     obj->loc.store(&version->settled, std::memory_order_release);
     obj->oid = object_ids_.value.fetch_add(1, std::memory_order_relaxed) + 1;
-    obj->keep.store(static_cast<std::uint32_t>(retention_.initial),
-                    std::memory_order_relaxed);
     obj->tail.store(version, std::memory_order_relaxed);
     Object* raw = obj.get();
     {
@@ -305,8 +271,11 @@ class ObjectStore {
   /// uses (DESIGN.md §1). Returns the locator (writer null or `self`), or
   /// nullptr when failpoint `site` (the caller's own acquire site) injected
   /// an abort. Loads are seq_cst: Z-STM's long transactions pair them with
-  /// their zone claims (DESIGN.md §5.1, §5.4).
-  Locator* acquire(Object& o, Desc* self, int slot, fault::Site site) {
+  /// their zone claims (DESIGN.md §5.1, §5.4). Always inlined: GCC 12
+  /// otherwise calls one out-of-line copy from zl's long read and write,
+  /// and zl's long transactions ran slower (DESIGN.md §1.2).
+  [[gnu::always_inline]] Locator* acquire(Object& o, Desc* self, int slot,
+                                          fault::Site site) {
     util::Backoff bo;
     for (;;) {
       if (fault::poke(site) == fault::Effect::kAbort) return nullptr;
@@ -378,17 +347,15 @@ class ObjectStore {
                                          std::memory_order_seq_cst);
   }
 
-  /// Bound the committed chain at the object's current retention bound:
-  /// while the tail cursor is `bound` or more versions behind the head,
+  /// Bound the committed chain at the store's retention bound: while the
+  /// tail cursor is `kept_bound()` or more versions behind the head,
   /// advance it one version, sever the link to the old tail and retire it.
   /// The cursor CAS hands each old tail to exactly one pruner (DESIGN.md
   /// §7, "Pruning").
   void prune(Object& o, int slot) {
-    note_quiescent(o, slot);
     const Version* head = o.loc.load(std::memory_order_acquire)->committed;
-    const std::uint32_t bound = kept_bound(o);
     Version* tail = o.tail.load(std::memory_order_acquire);
-    while (tail->seq + bound <= head->seq) {
+    while (tail->seq + kept_ <= head->seq) {
       Version* next = tail->newer.load(std::memory_order_acquire);
       if (!o.tail.compare_exchange_weak(tail, next,
                                         std::memory_order_acq_rel)) {
@@ -405,7 +372,7 @@ class ObjectStore {
   /// Walk newest-first from `cur` to the immediate successor of `read`.
   /// Returns nullptr when `read` is no longer on the chain (pruned) — the
   /// caller cannot bound the read version's validity and must abort
-  /// conservatively (and should report note_too_old).
+  /// conservatively.
   static Version* successor_of(Version* cur, const Version* read) {
     Version* succ = cur;
     Version* below = succ->prev.load(std::memory_order_acquire);
@@ -416,45 +383,10 @@ class ObjectStore {
     return below == nullptr ? nullptr : succ;
   }
 
-  /// A transaction aborted because a version of `o` it needed was already
-  /// pruned. Adaptive mode doubles the object's retention bound (up to
-  /// max_kept) and resets its quiet streak; fixed mode is a no-op.
-  void note_too_old(Object& o, int slot) {
-    if (retention_.mode != RetentionMode::kAdaptive) return;
-    o.quiet.store(0, std::memory_order_relaxed);
-    const std::uint32_t k = o.keep.load(std::memory_order_relaxed);
-    const std::uint32_t grown =
-        std::min<std::uint32_t>(static_cast<std::uint32_t>(retention_.max_kept),
-                                std::max<std::uint32_t>(k, 1) * 2);
-    if (grown > k) {
-      o.keep.store(grown, std::memory_order_relaxed);
-      stats_.add(slot, util::Counter::kRetentionGrows);
-    }
-  }
-
-  /// Current retention bound of `o` (fixed: the policy constant).
-  std::uint32_t kept_bound(const Object& o) const {
-    return retention_.mode == RetentionMode::kAdaptive
-               ? o.keep.load(std::memory_order_relaxed)
-               : static_cast<std::uint32_t>(retention_.initial);
-  }
+  /// Committed versions every object keeps: max(versions_kept, 1).
+  std::uint32_t kept_bound() const { return kept_; }
 
  private:
-  /// One more prune without a too-old abort; after decay_period of them the
-  /// adaptive bound shrinks by one (floor min_kept). The counters race
-  /// benignly: both are bounded and monotone between resets.
-  void note_quiescent(Object& o, int slot) {
-    if (retention_.mode != RetentionMode::kAdaptive) return;
-    const std::uint32_t q = o.quiet.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (q < static_cast<std::uint32_t>(retention_.decay_period)) return;
-    o.quiet.store(0, std::memory_order_relaxed);
-    const std::uint32_t k = o.keep.load(std::memory_order_relaxed);
-    if (k > static_cast<std::uint32_t>(retention_.min_kept)) {
-      o.keep.store(k - 1, std::memory_order_relaxed);
-      stats_.add(slot, util::Counter::kRetentionDecays);
-    }
-  }
-
   void free_chain_now(Version* v) {
     while (v != nullptr) {
       Version* p = v->prev.load(std::memory_order_relaxed);
@@ -466,7 +398,7 @@ class ObjectStore {
   runtime::Core& core_;
   NodePool& pool_;
   util::StatsDomain& stats_;
-  RetentionPolicy retention_;
+  const std::uint32_t kept_;
   util::PaddedCounter object_ids_;
   std::mutex objects_mutex_;
   std::deque<std::unique_ptr<Object>> objects_;

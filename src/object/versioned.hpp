@@ -6,7 +6,7 @@
 // version is `tentative` iff the writer's status is kCommitted, and a
 // transaction's whole write set becomes visible atomically when its status
 // word flips — the single-CAS commit. Committed versions form a newest-first
-// chain whose retention is bounded by an ObjectStore policy (paper §4.4).
+// chain whose length the ObjectStore bounds (paper §4.4).
 // Locators are not separate nodes: each version embeds the two that can
 // point at it (DESIGN.md §7, "Embedded locators").
 //
@@ -19,9 +19,8 @@
 //                           and owned locators.
 //   * Locator<Desc, Ver>  — the immutable DSTM locator triple.
 //   * Object<Meta, Loc>   — one atomic locator pointer, the object id, the
-//                           retention state (bound and pruning cursor), and
-//                           per-runtime object metadata (Z-STM's zone stamp
-//                           `zc`).
+//                           pruning cursor, and per-runtime object metadata
+//                           (Z-STM's zone stamp `zc`).
 //   * Var<T, Obj>         — the typed user-facing handle.
 //
 // ObjectStore (object_store.hpp) owns the objects and implements the
@@ -118,9 +117,9 @@ struct Version : Meta {
   std::atomic<Version*> newer{nullptr};
 };
 
-/// Transactional object: one atomic locator pointer, the object id, the
-/// per-object retention state (ObjectStore's bound and pruning cursor), and
-/// whatever per-runtime metadata Meta adds (e.g. Z-STM's zone stamp `zc`).
+/// Transactional object: one atomic locator pointer, the object id,
+/// ObjectStore's pruning cursor, and whatever per-runtime metadata Meta
+/// adds (e.g. Z-STM's zone stamp `zc`).
 template <typename Meta, typename Loc>
 struct Object : Meta {
   Object() = default;
@@ -130,11 +129,6 @@ struct Object : Meta {
   std::atomic<Loc*> loc{nullptr};
   std::uint64_t oid = 0;
 
-  /// Current version-retention bound (adaptive mode; fixed mode ignores
-  /// it). Initialized by ObjectStore::allocate.
-  std::atomic<std::uint32_t> keep{0};
-  /// Prunes since the last too-old abort; drives adaptive decay.
-  std::atomic<std::uint32_t> quiet{0};
   /// Oldest retained committed version (the chain's last node). Set by
   /// ObjectStore::allocate; ObjectStore::prune advances it by CAS.
   std::atomic<typename Loc::Version*> tail{nullptr};

@@ -11,8 +11,8 @@
 //   zstm::runtime::Config cfg{.max_threads = 8, .versions_kept = 4};
 //   zstm::lsa::Runtime rt(cfg);
 //
-// The two enums the knobs take are declared here, in the namespaces of
-// the subsystems that interpret them.
+// The enum a knob takes is declared here, in the namespace of the
+// subsystem that interprets it.
 #pragma once
 
 #include <chrono>
@@ -25,28 +25,16 @@ namespace timebase {
 enum class TimeBaseKind { kCounter, kSyncClock };
 }  // namespace timebase
 
-namespace object {
-/// Version retention (paper §4.4; object/object_store.hpp).
-enum class RetentionMode {
-  kFixed,     ///< global bound: Config::versions_kept
-  kAdaptive,  ///< per-object bound; grows on too-old aborts, decays when quiet
-};
-}  // namespace object
-
 namespace runtime {
 
 struct Config {
   /// Registry capacity: threads that may be attached at once.
   int max_threads = 36;
-  /// Object runtimes: committed versions retained per object (K), the
-  /// starting per-object bound in adaptive mode. 1 = single-version; more
-  /// let lsa's read-only transactions commit in the past, and cs/sstm
-  /// find a read version's successor for longer.
+  /// Object runtimes: committed versions retained per object (K, paper
+  /// §4.4), clamped to at least 1. 1 = single-version; more let lsa's
+  /// read-only transactions commit in the past, and cs/sstm find a read
+  /// version's successor for longer.
   int versions_kept = 8;
-  /// Object runtimes: kFixed keeps versions_kept everywhere; kAdaptive
-  /// gives each object its own bound that doubles on too-old-version
-  /// aborts and decays while quiet.
-  object::RetentionMode retention_mode = object::RetentionMode::kFixed;
   /// Slab-pool node allocation (DESIGN.md §7); the ZSTM_POOL=0 environment
   /// variable overrides it to false (debugging, ASan).
   bool use_node_pool = true;

@@ -288,7 +288,6 @@ void ThreadCtx::commit() {
       Version* succ = Store::successor_of(cur, r.version);
       if (succ == nullptr) {
         // Pruned: conservative abort.
-        rt_.store_.note_too_old(*r.obj, s);
         valid = false;
         break;
       }

@@ -22,8 +22,6 @@ const char* counter_name(Counter c) {
     case Counter::kZonePassed: return "zone_passed";
     case Counter::kCmWaits: return "cm_waits";
     case Counter::kCmKills: return "cm_kills";
-    case Counter::kRetentionGrows: return "retention_grows";
-    case Counter::kRetentionDecays: return "retention_decays";
     case Counter::kPoolHits: return "pool_hits";
     case Counter::kPoolMisses: return "pool_misses";
     case Counter::kPoolReturns: return "pool_returns";

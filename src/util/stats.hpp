@@ -33,8 +33,6 @@ enum class Counter : int {
   kZonePassed,       // Z-STM long transactions passed by a higher zc
   kCmWaits,          // acquire's waits on a committing owner
   kCmKills,          // acquire's aborts of an active owner
-  kRetentionGrows,   // adaptive retention: per-object bound doubled
-  kRetentionDecays,  // adaptive retention: per-object bound shrank by one
   kPoolHits,         // node allocations served from a slab free list
   kPoolMisses,       // node allocations that hit the global heap (slab carve)
   kPoolReturns,      // cross-thread node releases routed via an MPSC stack

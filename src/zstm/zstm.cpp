@@ -357,7 +357,6 @@ const runtime::Payload& LongTx::read_object(lsa::Object& o) {
   if (v == nullptr || v->zone > zc_) {
     // Pruned underneath us, or a later long transaction's write is already
     // current: we cannot recover a consistent pre-claim state.
-    if (v == nullptr) sub.store().note_too_old(o, s);
     sub.stats_domain().add(s, util::Counter::kZonePassed);
     abort();
   }

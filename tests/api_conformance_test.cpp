@@ -58,11 +58,17 @@ TYPED_TEST(ApiConformance, EveryKindCommitsAndReadsBack) {
   TypeParam stm = this->make();
   auto x = stm.make_var(1L);
 
-  api::RunResult r =
-      stm.run(TxKind::kUpdate, [&](auto& tx) { tx.write(x) += 1; });
+  // The update bodies read their own write back.
+  api::RunResult r = stm.run(TxKind::kUpdate, [&](auto& tx) {
+    tx.write(x) += 1;
+    EXPECT_EQ(tx.read(x), 2);
+  });
   EXPECT_TRUE(r.committed);
   EXPECT_GE(r.attempts, 1u);
-  stm.run(TxKind::kLongUpdate, [&](auto& tx) { tx.write(x) += 1; });
+  stm.run(TxKind::kLongUpdate, [&](auto& tx) {
+    tx.write(x) += 1;
+    EXPECT_EQ(tx.read(x), 3);
+  });
   stm.run(TxKind::kReadOnly, [&](auto& tx) { EXPECT_EQ(tx.read(x), 3); });
   stm.run(TxKind::kLong, [&](auto& tx) { EXPECT_EQ(tx.read(x), 3); });
 }

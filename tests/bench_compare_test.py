@@ -60,6 +60,14 @@ class BenchCompareExitCodes(unittest.TestCase):
         self.assertEqual(
             self.compare(doc(bank_rows()), doc(bank_rows(without_tl2))), 1)
 
+    def test_baseline_field_dropped(self):
+        with_aborts = [dict(r, aborts=3) for r in bank_rows()]
+        self.assertEqual(self.compare(doc(with_aborts), doc(bank_rows())), 1)
+
+    def test_field_only_in_current_run(self):
+        with_aborts = [dict(r, aborts=3) for r in bank_rows()]
+        self.assertEqual(self.compare(doc(bank_rows()), doc(with_aborts)), 0)
+
     def test_no_row_in_common(self):
         self.assertEqual(
             self.compare(doc(bank_rows(threads=(1,))),

@@ -73,9 +73,7 @@ int main() {
     ok = ok && commit_one(*rt);
   }
   {
-    zstm::sstm::Runtime rt(
-        Config{.max_threads = 4,
-               .retention_mode = zstm::object::RetentionMode::kAdaptive});
+    zstm::sstm::Runtime rt(Config{.max_threads = 4, .versions_kept = 2});
     ok = ok && commit_one(rt);
   }
   {

@@ -3,8 +3,9 @@
 // deterministic triggering under a fixed seed, the
 // zero-cost disabled path, OOM injection surfacing as a clean abort, effect
 // delivery through real runtimes, one abort counted per aborted
-// open-for-write attempt, and the façade's serial-irrevocable fallback
-// committing every transaction under 100% abort injection.
+// open-for-write attempt, a scripted tl2 commit interleaving through a
+// site's hook, and the façade's serial-irrevocable fallback committing
+// every transaction under 100% abort injection.
 //
 // The registry is process-global, so every test arms inside a
 // disarm_all() bracket.
@@ -24,6 +25,7 @@
 #include "fault/failpoint.hpp"
 #include "lsa/lsa.hpp"
 #include "sstm/sstm.hpp"
+#include "tl2/tl2.hpp"
 
 namespace zstm {
 namespace {
@@ -363,6 +365,45 @@ TEST(FaultEffects, LsaNorsReadOnlyWriteAbortsOnce) {
   th->begin(lsa::TxKind::kReadOnly).write(x, 1L);
   th->commit();
   EXPECT_EQ(rt.stats()[util::Counter::kAborts], 1u);
+}
+
+TEST(FaultEffects, Tl2RevalidationAbortsOnAStripeAnotherCommitterHolds) {
+  // T1 read a and writes b; T2 writes a. The tl2.revalidate hook runs T1's
+  // commit inside T2's, after T2 locked a's stripe and drew its commit
+  // time: T1's commit time is then not rv + 1, so T1 revalidates its read
+  // of a, finds the stripe locked by another transaction, and aborts. The
+  // hook's second run is T1 reaching its own revalidation, so the abort
+  // comes from there and not from T1's lock acquisition.
+  Clean c;
+  tl2::Runtime rt(tl2::Config{.max_threads = 4});
+  auto a = rt.make_var<long>(0);
+  auto b = rt.make_var<long>(0);
+  auto c1 = rt.attach();
+  auto c2 = rt.attach();
+
+  tl2::Tx& t1 = c1->begin();
+  t1.write(b, t1.read(a) + 1);
+  c2->begin().write(a, 5L);
+
+  int hook_runs = 0;
+  registry().arm_hook(Site::kTl2Revalidate, [&] {
+    if (++hook_runs > 1) return;
+    EXPECT_THROW(c1->commit(), tl2::TxAborted);
+  });
+  const std::uint64_t fails = rt.stats()[util::Counter::kValidationFails];
+  c2->commit();
+  registry().disarm_all();
+  EXPECT_EQ(hook_runs, 2);
+  EXPECT_EQ(rt.stats()[util::Counter::kValidationFails], fails + 1);
+
+  long seen_a = -1;
+  long seen_b = -1;
+  rt.run(*c1, [&](tl2::Tx& tx) {
+    seen_a = tx.read(a);
+    seen_b = tx.read(b);
+  });
+  EXPECT_EQ(seen_a, 5);
+  EXPECT_EQ(seen_b, 0);
 }
 
 // --- the façade's serial-irrevocable fallback -------------------------------

@@ -1,10 +1,10 @@
 // Unit tests for the shared versioned-object substrate (src/object/):
 // chain walking, locator settling and the embedded locators' allocation
 // and teardown, the open-for-write path (acquire's one rule and
-// open_for_write's hook/install loop), exact pruning (fixed, adaptive, and
-// concurrent), prune-vs-pinned-reader interaction through EBR, and the
-// adaptive-retention grow/decay transitions; the descriptor's status
-// protocol; and the runtime core's transaction-id lanes.
+// open_for_write's hook/install loop), exact pruning (sequential and
+// concurrent) and prune-vs-pinned-reader interaction through EBR; the
+// descriptor's status protocol; and the runtime core's transaction-id
+// lanes.
 //
 // CTest label: `unit` (DESIGN.md §6).
 #include <gtest/gtest.h>
@@ -51,10 +51,11 @@ using Locator = Store::Locator;
 using Object = Store::Object;
 
 /// Test rig: a runtime core (registry, stats, pool, EBR) and a store on it
-/// with the given retention policy.
+/// that keeps `kept` committed versions per object.
 struct Rig {
-  explicit Rig(RetentionPolicy policy)
-      : core(runtime::Config{.max_threads = 8}), store(core, policy) {}
+  explicit Rig(int kept)
+      : core(runtime::Config{.max_threads = 8, .versions_kept = kept}),
+        store(core) {}
 
   runtime::Core core;
   util::ThreadRegistry& registry = core.registry();
@@ -92,12 +93,8 @@ int chain_length(Object& o) {
   return n;
 }
 
-RetentionPolicy fixed_policy(int kept) {
-  return RetentionPolicy{RetentionMode::kFixed, kept, 1, 64, 64};
-}
-
 TEST(ObjectStore, AllocateCreatesSettledInitialState) {
-  Rig rig(fixed_policy(4));
+  Rig rig(4);
   Object* o = rig.store.allocate(new runtime::TypedPayload<long>(7));
   Locator* l = o->loc.load(std::memory_order_acquire);
   ASSERT_NE(l, nullptr);
@@ -107,11 +104,11 @@ TEST(ObjectStore, AllocateCreatesSettledInitialState) {
   EXPECT_EQ(runtime::payload_as<long>(*l->committed->data), 7);
   EXPECT_EQ(l, &l->committed->settled);  // embedded, not a separate node
   EXPECT_EQ(o->oid, 1u);
-  EXPECT_EQ(rig.store.kept_bound(*o), 4u);
+  EXPECT_EQ(rig.store.kept_bound(), 4u);
 }
 
 TEST(ObjectStore, SettleCommittedWriterPublishesTentative) {
-  Rig rig(fixed_policy(8));
+  Rig rig(8);
   auto reg = rig.registry.attach();
   const int s = reg.slot();
   Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
@@ -127,7 +124,7 @@ TEST(ObjectStore, SettleCommittedWriterPublishesTentative) {
 }
 
 TEST(ObjectStore, SettleAbortedWriterKeepsCommittedAndRetiresTentative) {
-  Rig rig(fixed_policy(8));
+  Rig rig(8);
   auto reg = rig.registry.attach();
   const int s = reg.slot();
   Object* o = rig.store.allocate(new runtime::TypedPayload<long>(5));
@@ -150,7 +147,7 @@ TEST(ObjectStore, SettleAbortedWriterKeepsCommittedAndRetiresTentative) {
 }
 
 TEST(ObjectStore, AbortRepublishesBaseLocatorAndInstallSucceedsOverIt) {
-  Rig rig(fixed_policy(8));
+  Rig rig(8);
   auto reg = rig.registry.attach();
   const int s = reg.slot();
   Object* o = rig.store.allocate(new runtime::TypedPayload<long>(5));
@@ -182,7 +179,7 @@ TEST(ObjectStore, AbortRepublishesBaseLocatorAndInstallSucceedsOverIt) {
 }
 
 TEST(ObjectStore, CommittedWriteCostsOnePoolAllocation) {
-  Rig rig(fixed_policy(8));
+  Rig rig(8);
   auto reg = rig.registry.attach();
   const int s = reg.slot();
   Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
@@ -205,7 +202,7 @@ TEST(ObjectStore, CommittedWriteCostsOnePoolAllocation) {
 }
 
 TEST(ObjectStore, InstallFailsOnStaleLocatorWithoutConsuming) {
-  Rig rig(fixed_policy(8));
+  Rig rig(8);
   auto reg = rig.registry.attach();
   const int s = reg.slot();
   Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
@@ -222,7 +219,7 @@ TEST(ObjectStore, InstallFailsOnStaleLocatorWithoutConsuming) {
 }
 
 TEST(ObjectStore, ResolveSkipsOwnLocatorToPreWriteVersion) {
-  Rig rig(fixed_policy(8));
+  Rig rig(8);
   auto reg = rig.registry.attach();
   const int s = reg.slot();
   Object* o = rig.store.allocate(new runtime::TypedPayload<long>(3));
@@ -254,7 +251,7 @@ Version* install_rival(Rig& rig, Object& o, TestDesc& d, int slot, long value) {
 }
 
 TEST(ObjectStore, OpenForWriteSettlesAbortedWriterAndInstalls) {
-  Rig rig(fixed_policy(8));
+  Rig rig(8);
   auto reg = rig.registry.attach();
   const int s = reg.slot();
   Object* o = rig.store.allocate(new runtime::TypedPayload<long>(5));
@@ -281,7 +278,7 @@ TEST(ObjectStore, OpenForWriteSettlesAbortedWriterAndInstalls) {
 }
 
 TEST(ObjectStore, AcquireKillsActiveOwnerWithoutWaiting) {
-  Rig rig(fixed_policy(8));
+  Rig rig(8);
   auto reg = rig.registry.attach();
   const int s = reg.slot();
   Object* o = rig.store.allocate(new runtime::TypedPayload<long>(5));
@@ -304,7 +301,7 @@ TEST(ObjectStore, AcquireWaitsOutCommittingOwner) {
   // version: acquire waits (counting kCmWaits) until it has finished. The
   // owner finishes from the acquire failpoint, which the loop pokes on
   // every look.
-  Rig rig(fixed_policy(8));
+  Rig rig(8);
   auto reg = rig.registry.attach();
   const int s = reg.slot();
   Object* o = rig.store.allocate(new runtime::TypedPayload<long>(5));
@@ -326,7 +323,7 @@ TEST(ObjectStore, AcquireWaitsOutCommittingOwner) {
 }
 
 TEST(ObjectStore, OpenForWriteReturnsNullOnInjectedAbortWithoutCloning) {
-  Rig rig(fixed_policy(8));
+  Rig rig(8);
   auto reg = rig.registry.attach();
   const int s = reg.slot();
   Object* o = rig.store.allocate(new runtime::TypedPayload<long>(5));
@@ -352,7 +349,7 @@ TEST(ObjectStore, OpenForWriteReturnsNullOnInjectedAbortWithoutCloning) {
 }
 
 TEST(ObjectStore, OpenForWriteLooksAgainAndDiscardsAfterLostInstall) {
-  Rig rig(fixed_policy(8));
+  Rig rig(8);
   auto reg = rig.registry.attach();
   const int s = reg.slot();
   Object* o = rig.store.allocate(new runtime::TypedPayload<long>(5));
@@ -382,7 +379,7 @@ TEST(ObjectStore, OpenForWriteLooksAgainAndDiscardsAfterLostInstall) {
 }
 
 TEST(ObjectStore, SuccessorOfWalksChain) {
-  Rig rig(fixed_policy(8));
+  Rig rig(8);
   auto reg = rig.registry.attach();
   const int s = reg.slot();
   Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
@@ -404,7 +401,7 @@ TEST(ObjectStore, SuccessorOfWalksChain) {
 }
 
 TEST(ObjectStore, PruneBoundsChainAtFixedDepth) {
-  Rig rig(fixed_policy(3));
+  Rig rig(3);
   auto reg = rig.registry.attach();
   const int s = reg.slot();
   Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
@@ -423,41 +420,21 @@ TEST(ObjectStore, PruneBoundsChainAtFixedDepth) {
   for (auto* d : descs) delete d;
 }
 
-TEST(ObjectStore, AdaptivePruneMatchesBoundAfterEveryPrune) {
-  // The chain follows the bound both ways: it grows one version per commit
-  // up to a raised bound, and sheds the surplus as the bound decays.
-  RetentionPolicy p{RetentionMode::kAdaptive, /*initial=*/2, /*min=*/1,
-                    /*max=*/16, /*decay_period=*/8};
-  Rig rig(p);
-  auto reg = rig.registry.attach();
-  const int s = reg.slot();
-  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
-
-  std::vector<TestDesc*> descs;
-  int expected = 1;  // the initial version
-  auto commit_and_check = [&](int i) {
-    auto* d = new TestDesc(static_cast<std::uint64_t>(i + 1), s,
-                           runtime::TxClass::kShort);
-    descs.push_back(d);
-    commit_version(rig, *o, *d, static_cast<std::uint64_t>(i + 1), s, i);
-    const int bound = static_cast<int>(rig.store.kept_bound(*o));
-    expected = std::min(expected + 1, bound);
-    EXPECT_EQ(chain_length(*o), expected) << "commit " << i;
-  };
-
-  int i = 0;
-  for (; i < 4; ++i) commit_and_check(i);
-  EXPECT_EQ(expected, 2);
-  for (int k = 0; k < 3; ++k) rig.store.note_too_old(*o, s);
-  ASSERT_EQ(rig.store.kept_bound(*o), 16u);
-  for (; i < 20; ++i) commit_and_check(i);  // grows into the raised bound
-  EXPECT_EQ(expected, static_cast<int>(rig.store.kept_bound(*o)));
-  EXPECT_GT(expected, 2);
-  for (; i < 140; ++i) commit_and_check(i);  // decays to the floor
-  EXPECT_EQ(rig.store.kept_bound(*o), 1u);
-  EXPECT_EQ(chain_length(*o), 1);
-  EXPECT_GT(rig.stats.snapshot()[util::Counter::kRetentionDecays], 0u);
-  for (auto* d : descs) delete d;
+TEST(ObjectStore, NonPositiveBoundKeepsOneVersion) {
+  // versions_kept comes from the caller's Config; the store clamps it to 1.
+  for (const int kept : {0, -3}) {
+    SCOPED_TRACE(testing::Message() << "versions_kept " << kept);
+    Rig rig(kept);
+    EXPECT_EQ(rig.store.kept_bound(), 1u);
+    auto reg = rig.registry.attach();
+    const int s = reg.slot();
+    Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
+    TestDesc d1(1, s, runtime::TxClass::kShort);
+    TestDesc d2(2, s, runtime::TxClass::kShort);
+    commit_version(rig, *o, d1, 10, s, 1);
+    commit_version(rig, *o, d2, 20, s, 2);
+    EXPECT_EQ(chain_length(*o), 1);
+  }
 }
 
 /// Payload that counts its live copies, so a version retired twice (or
@@ -528,7 +505,7 @@ TEST(ObjectStore, TeardownFreesUnsettledWriters) {
     SCOPED_TRACE(testing::Message() << "status " << static_cast<int>(st));
     TestDesc d(1, 0, runtime::TxClass::kShort);  // outlives the store
     {
-      Rig rig(fixed_policy(8));
+      Rig rig(8);
       auto reg = rig.registry.attach();
       const int s = reg.slot();
       Object* o = rig.store.allocate(
@@ -554,68 +531,51 @@ TEST(ObjectStore, ConcurrentPrunesKeepExactChains) {
   constexpr int kObjects = 2;
   // Even, so the alternating threads split commits evenly over the objects.
   const int per_thread = 2 * test_env::stress_rounds(750);
-  for (const RetentionMode mode :
-       {RetentionMode::kFixed, RetentionMode::kAdaptive}) {
-    for (const int bound : {1, 3, 8}) {
-      SCOPED_TRACE(testing::Message()
-                   << "mode " << static_cast<int>(mode) << " bound " << bound);
-      // Adaptive: start above the floor and decay while the threads race.
-      const RetentionPolicy p =
-          mode == RetentionMode::kFixed
-              ? fixed_policy(bound)
-              : RetentionPolicy{mode, bound, 1, 16, /*decay_period=*/32};
-      {
-        Rig rig(p);
-        std::vector<Object*> objs;
-        for (int k = 0; k < kObjects; ++k) {
-          objs.push_back(rig.store.allocate(
-              new runtime::TypedPayload<Counted>(Counted(0))));
-        }
-        std::vector<std::thread> threads;
-        for (int t = 0; t < kThreads; ++t) {
-          threads.emplace_back([&, t] {
-            auto reg = rig.registry.attach();
-            for (int i = 0; i < per_thread; ++i) {
-              Object& o = *objs[static_cast<std::size_t>((i + t) % kObjects)];
-              concurrent_increment(
-                  rig, o, reg.slot(),
-                  static_cast<std::uint64_t>(t) * per_thread + i + 1);
-              if (i % 16 == 0) check_chain_walk(rig, o, reg.slot());
-            }
-          });
-        }
-        for (auto& th : threads) th.join();
-
-        auto reg = rig.registry.attach();
-        long versions = 0;
-        for (Object* o : objs) {
-          long commits = counted_value(
-              o->loc.load(std::memory_order_acquire)->committed);
-          EXPECT_EQ(commits, static_cast<long>(kThreads) * per_thread / 2);
-          if (mode == RetentionMode::kAdaptive) {
-            // Racing decays make the last racing prune's bound a snapshot;
-            // one quiescent commit prunes at the settled bound.
-            concurrent_increment(rig, *o, reg.slot(), 1u << 30);
-            ++commits;
-          }
-          const long kept = rig.store.kept_bound(*o);
-          EXPECT_EQ(chain_length(*o), std::min(kept, commits + 1));
-          EXPECT_EQ(o->tail.load()->prev.load(), nullptr);
-          versions += chain_length(*o);
-        }
-        for (int slot = 0; slot < rig.registry.capacity(); ++slot) {
-          rig.epochs.flush(slot);
-        }
-        EXPECT_EQ(rig.epochs.freed_count(), rig.epochs.retired_count());
-        EXPECT_EQ(Counted::live.load(), versions);
+  for (const int bound : {1, 3, 8}) {
+    SCOPED_TRACE(testing::Message() << "bound " << bound);
+    {
+      Rig rig(bound);
+      std::vector<Object*> objs;
+      for (int k = 0; k < kObjects; ++k) {
+        objs.push_back(rig.store.allocate(
+            new runtime::TypedPayload<Counted>(Counted(0))));
       }
-      EXPECT_EQ(Counted::live.load(), 0);
+      std::vector<std::thread> threads;
+      for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          auto reg = rig.registry.attach();
+          for (int i = 0; i < per_thread; ++i) {
+            Object& o = *objs[static_cast<std::size_t>((i + t) % kObjects)];
+            concurrent_increment(
+                rig, o, reg.slot(),
+                static_cast<std::uint64_t>(t) * per_thread + i + 1);
+            if (i % 16 == 0) check_chain_walk(rig, o, reg.slot());
+          }
+        });
+      }
+      for (auto& th : threads) th.join();
+
+      long versions = 0;
+      for (Object* o : objs) {
+        const long commits = counted_value(
+            o->loc.load(std::memory_order_acquire)->committed);
+        EXPECT_EQ(commits, static_cast<long>(kThreads) * per_thread / 2);
+        EXPECT_EQ(chain_length(*o), std::min<long>(bound, commits + 1));
+        EXPECT_EQ(o->tail.load()->prev.load(), nullptr);
+        versions += chain_length(*o);
+      }
+      for (int slot = 0; slot < rig.registry.capacity(); ++slot) {
+        rig.epochs.flush(slot);
+      }
+      EXPECT_EQ(rig.epochs.freed_count(), rig.epochs.retired_count());
+      EXPECT_EQ(Counted::live.load(), versions);
     }
+    EXPECT_EQ(Counted::live.load(), 0);
   }
 }
 
 TEST(ObjectStore, PrunedSuffixSurvivesWhileReaderIsPinned) {
-  Rig rig(fixed_policy(1));  // aggressive pruning: single-version
+  Rig rig(1);  // aggressive pruning: single-version
   auto reader_reg = rig.registry.attach();
   auto writer_reg = rig.registry.attach();
   const int ws = writer_reg.slot();
@@ -642,79 +602,6 @@ TEST(ObjectStore, PrunedSuffixSurvivesWhileReaderIsPinned) {
   guard = util::EpochManager::Guard();
   for (int i = 0; i < 10; ++i) rig.epochs.collect(ws);
   EXPECT_EQ(rig.epochs.freed_count(), rig.epochs.retired_count());
-}
-
-TEST(ObjectStore, AdaptiveBoundDoublesOnTooOldAborts) {
-  RetentionPolicy p{RetentionMode::kAdaptive, /*initial=*/1, /*min=*/1,
-                    /*max=*/8, /*decay_period=*/1000};
-  Rig rig(p);
-  auto reg = rig.registry.attach();
-  const int s = reg.slot();
-  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
-
-  EXPECT_EQ(rig.store.kept_bound(*o), 1u);
-  rig.store.note_too_old(*o, s);
-  EXPECT_EQ(rig.store.kept_bound(*o), 2u);
-  rig.store.note_too_old(*o, s);
-  EXPECT_EQ(rig.store.kept_bound(*o), 4u);
-  rig.store.note_too_old(*o, s);
-  EXPECT_EQ(rig.store.kept_bound(*o), 8u);
-  rig.store.note_too_old(*o, s);
-  EXPECT_EQ(rig.store.kept_bound(*o), 8u);  // capped at max_kept
-  EXPECT_EQ(rig.stats.snapshot()[util::Counter::kRetentionGrows], 3u);
-}
-
-TEST(ObjectStore, AdaptiveBoundDecaysAfterQuiescentPrunes) {
-  RetentionPolicy p{RetentionMode::kAdaptive, /*initial=*/1, /*min=*/1,
-                    /*max=*/8, /*decay_period=*/3};
-  Rig rig(p);
-  auto reg = rig.registry.attach();
-  const int s = reg.slot();
-  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
-
-  rig.store.note_too_old(*o, s);
-  rig.store.note_too_old(*o, s);
-  EXPECT_EQ(rig.store.kept_bound(*o), 4u);
-
-  // Each prune (triggered by every settle of a committed writer) counts
-  // toward the quiescence streak; after decay_period of them the bound
-  // shrinks by one.
-  for (int i = 0; i < 3; ++i) rig.store.prune(*o, s);
-  EXPECT_EQ(rig.store.kept_bound(*o), 3u);
-  for (int i = 0; i < 3; ++i) rig.store.prune(*o, s);
-  EXPECT_EQ(rig.store.kept_bound(*o), 2u);
-
-  // A too-old abort resets the streak: two prunes, abort, two prunes — no
-  // decay, and the abort doubled the bound again.
-  for (int i = 0; i < 2; ++i) rig.store.prune(*o, s);
-  rig.store.note_too_old(*o, s);
-  EXPECT_EQ(rig.store.kept_bound(*o), 4u);
-  for (int i = 0; i < 2; ++i) rig.store.prune(*o, s);
-  EXPECT_EQ(rig.store.kept_bound(*o), 4u);
-
-  EXPECT_EQ(rig.stats.snapshot()[util::Counter::kRetentionDecays], 2u);
-}
-
-TEST(ObjectStore, AdaptiveBoundNeverDecaysBelowFloor) {
-  RetentionPolicy p{RetentionMode::kAdaptive, /*initial=*/2, /*min=*/2,
-                    /*max=*/8, /*decay_period=*/1};
-  Rig rig(p);
-  auto reg = rig.registry.attach();
-  const int s = reg.slot();
-  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
-  for (int i = 0; i < 10; ++i) rig.store.prune(*o, s);
-  EXPECT_EQ(rig.store.kept_bound(*o), 2u);
-}
-
-TEST(ObjectStore, FixedModeIgnoresTooOldFeedback) {
-  Rig rig(fixed_policy(4));
-  auto reg = rig.registry.attach();
-  const int s = reg.slot();
-  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
-  rig.store.note_too_old(*o, s);
-  rig.store.note_too_old(*o, s);
-  EXPECT_EQ(rig.store.kept_bound(*o), 4u);
-  EXPECT_EQ(rig.stats.snapshot()[util::Counter::kRetentionGrows], 0u);
 }
 
 // --- the descriptor's status protocol (the commit CAS discipline every STM

@@ -315,6 +315,67 @@ TEST(ZLong, WriteAbortsOnceItsOwnZonesCommitIsCurrent) {
   EXPECT_TRUE(res) << res.reason;
 }
 
+// LongTx::read_object takes the newest version not from L's own zone as
+// L's pre-claim state. The zl.acquire hook runs between L's zone claim on
+// o and its locator load; the two cases below commit a write to o in that
+// window so that no such version is left, and L's read must abort.
+
+TEST(ZLong, ReadAbortsWhenALaterLongsWriteIsCurrent) {
+  // A later long transaction L2 (higher zone) writes o and commits inside
+  // the window: the current version comes from a zone above L's, so L was
+  // passed.
+  Runtime rt(quiet_config());
+  auto o = rt.make_var<long>(0);
+  auto cl = rt.attach();
+  auto c2 = rt.attach();
+
+  LongTx& l = cl->begin_long();
+  bool window_run = false;
+  fault::registry().arm_hook(fault::Site::kZlAcquire, [&] {
+    if (window_run || o.object()->zc.load() != l.zone()) return;
+    window_run = true;
+    LongTx& l2 = c2->begin_long();
+    l2.write(o, 2L);
+    EXPECT_GT(l2.zone(), l.zone());
+    c2->commit_long();
+  });
+  const std::uint64_t passed = rt.stats()[Counter::kZonePassed];
+  EXPECT_THROW((void)l.read(o), TxAborted);
+  fault::registry().disarm_all();
+  EXPECT_TRUE(window_run);
+  EXPECT_EQ(rt.stats()[Counter::kZonePassed], passed + 1);
+  EXPECT_FALSE(cl->in_long_transaction());
+}
+
+TEST(ZLong, ReadAbortsWhenItsPreClaimVersionWasPruned) {
+  // With one version kept, a short transaction that adopts L's zone
+  // through o and commits a write to it inside the window prunes the
+  // pre-claim version: every version left is from L's own zone.
+  Config cfg = quiet_config();
+  cfg.versions_kept = 1;
+  Runtime rt(cfg);
+  auto o = rt.make_var<long>(0);
+  auto cl = rt.attach();
+  auto cs = rt.attach();
+
+  LongTx& l = cl->begin_long();
+  bool window_run = false;
+  fault::registry().arm_hook(fault::Site::kZlAcquire, [&] {
+    if (window_run || o.object()->zc.load() != l.zone()) return;
+    window_run = true;
+    rt.run_short(*cs, [&](ShortTx& tx) {
+      tx.write(o) += 1;
+      EXPECT_EQ(tx.zone(), l.zone());
+    });
+  });
+  const std::uint64_t passed = rt.stats()[Counter::kZonePassed];
+  EXPECT_THROW((void)l.read(o), TxAborted);
+  fault::registry().disarm_all();
+  EXPECT_TRUE(window_run);
+  EXPECT_EQ(rt.stats()[Counter::kZonePassed], passed + 1);
+  EXPECT_FALSE(cl->in_long_transaction());
+}
+
 // DESIGN.md §5.5: three windows through which a short transaction's reads
 // could escape its zone. Each test replays one on this one thread and
 // ends with the history check that caught it.
