@@ -12,7 +12,8 @@
 //                vector-time / serializability (§4.4) overheads
 //   scan         one thread, Compute-Total only: the read-set cost (Figure 6)
 //   alloc        heap allocations on the write path, pooled vs heap
-//                (DESIGN.md §7): lsa transfers, cs-vc reads and transfers
+//                (DESIGN.md §7): lsa transfers, cs-vc reads and transfers,
+//                sstm transfers
 //   cm           the one contention rule on a hot spot, every object
 //                runtime (§4.1)
 //   versions     version depth against long scans (§4.4)
@@ -22,9 +23,9 @@
 //                its synchronized real-time clocks (DESIGN.md §10)
 //
 // Exit status: 1 when a check fails — a bank run whose accounts no longer
-// sum to the opening balance (§5.5 conservation), or pooled cs-vc updates
-// above kMaxPooledUpdateAllocs heap allocations per transaction; 2 on a
-// usage error; otherwise 0.
+// sum to the opening balance (§5.5 conservation), or pooled cs-vc or sstm
+// updates above kMaxPooledUpdateAllocs heap allocations per transaction; 2
+// on a usage error; otherwise 0.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -209,15 +210,18 @@ void scan(Doc& doc) {
 
 // --- alloc -----------------------------------------------------------------
 
-/// The pooled cs-vc update rows' bound (exit status 1 above it): pool-backed
-/// stamp vectors took them from ~2 heap allocations per transaction to ~0;
-/// the slack covers slab carving and warm-up stragglers.
+/// The pooled cs-vc and sstm update rows' bound (exit status 1 above it):
+/// pool-backed stamp vectors took cs-vc from ~2 heap allocations per
+/// transaction to ~0, and a pooled descriptor stamp and a begin that builds
+/// no temporary container took sstm from ~3 to ~0; the slack covers slab
+/// carving and warm-up stragglers.
 constexpr double kMaxPooledUpdateAllocs = 0.75;
 
 /// Warm the pools, then measure with fresh counters: lsa transfers over
-/// 1000 accounts (allocations per write from the pool counters), and cs-vc
-/// two-read and transfer transactions over 256 accounts (operator-new calls
-/// per transaction). Pooled rows should show ~0 of either.
+/// 1000 accounts (allocations per write from the pool counters), cs-vc
+/// two-read and transfer transactions and sstm transfers over 256 accounts
+/// (operator-new calls per transaction). Pooled rows should show ~0 of
+/// either.
 void alloc(Doc& doc) {
   const bool pool_on = object::NodePool::env_enabled();
   if (!pool_on) {
@@ -247,35 +251,46 @@ void alloc(Doc& doc) {
           .num("pool_returns", b.stats[Counter::kPoolReturns]);
     }
   }
+  const auto txn_row = [&](const char* system, int threads, bool update,
+                           bool pooled) {
+    const BankParams p{.accounts = 256,
+                       .threads = threads,
+                       .warmup = 100ms,
+                       .duration = 250ms,
+                       .long_probability = 0,
+                       .read_only_transfers = !update};
+    api::CommonConfig cfg = bank_config(p);
+    cfg.use_node_pool = pooled;
+    const BankResult b = checked_bank(doc, system, p, cfg);
+    const double allocs = per(b.heap_allocs, b.transfer_commits);
+    doc.row()
+        .str("system", system)
+        .str("workload", update ? "update" : "read-only")
+        .str("mode", pooled ? "pooled" : "heap")
+        .num("threads", threads)
+        .num("tx_per_s", b.transfer_per_s)
+        .num("allocs_per_txn", allocs)
+        .num("commits", b.transfer_commits);
+    if (pool_on && pooled && update && allocs > kMaxPooledUpdateAllocs) {
+      std::fprintf(stderr,
+                   "FAIL: alloc: %s pooled update threads=%d: %.3f "
+                   "allocs/txn > %.2f\n",
+                   system, threads, allocs, kMaxPooledUpdateAllocs);
+      ++g_failures;
+    }
+  };
   for (const int threads : {1, 2}) {
     for (const bool update : {false, true}) {
       for (const bool pooled : {false, true}) {
-        const BankParams p{.accounts = 256,
-                           .threads = threads,
-                           .warmup = 100ms,
-                           .duration = 250ms,
-                           .long_probability = 0,
-                           .read_only_transfers = !update};
-        api::CommonConfig cfg = bank_config(p);
-        cfg.use_node_pool = pooled;
-        const BankResult b = checked_bank(doc, "cs-vc", p, cfg);
-        const double allocs = per(b.heap_allocs, b.transfer_commits);
-        doc.row()
-            .str("system", "cs-vc")
-            .str("workload", update ? "update" : "read-only")
-            .str("mode", pooled ? "pooled" : "heap")
-            .num("threads", threads)
-            .num("tx_per_s", b.transfer_per_s)
-            .num("allocs_per_txn", allocs)
-            .num("commits", b.transfer_commits);
-        if (pool_on && pooled && update && allocs > kMaxPooledUpdateAllocs) {
-          std::fprintf(stderr,
-                       "FAIL: alloc: cs-vc pooled update threads=%d: %.3f "
-                       "allocs/txn > %.2f\n",
-                       threads, allocs, kMaxPooledUpdateAllocs);
-          ++g_failures;
-        }
+        txn_row("cs-vc", threads, update, pooled);
       }
+    }
+  }
+  // sstm: transfers only. A read registers on the version's reader list,
+  // which grows on the heap.
+  for (const int threads : {1, 2}) {
+    for (const bool pooled : {false, true}) {
+      txn_row("sstm", threads, true, pooled);
     }
   }
   doc.print();

@@ -238,6 +238,7 @@ class RuntimeT : public runtime::Core {
       Version* succ = Store::successor_of(cur, r.version);
       if (succ == nullptr) {
         // Pruned: conservative abort (paper's single-version semantics).
+        stats_.add(slot, util::Counter::kVersionPruned);
         return false;
       }
       // Successor timestamps grow along the chain, so checking the

@@ -70,6 +70,9 @@ const SiteInfo kSites[static_cast<int>(Site::kCount)] = {
     {"net.read", kCasDelay, Effect::kCasFail},
     {"net.write", kCasDelay, Effect::kCasFail},
     {"net.conn_kill", effect_bit(Effect::kAbort) | kDelayBit, Effect::kAbort},
+    // sstm's trim fold runs with the trim gate closed and nothing to undo:
+    // Delay only, like ebr.retire.
+    {"sstm.trim", kDelayBit, Effect::kDelay},
 };
 
 void bounded_spin(std::uint64_t h) {

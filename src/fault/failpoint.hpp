@@ -4,10 +4,10 @@
 // A *failpoint site* is a named place in a protocol where the rare
 // interleaving lives: the settle/install CAS races in the object substrate,
 // its acquire/arbitrate loop (one site per runtime), tl2's stripe-lock
-// acquisition and commit revalidation, EBR retirement, and node-pool
-// allocation. Each site calls `fault::poke(Site)`; the registry decides —
-// deterministically, from a seed and the site's hit ordinal — whether to
-// inject an *effect*:
+// acquisition and commit revalidation, EBR retirement, node-pool
+// allocation, and sstm's descriptor trim. Each site calls
+// `fault::poke(Site)`; the registry decides — deterministically, from a
+// seed and the site's hit ordinal — whether to inject an *effect*:
 //
 //   kAbort      the caller aborts the current transaction attempt
 //   kCasFail    the caller takes its CAS-failed / lock-busy path
@@ -73,6 +73,9 @@ enum class Site : int {
   kNetRead,      ///< event loop recv: casfail = short read (1 byte kept)
   kNetWrite,     ///< event loop send: casfail = short write (1 byte sent)
   kNetConnKill,  ///< per parsed request: abort = hard-close the connection
+  // Appended, so every site above keeps its index and a seeded recipe its
+  // schedule.
+  kSstmTrim,  ///< sstm::Runtime's trim fold, at quiescence (delay only)
   kCount
 };
 

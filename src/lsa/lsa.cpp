@@ -223,6 +223,7 @@ const runtime::Payload& Tx::read_object(Object& o) {
     }
     if (v == nullptr) {
       // The version valid at ub was pruned (retention bound exceeded).
+      rt.stats_.add(s, util::Counter::kVersionPruned);
       fail(util::Counter::kValidationFails);
     }
   }
@@ -308,6 +309,7 @@ bool Tx::try_extend() {
     Version* succ = Store::successor_of(cur, r.version);
     if (succ == nullptr) {
       // Chain pruned past our version; cannot bound its validity.
+      rt.stats_.add(s, util::Counter::kVersionPruned);
       rt.stats_.add(s, util::Counter::kExtensionFails);
       return false;
     }

@@ -6,8 +6,20 @@
 #include <utility>
 
 #include "fault/failpoint.hpp"
+#include "util/backoff.hpp"
 
 namespace zstm::sstm {
+
+namespace {
+
+/// Reopens a closed trim gate when it goes out of scope, also when the trim
+/// throws (a failed allocation), so no begin waits at a gate nobody holds.
+struct GateHold {
+  std::atomic<bool>& closed;
+  ~GateHold() { closed.store(false, std::memory_order_release); }
+};
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Runtime
@@ -20,68 +32,80 @@ Runtime::Runtime(Config cfg)
 // freed with descs_.
 Runtime::~Runtime() = default;
 
-TxDesc* Runtime::allocate_desc(int slot) {
-  TxDesc* raw =
-      pool_.create<TxDesc>(slot, next_tx_id(slot), slot, domain_.zero());
-  std::deque<TxDesc*> trimmed;
-  {
-    std::lock_guard<std::mutex> lk(descs_mutex_);
-    if (descs_.live.size() >= next_trim_) {
-      // The one reclamation trigger (DESIGN.md §11.5). Holding descs_mutex_
-      // keeps every other begin out, so the attempts in flight drain. The
-      // wait is bounded: this thread may hold an open attempt on another
-      // of its contexts on this runtime. A drain that times out is retried
-      // a watermark's worth of begins later.
-      for (int i = 0;
-           i < util::EpochManager::kReclaimYields && !quiescent(); ++i) {
+void Runtime::enter(int slot, util::EpochManager::Guard& guard) {
+  if (descriptor_count() >= gate_.next_trim.load(std::memory_order_relaxed) &&
+      close_gate()) {
+    // The one reclamation trigger (DESIGN.md §11.5). The closed gate keeps
+    // every other begin out, so the attempts in flight drain. The wait is
+    // bounded: this thread may hold an open attempt on another of its
+    // contexts on this runtime. A drain that times out is retried a
+    // watermark's worth of begins later.
+    std::vector<TxDesc*> trimmed;
+    {
+      const GateHold hold{gate_.closed};
+      for (int i = 0; i < util::EpochManager::kReclaimYields && !quiescent();
+           ++i) {
         std::this_thread::yield();
       }
-      trimmed = trim_locked();
-      next_trim_ = descs_.live.size() + kTrimWatermark;
+      trimmed = trim_closed();
+      gate_.next_trim.store(descriptor_count() + kTrimWatermark,
+                            std::memory_order_relaxed);
     }
-    descs_.live.push_back(raw);
+    for (TxDesc* d : trimmed) pool_.destroy(slot, d);
   }
-  for (TxDesc* d : trimmed) pool_.destroy(slot, d);
-  return raw;
+  // The beginner's half of a Dekker pair with close_gate: pin (a seq_cst
+  // store), then load the gate (seq_cst). Either this load sees the gate
+  // closed, or the trimmer's scan sees the pin.
+  util::Backoff bo;
+  for (;;) {
+    guard = epochs_.pin_guard(slot);
+    if (!gate_.closed.load(std::memory_order_seq_cst)) return;
+    guard = util::EpochManager::Guard();
+    while (gate_.closed.load(std::memory_order_acquire)) bo.pause();
+  }
 }
 
-std::size_t Runtime::descriptor_count() {
-  std::lock_guard<std::mutex> lk(descs_mutex_);
-  return descs_.live.size();
+TxDesc* Runtime::register_desc(int slot) {
+  TxDesc* d = pool_.create<TxDesc>(
+      slot, next_tx_id(slot), slot,
+      domain_.zero_in(pool_.enabled() ? &pool_ : nullptr, slot));
+  try {
+    descs_.retained[static_cast<std::size_t>(slot)].value.push_back(d);
+  } catch (...) {
+    pool_.destroy(slot, d);
+    throw;
+  }
+  retained_count_.value.fetch_add(1, std::memory_order_relaxed);
+  return d;
+}
+
+// The trimmer's half of the Dekker pair (see enter): the seq_cst exchange
+// here, then quiescent()'s seq_cst loads of the pins.
+bool Runtime::close_gate() {
+  return !gate_.closed.exchange(true, std::memory_order_seq_cst);
 }
 
 std::size_t Runtime::trim_descriptors() {
-  std::deque<TxDesc*> trimmed;
+  if (!close_gate()) return 0;
+  std::vector<TxDesc*> trimmed;
   {
-    std::lock_guard<std::mutex> lk(descs_mutex_);
-    trimmed = trim_locked();
+    const GateHold hold{gate_.closed};
+    trimmed = trim_closed();
   }
   for (TxDesc* d : trimmed) pool_.destroy(-1, d);
   return trimmed.size();
 }
 
-// Every attempt holds an epoch pin from begin() to finish_attempt(), and
-// begin() registers its descriptor (under descs_mutex_, which the caller
-// holds) *before* pinning, so quiescence cannot end while the caller
-// holds the mutex. The descriptor scan covers a thread between
-// registration and pin: its descriptor is already kActive.
-bool Runtime::quiescent() {
+bool Runtime::quiescent() const {
   for (int s = 0; s < cfg_.max_threads; ++s) {
     if (epochs_.pinned(s)) return false;
-  }
-  for (TxDesc* d : descs_.live) {
-    const runtime::TxStatus st = d->status();
-    if (st != runtime::TxStatus::kCommitted &&
-        st != runtime::TxStatus::kAborted) {
-      return false;
-    }
   }
   return true;
 }
 
-std::deque<TxDesc*> Runtime::trim_locked() {
+std::vector<TxDesc*> Runtime::trim_closed() {
   if (!quiescent()) return {};
-  std::lock_guard<std::mutex> commit_lock(commit_mutex_);
+  fault::poke(fault::Site::kSstmTrim);  // delay-only site
 
   // Fold every reader-list reference into per-version stamps. At
   // quiescence a committed reader's predecessor closure is all-final, so
@@ -90,7 +114,8 @@ std::deque<TxDesc*> Runtime::trim_locked() {
   // Folding readers and past readers into one stamp is conservative for
   // future *readers* of the version (they inherit reader-vs-reader
   // constraints that never existed), which can only inflate timestamps and
-  // cause false aborts — never admit a non-serializable history.
+  // cause false aborts — never admit a non-serializable history. No commit
+  // runs meanwhile: every commit happens inside a pinned attempt.
   std::vector<TxDesc*> work;
   std::vector<TxDesc*> visited;
   auto fold_into = [&](timebase::VcStamp& folded, TxDesc* r) {
@@ -130,42 +155,20 @@ std::deque<TxDesc*> Runtime::trim_locked() {
     }
   });
 
-  // Nothing reaches the descriptors now, so the caller frees them after
-  // it lets the next begin in.
-  return std::exchange(descs_.live, {});
+  // Nothing reaches the descriptors now. Each slot keeps its list's
+  // capacity; the caller frees the descriptors after it reopens the gate.
+  std::vector<TxDesc*> trimmed;
+  trimmed.reserve(descriptor_count());
+  for (auto& list : descs_.retained) {
+    trimmed.insert(trimmed.end(), list.value.begin(), list.value.end());
+    list.value.clear();
+  }
+  retained_count_.value.store(0, std::memory_order_relaxed);
+  return trimmed;
 }
 
 std::unique_ptr<ThreadCtx> Runtime::attach() {
   return std::unique_ptr<ThreadCtx>(new ThreadCtx(*this, registry_.attach()));
-}
-
-bool Runtime::reaches(TxDesc* from, const TxDesc* target) {
-  // Iterative search with an explicit visited set: predecessor graphs can
-  // contain cycles (that is exactly what this function detects), and a
-  // depth-bounded DFS without memoization goes exponential on them — while
-  // holding the commit mutex. Linear-scan membership is fine: the live
-  // transaction population is bounded by the thread count.
-  std::vector<TxDesc*> work{from};
-  std::vector<const TxDesc*> visited;
-  while (!work.empty()) {
-    TxDesc* cur = work.back();
-    work.pop_back();
-    if (cur == target) return true;
-    bool seen = false;
-    for (const TxDesc* q : visited) seen |= (q == cur);
-    if (seen) continue;
-    visited.push_back(cur);
-    if (static_cast<int>(visited.size()) > kCycleSearchCap) return true;
-    // Only live transactions are expanded: a committed predecessor's
-    // ordering constraints were folded into timestamps by the merge rules.
-    const runtime::TxStatus st = cur->status();
-    if (st != runtime::TxStatus::kActive &&
-        st != runtime::TxStatus::kCommitting) {
-      continue;
-    }
-    for (TxDesc* p : cur->preds_snapshot()) work.push_back(p);
-  }
-  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -181,9 +184,14 @@ ThreadCtx::~ThreadCtx() {
 
 Tx& ThreadCtx::begin(TxKind) {
   if (in_transaction()) abort_attempt();
-  tx_.desc_ = rt_.allocate_desc(slot());
+  rt_.enter(slot(), epoch_guard_);
+  try {
+    tx_.desc_ = rt_.register_desc(slot());
+  } catch (...) {
+    epoch_guard_ = util::EpochManager::Guard();
+    throw;
+  }
   tx_.desc_->ct = vcp_;  // T.ct starts from the thread's last committed stamp
-  epoch_guard_ = rt_.epochs_.pin_guard(slot());
   tx_.read_set_.clear();
   tx_.write_set_.clear();
   if (rt_.recorder_.enabled()) {
@@ -235,7 +243,7 @@ void ThreadCtx::commit() {
   }
 
   {
-    std::lock_guard<std::mutex> commit_lock(rt_.commit_mutex_);
+    std::lock_guard<util::SpinLock> commit_lock(rt_.commit_lock_.value);
 
     // Anti-dependencies: scan the visible readers of every version we are
     // superseding. Committed readers order themselves before us via
@@ -243,11 +251,10 @@ void ThreadCtx::commit() {
     // carried on the new version as its past readers.
     for (auto& w : tx.write_set_) {
       Version* base = w.tentative->prev.load(std::memory_order_relaxed);
-      std::vector<TxDesc*> snapshot;
       {
         std::lock_guard<util::SpinLock> lk(base->readers_lock);
         auto& rs = base->readers;
-        snapshot.assign(rs.begin(), rs.end());
+        tx.readers_.assign(rs.begin(), rs.end());
         // Drop only *aborted* readers here. Committed readers must stay on
         // the list until a successor commit actually captures their stamp:
         // if we compacted them now and then failed validation, the next
@@ -265,7 +272,7 @@ void ThreadCtx::commit() {
       // carried along causal chains"). note_predecessor folds committed
       // ones (and their pending constraints, transitively) into our stamp
       // and records live ones as predecessor edges.
-      for (TxDesc* r : snapshot) tx.note_predecessor(r);
+      for (TxDesc* r : tx.readers_) tx.note_predecessor(r);
       for (TxDesc* pr : base->past_readers) tx.note_predecessor(pr);
       // Readers freed by a quiescent trim live on as the version's folded
       // stamp (see absorb_past_readers for the dimension guard).
@@ -274,7 +281,8 @@ void ThreadCtx::commit() {
 
     // Re-process predecessors recorded earlier (at open time): any that
     // committed meanwhile fold into the timestamp now.
-    for (TxDesc* p : d->preds_snapshot()) tx.note_predecessor(p);
+    d->copy_preds_into(tx.preds_);
+    for (TxDesc* p : tx.preds_) tx.note_predecessor(p);
 
     // CS-STM validation (Algorithm 1, lines 20-26) on the merged stamp.
     bool valid = true;
@@ -288,6 +296,7 @@ void ThreadCtx::commit() {
       Version* succ = Store::successor_of(cur, r.version);
       if (succ == nullptr) {
         // Pruned: conservative abort.
+        rt_.stats_.add(s, util::Counter::kVersionPruned);
         valid = false;
         break;
       }
@@ -310,13 +319,14 @@ void ThreadCtx::commit() {
     // are contradictory — "a conflict occurs if we detect a cycle". The
     // first committer wins: kill the still-active cycle partner, falling
     // back to self-abort if it is already mid-commit.
-    for (TxDesc* p : d->preds_snapshot()) {
+    d->copy_preds_into(tx.preds_);
+    for (TxDesc* p : tx.preds_) {
       const auto st = p->status();
       if (st != runtime::TxStatus::kActive &&
           st != runtime::TxStatus::kCommitting) {
         continue;
       }
-      if (p != d && Runtime::reaches(p, d)) {
+      if (p != d && tx.reaches(p, d)) {
         if (p->abort_by_enemy()) {
           rt_.stats_.add(s, util::Counter::kCmKills);
           continue;  // the edge through p is now dead
@@ -339,17 +349,15 @@ void ThreadCtx::commit() {
       // travels on the published versions as their past-readers list, so
       // later accessors inherit it (whether those transactions end up
       // committing before or after us).
-      std::vector<TxDesc*> live_preds;
-      for (TxDesc* p : d->preds_snapshot()) {
+      d->copy_preds_into(tx.preds_);
+      std::erase_if(tx.preds_, [](TxDesc* p) {
         const auto st = p->status();
-        if (st == runtime::TxStatus::kActive ||
-            st == runtime::TxStatus::kCommitting) {
-          live_preds.push_back(p);
-        }
-      }
+        return st != runtime::TxStatus::kActive &&
+               st != runtime::TxStatus::kCommitting;
+      });
       for (auto& w : tx.write_set_) {
         w.tentative->ct = d->ct;
-        w.tentative->past_readers = live_preds;
+        w.tentative->past_readers = tx.preds_;  // the live predecessors
         if (rt_.recorder_.enabled()) {
           const Version* base = w.tentative->prev.load(std::memory_order_relaxed);
           tx.rec_.writes.push_back({w.obj->oid, w.tentative->vid, base->vid});
@@ -401,17 +409,16 @@ void Tx::note_predecessor(TxDesc* p) {
   //   R (live) ≺ W1 (committed) ≺ W2 (committed) ≺ us
   // would lose the "R before us" obligation and admit a cycle once R
   // commits.
-  std::vector<TxDesc*> work;
-  std::vector<TxDesc*> visited;
-  work.push_back(p);
-  while (!work.empty()) {
-    TxDesc* cur = work.back();
-    work.pop_back();
+  work_.assign(1, p);
+  visited_.clear();
+  while (!work_.empty()) {
+    TxDesc* cur = work_.back();
+    work_.pop_back();
     if (cur == desc_) continue;
     bool seen = false;
-    for (TxDesc* q : visited) seen |= (q == cur);
+    for (TxDesc* q : visited_) seen |= (q == cur);
     if (seen) continue;
-    visited.push_back(cur);
+    visited_.push_back(cur);
     switch (cur->status()) {
       case runtime::TxStatus::kAborted:
         break;
@@ -419,13 +426,44 @@ void Tx::note_predecessor(TxDesc* p) {
         // "Make sure that the new version ... has a timestamp strictly
         // greater than that of the committed reading transaction."
         desc_->ct.merge(cur->ct);
-        for (TxDesc* q : cur->preds_snapshot()) work.push_back(q);
+        cur->append_preds_to(work_);
         break;
       default:
         desc_->add_pred(cur);
         break;
     }
   }
+}
+
+bool Tx::reaches(TxDesc* from, const TxDesc* target) {
+  // Iterative search with an explicit visited set: predecessor graphs can
+  // contain cycles (that is exactly what this function detects), and a
+  // depth-bounded DFS without memoization goes exponential on them — while
+  // holding the commit lock. Linear-scan membership is fine: the live
+  // transaction population is bounded by the thread count.
+  work_.assign(1, from);
+  visited_.clear();
+  while (!work_.empty()) {
+    TxDesc* cur = work_.back();
+    work_.pop_back();
+    if (cur == target) return true;
+    bool seen = false;
+    for (const TxDesc* q : visited_) seen |= (q == cur);
+    if (seen) continue;
+    visited_.push_back(cur);
+    if (static_cast<int>(visited_.size()) > Runtime::kCycleSearchCap) {
+      return true;
+    }
+    // Only live transactions are expanded: a committed predecessor's
+    // ordering constraints were folded into timestamps by the merge rules.
+    const runtime::TxStatus st = cur->status();
+    if (st != runtime::TxStatus::kActive &&
+        st != runtime::TxStatus::kCommitting) {
+      continue;
+    }
+    cur->append_preds_to(work_);
+  }
+  return false;
 }
 
 void Tx::absorb_past_readers(Version* v) {

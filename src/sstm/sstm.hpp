@@ -24,21 +24,23 @@
 //    conflict, and one aborts.
 //
 // Deviations from the paper's (unpublished) implementation, recorded in
-// DESIGN.md §4: update-commit validation+publication runs under a global
-// commit mutex instead of a CAS+helping protocol (publication itself is
+// DESIGN.md §4: update-commit validation+publication runs under one global
+// commit spin lock instead of a CAS+helping protocol (publication itself is
 // still the single status CAS), reader lists are guarded by per-version
 // spin locks, and transaction descriptors are retained until a quiescent
 // trim folds every reader-list reference into per-version stamps, so the
-// lists never dangle; begin runs that trim once kTrimWatermark descriptors
-// are retained (DESIGN.md §11.5). These are exactly the
-// kind of costs the paper attributes to S-STM ("the runtime overhead ...
-// can be deemed prohibitive"), which zstm_bench's transfer section
-// quantifies.
+// lists never dangle. A begin pins its epoch slot, passes the trim gate and
+// only then registers its descriptor on its own slot's list; it runs the
+// trim once kTrimWatermark descriptors are retained (DESIGN.md §11.5). No
+// attempt takes a sleeping lock, and a transfer allocates nothing from the
+// heap: descriptors and their stamps come from the node pool, and each Tx
+// reuses its scratch vectors. What remains is the cost the paper attributes
+// to S-STM ("the runtime overhead ... can be deemed prohibitive"), which
+// zstm_bench's transfer section quantifies.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -51,6 +53,7 @@
 #include "runtime/run_result.hpp"
 #include "runtime/txdesc.hpp"
 #include "timebase/vector_clock.hpp"
+#include "util/align.hpp"
 #include "util/ebr.hpp"
 #include "util/spin_lock.hpp"
 #include "util/stats.hpp"
@@ -87,9 +90,16 @@ class TxDesc final : public runtime::TxDescBase {
     }
     preds.push_back(p);
   }
-  std::vector<TxDesc*> preds_snapshot() {
+  /// Replace `out` with, or append to it, the current predecessors. The
+  /// caller's vector is reused scratch, so neither allocates once it has
+  /// grown.
+  void copy_preds_into(std::vector<TxDesc*>& out) {
     std::lock_guard<util::SpinLock> lk(preds_lock);
-    return preds;
+    out.assign(preds.begin(), preds.end());
+  }
+  void append_preds_to(std::vector<TxDesc*>& out) {
+    std::lock_guard<util::SpinLock> lk(preds_lock);
+    out.insert(out.end(), preds.begin(), preds.end());
   }
 };
 
@@ -180,12 +190,24 @@ class Tx {
   /// transaction's order may hinge on predecessors that were still active
   /// when it committed, so its stamp alone does not carry them).
   void note_predecessor(TxDesc* p);
+  /// True if `target` is reachable from `from` along predecessor edges of
+  /// live (active/committing) transactions, or if the search gives up
+  /// after Runtime::kCycleSearchCap descriptors: an abort is always safe.
+  bool reaches(TxDesc* from, const TxDesc* target);
 
   ThreadCtx& ctx_;
   TxDesc* desc_ = nullptr;
   std::vector<ReadEntry> read_set_;
   std::vector<WriteEntry> write_set_;
   history::TxRecord rec_;
+  // Scratch reused by every attempt, so commit allocates nothing once these
+  // have grown: the worklist and visited set of note_predecessor and
+  // reaches, a snapshot of a superseded version's readers, and a copy of
+  // desc_->preds.
+  std::vector<TxDesc*> work_;
+  std::vector<TxDesc*> visited_;
+  std::vector<TxDesc*> readers_;
+  std::vector<TxDesc*> preds_;
 };
 
 class ThreadCtx {
@@ -258,55 +280,76 @@ class Runtime : public runtime::Core {
   /// The quiescent trim without begin's drain: fold every finished
   /// reader's ordering constraint into its version's `folded` stamp, clear
   /// the reader and past-reader lists and free the descriptors. Returns the
-  /// number freed; 0 when an attempt is in flight. Never waits; callable
-  /// from any thread outside a transaction on this runtime.
+  /// number freed; 0 when an attempt is in flight or another trim holds the
+  /// gate. Never waits; callable from any thread outside a transaction on
+  /// this runtime.
   std::size_t trim_descriptors();
-  /// Retained (not yet trimmed) descriptor count — test introspection.
-  std::size_t descriptor_count();
+  /// Retained (not yet trimmed) descriptor count. Safe to call from any
+  /// thread at any time; concurrent begins make it a snapshot.
+  std::size_t descriptor_count() const {
+    return retained_count_.value.load(std::memory_order_relaxed);
+  }
 
  private:
   friend class ThreadCtx;
   friend class Tx;
 
-  /// Both need descs_mutex_ held: no attempt in flight (no slot pinned,
-  /// every retained descriptor final), and the trim that requires it,
-  /// which hands back the descriptors it folded for the caller to free.
-  bool quiescent();
-  std::deque<TxDesc*> trim_locked();
+  /// Pins `slot` into `guard` past the trim gate. First, once the retained
+  /// count reaches next_trim, closes the gate, drains and trims.
+  void enter(int slot, util::EpochManager::Guard& guard);
+  /// Allocates a descriptor and appends it to `slot`'s own list. The
+  /// caller is pinned past the gate, so no trim takes the list meanwhile.
+  TxDesc* register_desc(int slot);
 
-  /// Registers a fresh descriptor; trims first once the retained count
-  /// reaches next_trim_.
-  TxDesc* allocate_desc(int slot);
-
-  /// True if `target` is reachable from `from` along predecessor edges of
-  /// live (active/committing) transactions, or if the search gives up
-  /// after kCycleSearchCap descriptors: an abort is always safe.
-  static bool reaches(TxDesc* from, const TxDesc* target);
+  /// Closes the trim gate; false when another trim already holds it. The
+  /// caller reopens it through a GateHold (sstm.cpp).
+  bool close_gate();
+  /// No epoch slot pinned. With the gate closed this is quiescence: a
+  /// descriptor is registered only after its slot pinned and is final
+  /// before the slot unpins, and no slot can pin past a closed gate.
+  bool quiescent() const;
+  /// With the gate closed and the runtime quiescent, folds every reader
+  /// reference and takes every slot's retained descriptors, for the caller
+  /// to free once it has reopened the gate; otherwise takes nothing.
+  std::vector<TxDesc*> trim_closed();
 
   timebase::VcDomain domain_;
 
-  /// Pool-backed descriptor storage. Reader and past-reader lists may
-  /// reference a descriptor long after its transaction finished, so
-  /// descriptors are retained until a quiescent trim folds every such
-  /// reference into per-version stamps (or until teardown).
+  /// Read by every begin, written only by the gate's holder.
+  struct alignas(util::kCacheLine) TrimGate {
+    std::atomic<bool> closed{false};
+    /// The retained count at which a begin trims.
+    std::atomic<std::size_t> next_trim{kTrimWatermark};
+  };
+  TrimGate gate_;
+  /// Descriptors registered since the last trim; bumped by every begin.
+  util::Padded<std::atomic<std::size_t>> retained_count_;
+
+  /// Pool-backed descriptor storage, one retained list per slot. Reader and
+  /// past-reader lists may reference a descriptor long after its
+  /// transaction finished, so descriptors are retained until a quiescent
+  /// trim folds every such reference into per-version stamps (or until
+  /// teardown). Only a slot's owner appends to its list, pinned past the
+  /// gate; only the gate's holder takes the lists, at quiescence.
   struct DescArena {
-    explicit DescArena(object::NodePool& p) : pool(&p) {}
+    DescArena(object::NodePool& p, int slots)
+        : pool(&p), retained(static_cast<std::size_t>(slots)) {}
     ~DescArena() {
-      for (TxDesc* d : live) pool->destroy(-1, d);
+      for (auto& list : retained) {
+        for (TxDesc* d : list.value) pool->destroy(-1, d);
+      }
     }
     object::NodePool* pool;
-    std::deque<TxDesc*> live;
+    std::vector<util::Padded<std::vector<TxDesc*>>> retained;
   };
 
-  std::mutex descs_mutex_;
-  std::size_t next_trim_ = kTrimWatermark;  // guarded by descs_mutex_
   /// Frees into the core's pool, which outlives it; declared before store_
   /// (the store's destructor reads locator writers' status, so the
   /// descriptors must still be alive when it runs).
-  DescArena descs_{pool_};
+  DescArena descs_{pool_, cfg_.max_threads};
 
   /// Serializes update-commit validation + publication (see header).
-  std::mutex commit_mutex_;
+  util::Padded<util::SpinLock> commit_lock_;
 
   Store store_;
 };

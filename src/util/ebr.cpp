@@ -46,7 +46,7 @@ void EpochManager::unpin(int slot) {
 
 bool EpochManager::pinned(int slot) const {
   return slots_[static_cast<std::size_t>(slot)].announced.load(
-             std::memory_order_acquire) != kQuiescent;
+             std::memory_order_seq_cst) != kQuiescent;
 }
 
 void EpochManager::retire_raw(int slot, void* p, Deleter deleter) {

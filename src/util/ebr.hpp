@@ -87,6 +87,9 @@ class EpochManager {
 
   void pin(int slot);
   void unpin(int slot);
+  /// seq_cst, like pin()'s announcement: a caller that closes a gate with
+  /// a seq_cst RMW and then scans the slots forms a Dekker pair with a
+  /// pinner that checks the gate after pinning (sstm's trim gate).
   bool pinned(int slot) const;
 
   /// Deleters receive the node and the slot of the thread that is freeing

@@ -1,7 +1,9 @@
 // Tiny test-and-test-and-set spin lock with RAII guard.
 //
-// Used only for short, bounded critical sections on cold metadata paths
-// (S-STM reader-list mutation). Hot paths use CAS protocols directly.
+// Used for short, bounded critical sections: S-STM's reader and
+// predecessor lists, and its one commit section (DESIGN.md §4), where a
+// waiter that spins hands the section over faster than one a futex parks.
+// Other hot paths use CAS protocols directly.
 // Satisfies the Lockable named requirements so std::lock_guard /
 // std::scoped_lock work with it (CP.20: RAII, never plain lock/unlock).
 #pragma once

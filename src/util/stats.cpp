@@ -25,6 +25,7 @@ const char* counter_name(Counter c) {
     case Counter::kPoolHits: return "pool_hits";
     case Counter::kPoolMisses: return "pool_misses";
     case Counter::kPoolReturns: return "pool_returns";
+    case Counter::kVersionPruned: return "version_pruned";
     case Counter::kCount: break;
   }
   return "?";

@@ -36,6 +36,7 @@ enum class Counter : int {
   kPoolHits,         // node allocations served from a slab free list
   kPoolMisses,       // node allocations that hit the global heap (slab carve)
   kPoolReturns,      // cross-thread node releases routed via an MPSC stack
+  kVersionPruned,    // aborts because the version a read needs was pruned
   kCount
 };
 

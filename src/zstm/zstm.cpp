@@ -357,7 +357,8 @@ const runtime::Payload& LongTx::read_object(lsa::Object& o) {
   if (v == nullptr || v->zone > zc_) {
     // Pruned underneath us, or a later long transaction's write is already
     // current: we cannot recover a consistent pre-claim state.
-    sub.stats_domain().add(s, util::Counter::kZonePassed);
+    sub.stats_domain().add(s, v == nullptr ? util::Counter::kVersionPruned
+                                           : util::Counter::kZonePassed);
     abort();
   }
   if (sub.recorder().enabled()) rec_.reads.push_back({o.oid, v->vid});

@@ -136,6 +136,29 @@ TEST(Cs, FigureThreeReaderOfCausallyOverwrittenVersionAborts) {
   EXPECT_GE(rt->stats()[Counter::kValidationFails], 1u);
 }
 
+TEST(Cs, ValidationAbortsWhenItsReadVersionWasPruned) {
+  // With one version kept, a commit to o prunes the version T1 read, so
+  // T1's validation cannot find its successor and aborts conservatively:
+  // counted as a failed validation and as a pruned version.
+  Config cfg = quiet_config();
+  cfg.versions_kept = 1;
+  auto rt = make_vc_runtime(cfg);
+  auto o = rt->make_var<int>(0);
+  auto y = rt->make_var<int>(0);
+  auto a = rt->attach();
+  auto b = rt->attach();
+
+  VcRuntime::Tx& t1 = a->begin();
+  (void)t1.read(o);
+  t1.write(y, 1);
+  rt->run(*b, [&](VcRuntime::Tx& tx) { tx.write(o, 1); });
+  const std::uint64_t fails = rt->stats()[Counter::kValidationFails];
+  const std::uint64_t pruned = rt->stats()[Counter::kVersionPruned];
+  EXPECT_THROW(a->commit(), TxAborted);
+  EXPECT_EQ(rt->stats()[Counter::kValidationFails], fails + 1);
+  EXPECT_EQ(rt->stats()[Counter::kVersionPruned], pruned + 1);
+}
+
 TEST(Cs, WriteWriteConflictSingleWriterRule) {
   Config cfg = quiet_config();
   auto rt = make_vc_runtime(cfg);

@@ -1,15 +1,17 @@
 // S-STM descriptor trim (DESIGN.md §11.5): Runtime::trim_descriptors()
-// must free every finished descriptor at quiescence, refuse to run while
-// an attempt is live, and preserve serializability by folding reader
-// constraints into per-version stamps; begin must run the same trim once
-// kTrimWatermark descriptors are retained, so retention stays bounded with
-// no call from the user.
+// must free every slot's finished descriptors at quiescence, refuse to run
+// while an attempt is live, and preserve serializability by folding reader
+// constraints into per-version stamps; begin must wait out a trim that
+// holds the trim gate, and run the same trim once kTrimWatermark
+// descriptors are retained, so retention stays bounded with no call from
+// the user.
 //
 // CTest label: `unit` (DESIGN.md §6).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -43,6 +45,76 @@ TEST(SstmTrim, QuiescentTrimFreesAllDescriptors) {
   // post-trim transactions ordered after everything trimmed away.
   rt.run(*th, [&](Tx& tx) { EXPECT_EQ(tx.read(x), 100); });
   EXPECT_EQ(rt.descriptor_count(), 1u);
+}
+
+TEST(SstmTrim, TrimFreesEverySlotsDescriptors) {
+  // Each slot retains its descriptors on its own list; one trim takes
+  // them all. Every thread holds its context until all are attached, so
+  // the four use four slots. They write disjoint variables, so no attempt
+  // aborts and each registers exactly one descriptor per commit.
+  constexpr int kThreads = 4;
+  constexpr int kTxPerThread = 100;
+  Runtime rt(quiet_config());
+  std::vector<Var<int>> vars;
+  for (int t = 0; t < kThreads; ++t) vars.push_back(rt.make_var<int>(0));
+  std::atomic<int> attached{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto th = rt.attach();
+      attached.fetch_add(1);
+      while (attached.load() < kThreads) std::this_thread::yield();
+      auto& v = vars[static_cast<std::size_t>(t)];
+      for (int i = 0; i < kTxPerThread; ++i) {
+        rt.run(*th, [&](Tx& tx) { tx.write(v, tx.read(v) + 1); });
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(rt.trim_descriptors(),
+            static_cast<std::size_t>(kThreads * kTxPerThread));
+  EXPECT_EQ(rt.descriptor_count(), 0u);
+  auto th = rt.attach();
+  rt.run(*th, [&](Tx& tx) {
+    for (auto& v : vars) EXPECT_EQ(tx.read(v), kTxPerThread);
+  });
+}
+
+TEST(SstmTrim, BeginWaitsOutATrim) {
+  // A begin that arrives while a trim holds the gate returns only after
+  // the trim, so its descriptor is not among those the trim frees. The
+  // sstm.trim hook runs inside the fold: it starts a thread that begins on
+  // its own context and checks, after a bounded wait, that the begin has
+  // not returned.
+  using namespace std::chrono_literals;
+  fault::registry().disarm_all();
+  Runtime rt(quiet_config());
+  auto x = rt.make_var<long>(0);
+  auto th = rt.attach();
+  rt.run(*th, [&](Tx& tx) { tx.write(x, 1L); });
+
+  std::atomic<bool> begun{false};
+  bool begun_during_fold = true;
+  std::thread beginner;
+  fault::registry().arm_hook(fault::Site::kSstmTrim, [&] {
+    beginner = std::thread([&] {
+      auto ctx = rt.attach();
+      Tx& tx = ctx->begin();
+      begun.store(true);
+      tx.write(x, tx.read(x) + 1);
+      ctx->commit();
+    });
+    std::this_thread::sleep_for(50ms);
+    begun_during_fold = begun.load();
+  });
+  EXPECT_EQ(rt.trim_descriptors(), 1u);
+  fault::registry().disarm_all();
+  ASSERT_TRUE(beginner.joinable());
+  beginner.join();
+  EXPECT_FALSE(begun_during_fold);
+  EXPECT_TRUE(begun.load());
+  EXPECT_EQ(rt.descriptor_count(), 1u);
+  rt.run(*th, [&](Tx& tx) { EXPECT_EQ(tx.read(x), 2L); });
 }
 
 TEST(SstmTrim, TrimRefusesWhileAttemptIsLive) {

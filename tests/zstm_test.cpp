@@ -369,10 +369,13 @@ TEST(ZLong, ReadAbortsWhenItsPreClaimVersionWasPruned) {
     });
   });
   const std::uint64_t passed = rt.stats()[Counter::kZonePassed];
+  const std::uint64_t pruned = rt.stats()[Counter::kVersionPruned];
   EXPECT_THROW((void)l.read(o), TxAborted);
   fault::registry().disarm_all();
   EXPECT_TRUE(window_run);
-  EXPECT_EQ(rt.stats()[Counter::kZonePassed], passed + 1);
+  // Pruned, not passed: no higher zone is anywhere in play.
+  EXPECT_EQ(rt.stats()[Counter::kVersionPruned], pruned + 1);
+  EXPECT_EQ(rt.stats()[Counter::kZonePassed], passed);
   EXPECT_FALSE(cl->in_long_transaction());
 }
 
