@@ -15,9 +15,9 @@
 // transfer-only run, 1 a thread 0 that only scans, and
 // `read_only_transfers` turns each transfer into a two-account read.
 //
-// The harness is one generic `Bank<S>` over the zstm::api façade: S is
-// `api::Stm<R>` (compiled-in runtime, zero-cost) or `api::AnyStm` (runtime
-// picked by name). Transfers run as TxKind::kUpdate, Compute-Total as
+// The harness is one generic `Bank<S>` over the zstm::api façade: S is an
+// `api::Stm<R>`, and `run_named_bank` picks R by name through
+// `api::visit_variant`. Transfers run as TxKind::kUpdate, Compute-Total as
 // kLong / kLongUpdate — Z-STM maps those onto Algorithm 2, every other
 // runtime onto its ordinary transactions.
 //
@@ -80,8 +80,8 @@ inline api::CommonConfig bank_config(const BankParams& p) {
   return cfg;
 }
 
-/// The paper's bank over any façade (api::Stm<R> or api::AnyStm). Threads
-/// attach implicitly on their first transaction.
+/// The paper's bank over an api::Stm<R>. Threads attach implicitly on
+/// their first transaction.
 template <typename S>
 class Bank {
  public:
@@ -195,10 +195,9 @@ BankResult run_bank(Bank<S>& bank, const BankParams& p) {
 
 /// Build a bank over a by-name runtime, run it, then count the money — the
 /// one-call form the bench sections and the example share. Dispatches at
-/// compile time to api::Stm<R> (a switch over the variant names, bodies on
-/// native handles), so the numbers measure the native access path, not
-/// AnyStm's erased-handle indirection. Throws std::invalid_argument for
-/// unknown names (like AnyStm::make).
+/// compile time to api::Stm<R> (api::visit_variant; bodies on native
+/// handles), so the numbers measure the native access path. Throws
+/// std::invalid_argument for unknown names.
 inline BankResult run_named_bank(const std::string& runtime_name,
                                  const BankParams& p,
                                  const api::CommonConfig& cfg) {

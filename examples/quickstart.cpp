@@ -2,26 +2,45 @@
 //
 //   $ ./quickstart [runtime]        # lsa | lsa-nors | cs-vc | cs-r | sstm | zl | tl2
 //
-// Everything goes through the unified façade (zstm::api): pick a runtime
-// variant by name, create transactional variables, and run transactions —
-// no explicit thread attachment (each thread attaches implicitly on its
-// first transaction) and one TxKind enum instead of per-runtime entry
-// points. The default variant is Z-STM, whose long transactions snapshot
-// everything consistently without ever validating a read set.
+// Everything goes through the one façade (zstm::api::Stm<R>): pick a
+// runtime variant by name with api::visit_variant, create transactional
+// variables, and run transactions — no explicit thread attachment (each
+// thread attaches implicitly on its first transaction) and one TxKind enum
+// instead of per-runtime entry points. The default variant is Z-STM, whose
+// long transactions snapshot everything consistently without ever
+// validating a read set.
 #include <cstdio>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "api/stm_api.hpp"
 
+using zstm::api::TxKind;
+
+template <typename S>
+int run(S& stm, const char* name);
+
 int main(int argc, char** argv) {
-  using zstm::api::AnyStm;
-  using zstm::api::TxKind;
+  // 1. One façade over every runtime in the library; "zl" is Z-STM. The
+  //    name resolves once to a typed api::Stm<R> (statically:
+  //    zstm::api::ZStm), and every access in the bodies is the runtime's
+  //    own call.
+  try {
+    return zstm::api::visit_variant(
+        argc > 1 ? argv[1] : "zl", {},
+        [](auto tag, const char* name, const zstm::api::CommonConfig& cfg) {
+          typename decltype(tag)::type stm(cfg);
+          return run(stm, name);
+        });
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
+}
 
-  // 1. One façade over every runtime in the library; "zl" is Z-STM.
-  //    (Statically-typed alternative: zstm::api::Stm<zstm::zl::Runtime>.)
-  AnyStm stm = AnyStm::make(argc > 1 ? argv[1] : "zl");
-
+template <typename S>
+int run(S& stm, const char* name) {
   // 2. Transactional variables hold any copyable type on the object-based
   //    runtimes. The word-granularity "tl2" runtime stores values in raw
   //    words, so it requires trivially copyable types (≤ 224 bytes) — this
@@ -29,8 +48,8 @@ int main(int argc, char** argv) {
   struct Label {
     char text[24];
   };
-  auto counter = stm.make_var<long>(0);
-  auto label = stm.make_var<Label>(Label{"start"});
+  auto counter = stm.template make_var<long>(0);
+  auto label = stm.template make_var<Label>(Label{"start"});
 
   // 3. Worker threads just run transactions — the first one attaches the
   //    thread. A body may be re-executed on conflict, so keep it free of
@@ -62,7 +81,7 @@ int main(int argc, char** argv) {
     final_label = tx.read(label);
   });
 
-  std::printf("runtime = %s\n", stm.name().c_str());
+  std::printf("runtime = %s\n", name);
   std::printf("counter = %ld (expected 20000, %u attempt%s)\n", final_count,
               res.attempts, res.attempts == 1 ? "" : "s");
   std::printf("label   = \"%s\"\n", final_label.text);

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -139,6 +140,15 @@ Args parse_args(int argc, char** argv) {
   }
   if (a.variants.empty()) {
     a.variants = api::variant_names();
+  }
+  // Resolve every name before any service starts: a typo is a usage error.
+  for (const std::string& name : a.variants) {
+    try {
+      api::visit_variant(name, {}, [](auto, const char*, const auto&) {});
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      std::exit(2);
+    }
   }
   return a;
 }

@@ -12,12 +12,12 @@
 // atomic transaction — the KV service's multi_get/transfer do exactly
 // that.
 //
-// Works with any façade: `S` may be a concrete `api::Stm<R>` (zero-cost,
-// the rewritten tset example) or `api::AnyStm` (runtime-selected variant,
-// the KV service). Requirements on S: `make_var<T>`, `template Var<T>` (a
-// default-constructible, trivially-copyable handle), and a transaction
-// handle with `read(var)` / `write(var)`. K and V must be trivially
-// copyable (the word-granularity tl2 backend stores payloads by words).
+// `S` is an `api::Stm<R>` (a caller that picks the runtime by name goes
+// through `api::visit_variant`). Requirements on S: `make_var<T>`,
+// `template Var<T>` (a default-constructible, trivially-copyable handle),
+// and a transaction handle with `read(var)` / `write(var)`. K and V must be
+// trivially copyable (the word-granularity tl2 backend stores payloads by
+// words).
 //
 // Memory: nodes are allocated with `make_var` inside the inserting
 // transaction. A node unlinked by erase() stays owned by the runtime
@@ -38,6 +38,12 @@
 #include "util/rng.hpp"
 
 namespace zstm::adt {
+
+/// What a structural walk found: element count and intra-bucket order.
+struct AuditResult {
+  std::uint64_t size = 0;
+  bool sorted = true;  // strictly increasing keys within every bucket
+};
 
 template <typename S, typename K = std::uint64_t, typename V = std::int64_t,
           typename Hash = std::hash<K>>
@@ -163,11 +169,6 @@ class TMap {
     }
   }
 
-  struct AuditResult {
-    std::uint64_t size = 0;
-    bool sorted = true;  // strictly increasing keys within every bucket
-  };
-
   /// Full structural walk: element count plus the intra-bucket sortedness
   /// invariant (the example's long-transaction consistency check).
   template <typename Tx>
@@ -207,7 +208,6 @@ class TSet {
  public:
   using Map = TMap<S, K, unsigned char, Hash>;
   using Scratch = typename Map::Scratch;
-  using AuditResult = typename Map::AuditResult;
 
   TSet(S& stm, std::size_t buckets) : map_(stm, buckets) {}
 

@@ -5,20 +5,19 @@
 // vocabulary (runtime/run_result.hpp): `attach()` a ThreadCtx,
 // `ctx.begin(TxKind)` a transaction, `read`/`write`/`abort` on its handle,
 // `ctx.commit()`, and is built from one runtime::Config. This header adds
-// the rest — implicit attachment, the retry/escalation ladder — in two
-// flavours:
+// the rest — implicit attachment, the retry/escalation ladder — as one
+// façade, `Stm<R>`: `Stm<lsa::Runtime>`, `Stm<cs::VcRuntime>`,
+// `Stm<cs::RevRuntime>`, `Stm<sstm::Runtime>`, `Stm<zl::Runtime>` and
+// `Stm<tl2::Runtime>` all expose `make_var<T>` and `run(TxKind, body)`.
+// Bodies receive the runtime's own transaction handle (`lsa::Tx`, `zl::Tx`,
+// ...), so generic callers take it as `auto&` and every access is the
+// native call.
 //
-//   * `Stm<R>` — `Stm<lsa::Runtime>`, `Stm<cs::VcRuntime>`,
-//     `Stm<cs::RevRuntime>`, `Stm<sstm::Runtime>`, `Stm<zl::Runtime>` and
-//     `Stm<tl2::Runtime>` all expose `make_var<T>` and `run(TxKind, body)`.
-//     Bodies receive the runtime's own transaction handle (`lsa::Tx`,
-//     `zl::Tx`, ...), so generic callers take it as `auto&` and every access
-//     is the native call.
-//   * `AnyStm` — a type-erased runtime selected *by name* at run time:
-//     `AnyStm::make("lsa" | "lsa-nors" | "cs-vc" | "cs-r" | "sstm" | "zl" |
-//     "tl2", CommonConfig)`. Bodies receive the concrete `TxHandle`; variables are
-//     `AnyVar<T>`. One indirect call per access — the price of a
-//     `--runtime=` flag instead of a compiled-in benchmark matrix.
+// A runtime picked *by name* at run time ("lsa" | "lsa-nors" | "cs-vc" |
+// "cs-r" | "sstm" | "zl" | "tl2") goes through `visit_variant`, which
+// resolves the name once and hands the caller the matching `Stm<R>` type;
+// a caller that must hide the type (the KV service) does so once, around
+// whole operations, never per access.
 //
 // TxKind × runtime mapping (DESIGN.md §8 has the full table): each
 // runtime's `ThreadCtx::begin(kind)` applies its own column. `kLong`/
@@ -427,9 +426,9 @@ using Tl2Stm = Stm<tl2::Runtime>;
 
 // ---------------------------------------------------------------------------
 // By-name variant dispatch — THE one mapping from names to runtimes.
-// AnyStm::make, the bench harness's compile-time dispatch, and
-// variant_names() below all drive off this visitor; adding a variant means
-// adding exactly one branch here (and its name to kVariantNames).
+// The benches, the KV service and the examples all drive off this visitor;
+// adding a variant means adding exactly one branch here (and its name to
+// kVariantNames).
 // ---------------------------------------------------------------------------
 
 /// The canonical variant names, in the order the paper's figures use.
@@ -472,151 +471,5 @@ decltype(auto) visit_variant(std::string_view name, CommonConfig cfg,
       "unknown STM variant '" + std::string(name) +
       "' (expected lsa | lsa-nors | cs-vc | cs-r | sstm | zl | tl2)");
 }
-
-// ---------------------------------------------------------------------------
-// AnyStm: the type-erased façade (runtime selected by name).
-// ---------------------------------------------------------------------------
-
-/// Non-owning callable reference (no allocation; the callee must outlive
-/// the call — always true for transaction bodies).
-template <typename Sig>
-class FunctionRef;
-
-template <typename Ret, typename... Args>
-class FunctionRef<Ret(Args...)> {
- public:
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::remove_cvref_t<F>, FunctionRef>>>
-  FunctionRef(F&& f)  // NOLINT(google-explicit-constructor)
-      : obj_(const_cast<void*>(
-            static_cast<const void*>(std::addressof(f)))),
-        call_([](void* o, Args... a) -> Ret {
-          return (*static_cast<std::remove_reference_t<F>*>(o))(
-              std::forward<Args>(a)...);
-        }) {}
-
-  Ret operator()(Args... a) const {
-    return call_(obj_, std::forward<Args>(a)...);
-  }
-
- private:
-  void* obj_;
-  Ret (*call_)(void*, Args...);
-};
-
-/// Type-erased transactional variable (created by AnyStm::make_var). Only
-/// valid with the AnyStm that created it.
-template <typename T>
-class AnyVar {
- public:
-  AnyVar() = default;
-  void* raw() const { return obj_; }
-
- private:
-  friend class AnyStm;
-  explicit AnyVar(void* obj) : obj_(obj) {}
-  void* obj_ = nullptr;
-};
-
-/// The uniform type-erased transaction handle AnyStm bodies receive.
-class TxHandle {
- public:
-  struct Ops {
-    const runtime::Payload& (*read)(void* tx, void* obj);
-    runtime::Payload& (*write)(void* tx, void* obj);
-    void (*abort)(void* tx);  // always throws the runtime's TxAborted
-  };
-
-  TxHandle(void* tx, const Ops* ops) : tx_(tx), ops_(ops) {}
-
-  template <typename T>
-  const T& read(const AnyVar<T>& v) {
-    return runtime::payload_as<T>(ops_->read(tx_, v.raw()));
-  }
-  template <typename T>
-  T& write(AnyVar<T>& v) {
-    return runtime::payload_as<T>(ops_->write(tx_, v.raw()));
-  }
-  template <typename T>
-  void write(AnyVar<T>& v, T value) {
-    write(v) = std::move(value);
-  }
-  [[noreturn]] void abort() {
-    ops_->abort(tx_);  // throws
-    __builtin_unreachable();
-  }
-
- private:
-  void* tx_;
-  const Ops* ops_;
-};
-
-namespace detail {
-
-struct AnyStmBase {
-  virtual ~AnyStmBase() = default;
-  virtual void* make_object(runtime::Payload* initial) = 0;
-  virtual RunResult run(TxKind kind, FunctionRef<void(TxHandle&)> body,
-                        std::uint32_t max_attempts) = 0;
-  virtual util::StatsSnapshot stats() const = 0;
-  virtual void reset_stats() = 0;
-  virtual util::ProgressTracker::Snapshot progress() const = 0;
-  virtual const CommonConfig& config() const = 0;
-};
-
-}  // namespace detail
-
-class AnyStm {
- public:
-  using Tx = TxHandle;
-  template <typename T>
-  using Var = AnyVar<T>;
-
-  /// Resolve a runtime variant by name (the visit_variant mapping):
-  ///   "lsa" | "lsa-nors" (alias "lsa-no-readsets") | "cs-vc" | "cs-r" |
-  ///   "sstm" | "zl" | "tl2"
-  /// Throws std::invalid_argument for unknown names.
-  static AnyStm make(std::string_view name, CommonConfig cfg = {});
-
-  /// The canonical variant names (api::variant_names re-exported).
-  static const std::vector<std::string>& variant_names() {
-    return api::variant_names();
-  }
-
-  AnyStm(AnyStm&&) noexcept = default;
-  AnyStm& operator=(AnyStm&&) noexcept = default;
-
-  template <typename T>
-  AnyVar<T> make_var(T initial) {
-    return AnyVar<T>(impl_->make_object(
-        new runtime::TypedPayload<T>(std::move(initial))));
-  }
-
-  template <typename F>
-  RunResult run(TxKind kind, F&& body) {
-    return impl_->run(kind, FunctionRef<void(TxHandle&)>(body), 0);
-  }
-  template <typename F>
-  RunResult run(TxKind kind, F&& body, std::uint32_t max_attempts) {
-    return impl_->run(kind, FunctionRef<void(TxHandle&)>(body), max_attempts);
-  }
-
-  const std::string& name() const { return name_; }
-  const CommonConfig& config() const { return impl_->config(); }
-  util::StatsSnapshot stats() const { return impl_->stats(); }
-  void reset_stats() { impl_->reset_stats(); }
-  /// Starvation-watchdog snapshot (see Stm<R>::progress).
-  util::ProgressTracker::Snapshot progress() const {
-    return impl_->progress();
-  }
-
- private:
-  AnyStm(std::unique_ptr<detail::AnyStmBase> impl, std::string name)
-      : impl_(std::move(impl)), name_(std::move(name)) {}
-
-  std::unique_ptr<detail::AnyStmBase> impl_;
-  std::string name_;
-};
 
 }  // namespace zstm::api

@@ -13,11 +13,12 @@
 //   zstm::tl2::Runtime       — TL2, word-granularity strict
 //                              serializability (the comparison baseline)
 //
-// The recommended entry point is the unified façade (api/stm_api.hpp):
-// every variant behind one interface, selected statically or by name, with
-// implicit per-thread attachment (see examples/quickstart.cpp):
+// The recommended entry point is the one façade (api/stm_api.hpp),
+// `api::Stm<R>`: every variant behind one interface, with implicit
+// per-thread attachment. A variant picked by name at run time goes through
+// `api::visit_variant` (see examples/quickstart.cpp):
 //
-//   auto stm = zstm::api::AnyStm::make("zl");   // or api::Stm<R> statically
+//   zstm::api::ZStm stm;                  // or any api::Stm<R>
 //   auto acc = stm.make_var<long>(100);
 //   stm.run(zstm::api::TxKind::kUpdate, [&](auto& tx) {
 //     tx.write(acc, tx.read(acc) + 1);

@@ -214,12 +214,6 @@ class RuntimeT : public runtime::Core {
     return runtime::retry(ctx, [&]() -> Tx& { return ctx.begin(); }, body);
   }
 
-  /// Type-erased variable creation hook for the zstm::api façade (the
-  /// typed make_var above remains the primary path).
-  Object* allocate_object(runtime::Payload* initial) {
-    return store_.allocate(initial, domain_.zero());
-  }
-
   const ClockDomain& domain() const { return domain_; }
 
  private:

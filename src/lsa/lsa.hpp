@@ -289,10 +289,6 @@ class Runtime : public runtime::Core {
 
   // --- internals shared with Z-STM (stable within this library) ---------
 
-  Object* allocate_object(runtime::Payload* initial) {
-    return store_.allocate(initial);
-  }
-
   /// The shared versioned-object substrate (object/object_store.hpp):
   /// resolve, open-for-write and release go through it directly.
   Store& store() { return store_; }

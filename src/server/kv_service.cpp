@@ -21,10 +21,24 @@ const char* op_name(Op op) {
   return "?";
 }
 
+namespace {
+
+/// The one place a variant name becomes a runtime type: the six
+/// KvStoreT<Stm<R>> instantiations live in this translation unit.
+std::unique_ptr<KvStore> make_store(const ServiceConfig& cfg) {
+  return api::visit_variant(
+      cfg.variant, cfg.stm,
+      [&](auto tag, const char*, const api::CommonConfig& variant_cfg)
+          -> std::unique_ptr<KvStore> {
+        using S = typename decltype(tag)::type;
+        return std::make_unique<KvStoreT<S>>(variant_cfg, cfg.buckets);
+      });
+}
+
+}  // namespace
+
 KvService::KvService(ServiceConfig cfg)
-    : cfg_(std::move(cfg)),
-      stm_(api::AnyStm::make(cfg_.variant, cfg_.stm)),
-      store_(stm_, cfg_.buckets) {}
+    : cfg_(std::move(cfg)), store_(make_store(cfg_)) {}
 
 KvService::~KvService() { stop(); }
 
@@ -73,7 +87,7 @@ bool KvService::submit(Request req) {
 
 void KvService::preload(Key first, std::uint64_t count, Value value) {
   for (std::uint64_t i = 0; i < count; ++i) {
-    store_.put(first + i, value);
+    store_->put(first + i, value);
   }
 }
 
@@ -93,8 +107,8 @@ ServiceMetrics KvService::metrics() {
       m.all.merge(w.hist[op]);
     }
   }
-  m.progress = stm_.progress();
-  m.stm = stm_.stats();
+  m.progress = store_->progress();
+  m.stm = store_->stats();
   return m;
 }
 
@@ -117,39 +131,39 @@ Response KvService::execute(const Request& req) {
   Response resp;
   switch (req.op) {
     case Op::kGet: {
-      const std::optional<Value> v = store_.get(req.key);
+      const std::optional<Value> v = store_->get(req.key);
       resp.ok = v.has_value();
       resp.value = v.value_or(0);
       break;
     }
     case Op::kPut: {
-      const bool inserted = store_.put(req.key, req.value);
+      const bool inserted = store_->put(req.key, req.value);
       resp.ok = true;
       resp.count = inserted ? 1 : 0;
       break;
     }
     case Op::kDel: {
-      resp.ok = store_.del(req.key);
+      resp.ok = store_->del(req.key);
       break;
     }
     case Op::kMultiGet: {
       // Snapshot sum over the window: with transfers confined to the same
       // window this is an invariant the tests can pin.
       std::vector<Value> vals;
-      resp.count = store_.multi_get(req.key, req.fanout, &vals);
+      resp.count = store_->multi_get(req.key, req.fanout, &vals);
       for (const Value v : vals) resp.value += v;
       resp.ok = true;
       break;
     }
     case Op::kScan: {
-      const KvStore::ScanResult r = store_.scan();
+      const KvStore::ScanResult r = store_->scan();
       resp.ok = true;
       resp.count = r.count;
       resp.value = r.sum;
       break;
     }
     case Op::kTransfer: {
-      resp.ok = store_.transfer(req.key, req.key2, req.value);
+      resp.ok = store_->transfer(req.key, req.key2, req.value);
       break;
     }
     case Op::kCount:

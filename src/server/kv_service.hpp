@@ -1,6 +1,7 @@
 // KvService — the STM-backed key-value service (DESIGN.md §12): a worker
 // pool draining a bounded MPMC request queue into a KvStore whose runtime
-// variant is chosen by name.
+// variant is chosen by name (resolved once, by api::visit_variant, when the
+// service is built).
 //
 // The service is the measurement harness the figure benches are not:
 // requests carry their *scheduled* arrival time, workers record
@@ -117,8 +118,9 @@ class KvService {
   ServiceMetrics metrics();
 
   const ServiceConfig& config() const { return cfg_; }
-  api::AnyStm& stm() { return stm_; }
-  KvStore& store() { return store_; }
+  /// The store, which also reports its façade's stats() and progress().
+  KvStore& stm() { return *store_; }
+  KvStore& store() { return *store_; }
 
  private:
   struct WorkerState {
@@ -130,8 +132,7 @@ class KvService {
   Response execute(const Request& req);
 
   ServiceConfig cfg_;
-  api::AnyStm stm_;
-  KvStore store_;
+  std::unique_ptr<KvStore> store_;
   std::unique_ptr<MpmcQueue<Request>> queue_;
   std::vector<std::thread> workers_;
   std::vector<WorkerState> wstate_;

@@ -266,11 +266,6 @@ class Runtime : public runtime::Core {
     return runtime::retry(ctx, [&]() -> Tx& { return ctx.begin(); }, body);
   }
 
-  /// Type-erased variable creation hook for the zstm::api façade.
-  Object* allocate_object(runtime::Payload* initial) {
-    return store_.allocate(initial, domain_.zero());
-  }
-
   /// Descriptors retained before a begin trims (DESIGN.md §11.5).
   static constexpr std::size_t kTrimWatermark = 4096;
   /// Descriptors the commit-time cycle search visits before it gives up,

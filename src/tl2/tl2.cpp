@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
-#include <stdexcept>
 
 #include "fault/failpoint.hpp"
 
@@ -35,18 +34,7 @@ std::unique_ptr<ThreadCtx> Runtime::attach() {
 
 Object* Runtime::allocate_object(runtime::Payload* initial) {
   std::unique_ptr<runtime::Payload> proto(initial);
-  // Probe that the payload supports both paths tl2 relies on: placement-
-  // cloning into a log-node buffer and the raw-bytes view of its value.
-  alignas(runtime::Payload::kInlineAlign) unsigned char probe[kBufBytes];
-  runtime::Payload* clone = proto->clone_into(probe, sizeof probe);
-  const std::size_t bytes = clone != nullptr ? clone->raw_size() : 0;
-  if (clone != nullptr) clone->~Payload();
-  if (bytes == 0 || bytes > kMaxBytes) {
-    throw std::invalid_argument(
-        "tl2 objects must hold trivially copyable values of at most " +
-        std::to_string(kMaxBytes) + " bytes");
-  }
-
+  const std::size_t bytes = proto->raw_size();
   auto obj = std::make_unique<Object>();
   obj->oid = oids_.value.fetch_add(1, std::memory_order_relaxed) + 1;
   obj->bytes = static_cast<std::uint32_t>(bytes);
@@ -101,7 +89,6 @@ Tx& ThreadCtx::begin(TxKind) {
   active_ = true;
   tx_.read_set_.clear();
   tx_.write_set_.clear();
-  tx_.snaps_.clear();
   if (rt_.recorder_.enabled()) {
     tx_.rec_ = history::TxRecord{};
     tx_.rec_.tx_id = rt_.next_tx_id(slot());
@@ -115,17 +102,11 @@ Tx& ThreadCtx::begin(TxKind) {
 
 void ThreadCtx::drop_logs() {
   const int s = slot();
-  for (runtime::Payload* snap : tx_.snaps_) {
-    void* mem = snap;
-    snap->~Payload();
-    rt_.release_buf(s, mem);
-  }
   for (auto& w : tx_.write_set_) {
     void* mem = w.redo;
     w.redo->~Payload();
     rt_.release_buf(s, mem);
   }
-  tx_.snaps_.clear();
   tx_.read_set_.clear();
   tx_.write_set_.clear();
 }
@@ -181,20 +162,6 @@ bool ThreadCtx::try_read_words(Object& o, std::uint64_t rv, void* dst,
   }
   *vid_out = vid;
   return true;
-}
-
-runtime::Payload* ThreadCtx::snapshot_object(Object& o, std::uint64_t rv,
-                                             std::uint64_t* vid_out) {
-  const int s = slot();
-  void* mem = rt_.acquire_buf(s);
-  // allocate_object proved clone_into succeeds for this payload.
-  runtime::Payload* snap = o.prototype->clone_into(mem, Runtime::kBufBytes);
-  if (!try_read_words(o, rv, snap->raw_bytes(), vid_out)) {
-    snap->~Payload();
-    rt_.release_buf(s, mem);
-    fail(util::Counter::kValidationFails);
-  }
-  return snap;
 }
 
 void ThreadCtx::release_acquired(std::size_t count) {
@@ -348,17 +315,6 @@ void Tx::read_into(Object& o, void* dst) {
   if (ctx_.rt_.recorder_.enabled()) rec_.reads.push_back({o.oid, vid});
 }
 
-const runtime::Payload& Tx::read_object(Object& o) {
-  if (const runtime::Payload* redo = find_redo(o)) return *redo;
-  ctx_.rt_.stats_.add(ctx_.slot(), util::Counter::kReads);
-  std::uint64_t vid = 0;
-  runtime::Payload* snap = ctx_.snapshot_object(o, rv_, &vid);
-  snaps_.push_back(snap);
-  read_set_.push_back({&o, vid});
-  if (ctx_.rt_.recorder_.enabled()) rec_.reads.push_back({o.oid, vid});
-  return *snap;
-}
-
 runtime::Payload& Tx::write_object(Object& o) {
   for (const auto& w : write_set_) {
     if (w.obj == &o) return *w.redo;
@@ -370,6 +326,7 @@ runtime::Payload& Tx::write_object(Object& o) {
   const int s = ctx_.slot();
   ctx_.rt_.stats_.add(s, util::Counter::kReads);
   void* mem = ctx_.rt_.acquire_buf(s);
+  // make_var's static_assert guarantees the clone fits the buffer.
   runtime::Payload* redo = o.prototype->clone_into(mem, Runtime::kBufBytes);
   std::uint64_t vid = 0;
   if (!ctx_.try_read_words(o, rv_, redo->raw_bytes(), &vid)) {

@@ -20,9 +20,7 @@
 //    are unchanged. The read set records only {object, version-id} for
 //    commit-time revalidation; repeated reads of an object re-run the
 //    seqlock and are forced consistent by the rv bound, so no lookup or
-//    caching happens on the read path at all. (The type-erased façade
-//    path still materializes pooled snapshot payloads for reference
-//    stability; those ride in a separate cleanup list.)
+//    caching happens on the read path at all. This is the one read path.
 //  * Writes go to a private redo log (one pooled buffer per object, seeded
 //    from a validated snapshot, so read-modify-write patterns are protected
 //    against lost updates by commit-time revalidation).
@@ -76,13 +74,13 @@ class ThreadCtx;
 class Tx;
 
 /// A transactional object: a fixed run of atomic master words plus the
-/// immutable prototype payload that donates the value's type/layout when
-/// snapshots are materialized. Values must be trivially copyable and at
-/// most kMaxBytes bytes.
+/// immutable prototype payload that donates the value's type/layout to
+/// redo buffers. Values must be trivially copyable and at most kMaxBytes
+/// bytes.
 struct Object {
   std::uint64_t oid = 0;
-  /// The initial payload; used only via clone_into (layout donor for
-  /// snapshot/redo buffers), never mutated after construction.
+  /// The initial payload; used only via clone_into (layout donor for redo
+  /// buffers), never mutated after construction.
   std::unique_ptr<runtime::Payload> prototype;
   std::unique_ptr<std::atomic<std::uint64_t>[]> words;
   std::uint32_t word_count = 0;
@@ -153,12 +151,6 @@ class Tx {
   std::size_t read_set_size() const { return read_set_.size(); }
   std::size_t write_set_size() const { return write_set_.size(); }
 
-  // Object-level API (the type-erased AnyStm handle calls these; the
-  // payload-returning read materializes a pooled snapshot for reference
-  // stability, unlike the typed value read above).
-  const runtime::Payload& read_object(Object& o);
-  runtime::Payload& write_object(Object& o);
-
  private:
   friend class ThreadCtx;
   friend class Runtime;
@@ -176,12 +168,14 @@ class Tx {
   /// append the read to the read set. Throws TxAborted when the copy
   /// cannot be anchored at rv.
   void read_into(Object& o, void* dst);
+  /// The private redo copy of `o`, seeded by a validated read on first
+  /// open.
+  runtime::Payload& write_object(Object& o);
 
   ThreadCtx& ctx_;
   std::uint64_t rv_ = 0;  // clock sample at begin; snapshot validity bound
   std::vector<ReadEntry> read_set_;
   std::vector<WriteEntry> write_set_;
-  std::vector<runtime::Payload*> snaps_;  // AnyStm-path snapshot buffers
   history::TxRecord rec_;
 };
 
@@ -221,11 +215,6 @@ class ThreadCtx {
   bool try_read_words(Object& o, std::uint64_t rv, void* dst,
                       std::uint64_t* vid_out);
 
-  /// try_read_words into a fresh pooled snapshot payload (the AnyStm
-  /// path). Throws TxAborted (after cleanup) on validation failure.
-  runtime::Payload* snapshot_object(Object& o, std::uint64_t rv,
-                                    std::uint64_t* vid_out);
-
   void finish_attempt(bool committed);
   void drop_logs();
   [[noreturn]] void fail(util::Counter reason);
@@ -251,7 +240,7 @@ class Runtime : public runtime::Core {
   using Var = tl2::Var<T>;
 
   /// Largest value size (bytes) a tl2 object supports: one NodePool class-3
-  /// block holds the snapshot payload (16-byte TypedPayload header + value).
+  /// block holds the redo payload (16-byte TypedPayload header + value).
   static constexpr std::size_t kBufBytes = 240;
   static constexpr std::size_t kMaxBytes =
       kBufBytes - runtime::Payload::kInlineAlign;
@@ -273,11 +262,16 @@ class Runtime : public runtime::Core {
   /// object for its whole lifetime.
   template <typename T>
   Var<T> make_var(T initial) {
+    using P = runtime::TypedPayload<T>;
     static_assert(std::is_trivially_copyable_v<T>,
                   "tl2 stores values as raw words; T must be trivially "
                   "copyable (use an object-based runtime otherwise)");
-    return Var<T>(
-        allocate_object(new runtime::TypedPayload<T>(std::move(initial))));
+    // clone_into's condition for one log buffer, so redo copies never fail.
+    static_assert(sizeof(P) <= kBufBytes &&
+                      alignof(P) <= runtime::Payload::kInlineAlign &&
+                      sizeof(T) <= kMaxBytes,
+                  "tl2 values must fit one kBufBytes log buffer");
+    return Var<T>(allocate_object(new P(std::move(initial))));
   }
 
   std::unique_ptr<ThreadCtx> attach();
@@ -291,16 +285,14 @@ class Runtime : public runtime::Core {
     return runtime::retry(ctx, [&]() -> Tx& { return ctx.begin(); }, body);
   }
 
-  /// Validates that `initial` supports the raw-word representation
-  /// (trivially copyable, <= kMaxBytes); throws std::invalid_argument
-  /// otherwise. Takes ownership either way.
-  Object* allocate_object(runtime::Payload* initial);
-
   timebase::GlobalCounter& clock() { return clock_; }
 
  private:
   friend class ThreadCtx;
   friend class Tx;
+
+  /// Takes ownership of `initial`, whose raw-word fit make_var checked.
+  Object* allocate_object(runtime::Payload* initial);
 
   /// Stripe index covering the master word at `addr` (Fibonacci hash of
   /// the word address — adjacent objects land on unrelated stripes).
@@ -315,7 +307,7 @@ class Runtime : public runtime::Core {
     return locks_[stripe];
   }
 
-  /// Log-node (snapshot/redo buffer) storage: pooled when enabled, plain
+  /// Log-node (redo buffer) storage: pooled when enabled, plain
   /// aligned heap otherwise (ZSTM_POOL=0 keeps ASan's heap poisoning).
   void* acquire_buf(int slot);
   void release_buf(int slot, void* p);

@@ -105,20 +105,6 @@ void ShortTx::join_zone(std::uint64_t z) {
   if (z != 0) inner_->forbid_past_reads();
 }
 
-const runtime::Payload& ShortTx::read_object(lsa::Object& o) {
-  check_zone(o);
-  const runtime::Payload& p = inner_->read_object(o);
-  verify_zone(o);  // same race closures as the typed read() and write()
-  return p;
-}
-
-runtime::Payload& ShortTx::write_object(lsa::Object& o) {
-  check_zone(o);
-  runtime::Payload& p = inner_->write_object(o);
-  verify_zone(o);
-  return p;
-}
-
 void ShortTx::verify_zone(lsa::Object& o) {
   // After a write: a seq_cst load after our seq_cst locator install
   // (ObjectStore::install), pairing with LongTx::claim_zone +

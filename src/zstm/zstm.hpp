@@ -134,11 +134,6 @@ class ShortTx : private lsa::CommitCheck {
   std::uint64_t zone() const { return zc_; }
   lsa::Tx& inner() { return *inner_; }
 
-  // Object-level API (used by the zstm::api façade and by tests); same
-  // zone-check/open/verify sequence as the typed read/write above.
-  const runtime::Payload& read_object(lsa::Object& o);
-  runtime::Payload& write_object(lsa::Object& o);
-
  private:
   friend class ThreadCtx;
   explicit ShortTx(ThreadCtx& ctx) : ctx_(ctx) {}
@@ -195,15 +190,6 @@ class Tx {
   [[noreturn]] void abort() {
     if (long_ != nullptr) long_->abort();
     short_->abort();
-  }
-
-  const runtime::Payload& read_object(lsa::Object& o) {
-    ++opens_;
-    return long_ != nullptr ? long_->read_object(o) : short_->read_object(o);
-  }
-  runtime::Payload& write_object(lsa::Object& o) {
-    ++opens_;
-    return long_ != nullptr ? long_->write_object(o) : short_->write_object(o);
   }
 
   bool is_long() const { return long_ != nullptr; }
@@ -321,11 +307,6 @@ class Runtime {
   runtime::RunResult run_long(ThreadCtx& ctx, F&& body) {
     return runtime::retry(
         ctx, [&]() -> LongTx& { return ctx.begin_long(); }, body);
-  }
-
-  /// Type-erased variable creation hook for the zstm::api façade.
-  lsa::Object* allocate_object(runtime::Payload* initial) {
-    return lsa_.allocate_object(initial);
   }
 
   /// ZC, the global zone counter (last zone number handed out).

@@ -1,6 +1,6 @@
 // adt::TMap / adt::TSet unit tests: sequential semantics over a typed
-// façade and over AnyStm for every variant name, plus a small concurrent
-// invariant run (the heavy service-level battery lives in
+// façade and over every variant name (api::visit_variant), plus a small
+// concurrent invariant run (the heavy service-level battery lives in
 // kv_server_test.cpp).
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 
 namespace {
 
-using zstm::api::AnyStm;
 using zstm::api::CommonConfig;
 using zstm::api::TxKind;
 
@@ -70,17 +69,20 @@ TEST(Adt, SequentialMapTypedFacade) {
 TEST(Adt, SequentialMapEveryVariant) {
   for (const std::string& name : zstm::api::variant_names()) {
     SCOPED_TRACE(name);
-    AnyStm stm = AnyStm::make(name);
-    sequential_map_checks(stm);
+    zstm::api::visit_variant(
+        name, {}, [](auto tag, const char*, const CommonConfig& cfg) {
+          typename decltype(tag)::type stm(cfg);
+          sequential_map_checks(stm);
+        });
   }
 }
 
 TEST(Adt, InsertScratchReusedAcrossRetries) {
   // A body that deliberately aborts once must not leak one node per
   // attempt when given a scratch: the retry writes the same node.
-  AnyStm stm = AnyStm::make("lsa");
-  zstm::adt::TMap<AnyStm> map(stm, 4);
-  zstm::adt::TMap<AnyStm>::Scratch scratch;
+  zstm::api::LsaStm stm;
+  zstm::adt::TMap<zstm::api::LsaStm> map(stm, 4);
+  zstm::adt::TMap<zstm::api::LsaStm>::Scratch scratch;
   int attempts = 0;
   stm.run(TxKind::kUpdate, [&](auto& tx) {
     ++attempts;
@@ -98,8 +100,8 @@ TEST(Adt, InsertScratchReusedAcrossRetries) {
 }
 
 TEST(Adt, SetSemantics) {
-  AnyStm stm = AnyStm::make("zl");
-  zstm::adt::TSet<AnyStm> set(stm, 4);
+  zstm::api::ZStm stm;
+  zstm::adt::TSet<zstm::api::ZStm> set(stm, 4);
   stm.run(TxKind::kUpdate, [&](auto& tx) {
     EXPECT_TRUE(set.insert(tx, 3));
     EXPECT_TRUE(set.insert(tx, 1));
@@ -119,8 +121,8 @@ TEST(Adt, SetSemantics) {
 TEST(Adt, ConcurrentNetInsertsMatchSize) {
   // 4 mutator threads over a small keyrange; final audited size must equal
   // the net successful inserts. Exercises bucket-level conflicts.
-  AnyStm stm = AnyStm::make("lsa");
-  zstm::adt::TSet<AnyStm> set(stm, 8);
+  zstm::api::LsaStm stm;
+  zstm::adt::TSet<zstm::api::LsaStm> set(stm, 8);
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 400;
   std::atomic<long> net{0};
@@ -133,7 +135,7 @@ TEST(Adt, ConcurrentNetInsertsMatchSize) {
         const std::uint64_t key = rng.next_below(64);
         if (rng.chance(0.5)) {
           bool ins = false;
-          zstm::adt::TSet<AnyStm>::Scratch scratch;
+          zstm::adt::TSet<zstm::api::LsaStm>::Scratch scratch;
           stm.run(TxKind::kUpdate,
                   [&](auto& tx) { ins = set.insert(tx, key, &scratch); });
           my_net += ins ? 1 : 0;
@@ -148,7 +150,7 @@ TEST(Adt, ConcurrentNetInsertsMatchSize) {
     });
   }
   for (auto& w : workers) w.join();
-  zstm::adt::TSet<AnyStm>::AuditResult a;
+  zstm::adt::AuditResult a;
   stm.run(TxKind::kLong, [&](auto& tx) { a = set.audit(tx); });
   EXPECT_TRUE(a.sorted);
   EXPECT_EQ(static_cast<long>(a.size), net.load());

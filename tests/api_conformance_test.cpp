@@ -1,6 +1,6 @@
 // Cross-runtime conformance suite for the unified façade (api/stm_api.hpp):
 // one shared battery, TYPED_TEST'd across all six runtime variants through
-// api::Stm<R>, plus AnyStm name-resolution coverage. Every variant must
+// api::Stm<R>, plus visit_variant's name resolution. Every variant must
 // agree on the observable semantics the façade promises — atomic updates,
 // consistent read-only snapshots, abort/retry visibility, budgeted-run
 // failure reporting, long-transaction progress under writer churn, pool
@@ -361,57 +361,23 @@ TEST(TxKindTable, ZlRunsTheLongKindsLong) {
   }
 }
 
-// --- AnyStm: name resolution and erased-handle semantics --------------------
+// --- visit_variant: name resolution ---------------------------------------
 
-TEST(AnyStm, UnknownNameThrows) {
-  EXPECT_THROW(api::AnyStm::make("tl3"), std::invalid_argument);
-  EXPECT_THROW(api::AnyStm::make(""), std::invalid_argument);
+TEST(VisitVariant, UnknownNameThrows) {
+  const auto noop = [](auto, const char*, const CommonConfig&) {};
+  EXPECT_THROW(api::visit_variant("tl3", {}, noop), std::invalid_argument);
+  EXPECT_THROW(api::visit_variant("", {}, noop), std::invalid_argument);
 }
 
-TEST(AnyStm, Tl2NameResolves) {
-  api::AnyStm stm = api::AnyStm::make("tl2");
-  EXPECT_EQ(stm.name(), "tl2");
-  auto x = stm.make_var(5L);
-  stm.run(TxKind::kUpdate, [&](api::TxHandle& tx) { tx.write(x) += 1; });
-  stm.run(TxKind::kReadOnly, [&](api::TxHandle& tx) { EXPECT_EQ(tx.read(x), 6); });
-}
-
-TEST(AnyStm, AliasNamesResolve) {
-  api::AnyStm stm = api::AnyStm::make("lsa-no-readsets");
-  EXPECT_EQ(stm.name(), "lsa-nors");
-  EXPECT_FALSE(stm.config().track_readonly_readsets);
-}
-
-TEST(AnyStm, EveryVariantPassesTheErasedBattery) {
-  const int rounds = test_env::stress_rounds(150);
-  for (const std::string& name : api::AnyStm::variant_names()) {
-    SCOPED_TRACE(name);
-    CommonConfig cfg;
-    cfg.max_threads = 8;
-    api::AnyStm stm = api::AnyStm::make(name, cfg);
-    auto counter = stm.make_var(0L);
-
-    std::vector<std::thread> workers;
-    for (int t = 0; t < 2; ++t) {
-      workers.emplace_back([&] {
-        for (int i = 0; i < rounds; ++i) {
-          stm.run(TxKind::kUpdate,
-                  [&](api::TxHandle& tx) { tx.write(counter) += 1; });
-        }
+TEST(VisitVariant, AliasNamesResolve) {
+  api::visit_variant(
+      "lsa-no-readsets", {},
+      [](auto tag, const char* name, const CommonConfig& cfg) {
+        EXPECT_TRUE(
+            (std::is_same_v<typename decltype(tag)::type, api::LsaStm>));
+        EXPECT_STREQ(name, "lsa-nors");
+        EXPECT_FALSE(cfg.track_readonly_readsets);
       });
-    }
-    for (auto& w : workers) w.join();
-
-    stm.run(TxKind::kLong, [&](api::TxHandle& tx) {
-      EXPECT_EQ(tx.read(counter), 2L * rounds);
-    });
-
-    const api::RunResult failed = stm.run(
-        TxKind::kUpdate, [&](api::TxHandle& tx) { tx.abort(); },
-        /*max_attempts=*/2);
-    EXPECT_FALSE(failed.committed);
-    EXPECT_EQ(failed.attempts, 2u);
-  }
 }
 
 }  // namespace

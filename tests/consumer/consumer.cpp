@@ -1,9 +1,9 @@
 // External-consumer smoke test: commits one transaction on every runtime
 // variant through the installed package (built against find_package(zstm)
-// instead of the source tree). Exercises both façade flavours — AnyStm by
-// name and a statically-typed Stm<R> — plus every raw runtime built from
-// the one runtime::Config, so the installed header set covers the whole
-// public surface.
+// instead of the source tree). Exercises the façade both ways — Stm<R>
+// picked by name through visit_variant and a statically-typed Stm<R> —
+// plus every raw runtime built from the one runtime::Config, so the
+// installed header set covers the whole public surface.
 //
 // runtime/config.hpp comes first: it must compile on its own.
 #include "runtime/config.hpp"
@@ -35,13 +35,17 @@ bool commit_one(R& rt) {
 int main() {
   using zstm::api::TxKind;
 
-  // Every variant by name through the type-erased façade.
-  for (const std::string& name : zstm::api::AnyStm::variant_names()) {
-    zstm::api::AnyStm stm = zstm::api::AnyStm::make(name);
-    auto v = stm.make_var<long>(1);
-    stm.run(TxKind::kUpdate, [&](auto& tx) { tx.write(v) += 1; });
-    long seen = 0;
-    stm.run(TxKind::kLong, [&](auto& tx) { seen = tx.read(v); });
+  // Every variant by name: visit_variant resolves it to its Stm<R>.
+  for (const std::string& name : zstm::api::variant_names()) {
+    const long seen = zstm::api::visit_variant(
+        name, {}, [](auto tag, const char*, const auto& cfg) {
+          typename decltype(tag)::type stm(cfg);
+          auto v = stm.template make_var<long>(1);
+          stm.run(TxKind::kUpdate, [&](auto& tx) { tx.write(v) += 1; });
+          long out = 0;
+          stm.run(TxKind::kLong, [&](auto& tx) { out = tx.read(v); });
+          return out;
+        });
     if (seen != 2) {
       std::fprintf(stderr, "%s: unexpected value %ld\n", name.c_str(), seen);
       return 1;

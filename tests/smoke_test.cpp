@@ -1,6 +1,6 @@
 // Smoke canary: commit one transaction on every runtime variant through
-// the unified façade — statically via api::Stm<R> (native handles) and
-// by name via api::AnyStm (all seven variant names, covering the six
+// the façade — statically via api::Stm<R> (native handles) and by name
+// via api::visit_variant (all seven variant names, covering the six
 // runtimes). CTest labels this suite `smoke` so CI can gate on it before
 // the slow stress suites run.
 #include <gtest/gtest.h>
@@ -55,12 +55,16 @@ TEST(Smoke, Tl2CommitsThroughFacade) {
 }
 
 TEST(Smoke, EveryNamedVariantCommits) {
-  for (const std::string& name : api::AnyStm::variant_names()) {
+  for (const std::string& name : api::variant_names()) {
     SCOPED_TRACE(name);
-    api::AnyStm stm = api::AnyStm::make(name);
-    commit_one(stm);
-    EXPECT_EQ(stm.name(), name);
-    EXPECT_GE(stm.stats()[util::Counter::kCommits], 4u);
+    api::visit_variant(
+        name, {}, [&](auto tag, const char* canonical,
+                      const api::CommonConfig& cfg) {
+          typename decltype(tag)::type stm(cfg);
+          commit_one(stm);
+          EXPECT_EQ(canonical, name);
+          EXPECT_GE(stm.stats()[util::Counter::kCommits], 4u);
+        });
   }
 }
 
