@@ -11,8 +11,9 @@ single files) that no unit executed, then the total. Build and run the
 suite first: `cmake --preset coverage && cmake --build --preset coverage
 -j && ctest --preset coverage`.
 
-Exit status: 0 once the report is printed, 2 on a usage error or when
-BUILD_DIR holds no .gcda file.
+Exit status, after the report is printed: 0 when every line under the
+DIRs ran, 1 when some line did not or no line lies under them (CI gates
+on it); 2 on a usage error or when BUILD_DIR holds no .gcda file.
 """
 
 import collections
@@ -75,8 +76,8 @@ def main(argv):
     if not documents:
         print(f"coverage.py: no .gcda file under {argv[1]}", file=sys.stderr)
         return 2
-    report(merge(documents, argv[2:]))
-    return 0
+    hit, total = report(merge(documents, argv[2:]), sys.stdout)
+    return 0 if total and hit == total else 1
 
 
 if __name__ == "__main__":

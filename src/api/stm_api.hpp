@@ -1,4 +1,4 @@
-// zstm::api — the unified front-end over all six runtime variants.
+// zstm::api — the unified front-end over all five runtimes.
 //
 // The paper's whole point is comparing one workload across consistency
 // criteria (LSA vs CS vs S vs Z). Every runtime already speaks one attempt
@@ -6,16 +6,18 @@
 // `ctx.begin(TxKind)` a transaction, `read`/`write`/`abort` on its handle,
 // `ctx.commit()`, and is built from one runtime::Config. This header adds
 // the rest — implicit attachment, the retry/escalation ladder — as one
-// façade, `Stm<R>`: `Stm<lsa::Runtime>`, `Stm<cs::VcRuntime>`,
-// `Stm<cs::RevRuntime>`, `Stm<sstm::Runtime>`, `Stm<zl::Runtime>` and
-// `Stm<tl2::Runtime>` all expose `make_var<T>` and `run(TxKind, body)`.
+// façade, `Stm<R>`: `Stm<lsa::Runtime>`, `Stm<cs::Runtime>`,
+// `Stm<sstm::Runtime>`, `Stm<zl::Runtime>` and `Stm<tl2::Runtime>` all
+// expose `make_var<T>` and `run(TxKind, body)`.
 // Bodies receive the runtime's own transaction handle (`lsa::Tx`, `zl::Tx`,
 // ...), so generic callers take it as `auto&` and every access is the
 // native call.
 //
 // A runtime picked *by name* at run time ("lsa" | "lsa-nors" | "cs-vc" |
 // "cs-r" | "sstm" | "zl" | "tl2") goes through `visit_variant`, which
-// resolves the name once and hands the caller the matching `Stm<R>` type;
+// resolves the name once and hands the caller the matching `Stm<R>` type
+// and Config (two names share a runtime: "lsa-nors" is lsa without
+// read-only read sets, "cs-vc" is cs with one clock entry per thread);
 // a caller that must hide the type (the KV service) does so once, around
 // whole operations, never per access.
 //
@@ -137,18 +139,6 @@ inline std::uint64_t backoff_seed(int slot) {
   return 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(slot) + 2) | 1u;
 }
 
-/// Build R from the Config part of `c`.
-template <typename R>
-std::unique_ptr<R> create(const runtime::Config& c) {
-  if constexpr (std::is_same_v<R, cs::VcRuntime>) {
-    return cs::make_vc_runtime(c);
-  } else if constexpr (std::is_same_v<R, cs::RevRuntime>) {
-    return cs::make_rev_runtime(c);
-  } else {
-    return std::make_unique<R>(c);
-  }
-}
-
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -173,7 +163,7 @@ class Stm {
 
   explicit Stm(CommonConfig cfg = {})
       : cfg_(cfg),
-        rt_(detail::create<R>(cfg)),
+        rt_(std::make_unique<R>(cfg)),
         shared_(std::make_shared<Shared>()),
         progress_(std::make_unique<util::ProgressTracker>(cfg.max_threads)),
         serial_after_(detail::resolve_serial_after(cfg.retry)),
@@ -418,8 +408,7 @@ class Stm {
 };
 
 using LsaStm = Stm<lsa::Runtime>;
-using CsVcStm = Stm<cs::VcRuntime>;
-using CsRevStm = Stm<cs::RevRuntime>;
+using CsStm = Stm<cs::Runtime>;
 using SStm = Stm<sstm::Runtime>;
 using ZStm = Stm<zl::Runtime>;
 using Tl2Stm = Stm<tl2::Runtime>;
@@ -441,7 +430,9 @@ inline const std::vector<std::string>& variant_names() {
 /// Resolve `name` to a façade type at compile time: invokes
 /// `fn(std::type_identity<Stm<R>>{}, canonical_name, cfg)` for the matching
 /// variant, with `cfg` adjusted for it ("lsa-nors" clears
-/// track_readonly_readsets). Throws std::invalid_argument for unknown names.
+/// track_readonly_readsets; "cs-vc" sets plausible_entries to max_threads,
+/// the exact vector clock, while "cs-r" keeps the caller's r). Throws
+/// std::invalid_argument for unknown names.
 template <typename Fn>
 decltype(auto) visit_variant(std::string_view name, CommonConfig cfg,
                              Fn&& fn) {
@@ -453,10 +444,11 @@ decltype(auto) visit_variant(std::string_view name, CommonConfig cfg,
     return fn(std::type_identity<LsaStm>{}, "lsa-nors", cfg);
   }
   if (name == "cs-vc") {
-    return fn(std::type_identity<CsVcStm>{}, "cs-vc", cfg);
+    cfg.plausible_entries = cfg.max_threads;
+    return fn(std::type_identity<CsStm>{}, "cs-vc", cfg);
   }
   if (name == "cs-r") {
-    return fn(std::type_identity<CsRevStm>{}, "cs-r", cfg);
+    return fn(std::type_identity<CsStm>{}, "cs-r", cfg);
   }
   if (name == "sstm") {
     return fn(std::type_identity<SStm>{}, "sstm", cfg);

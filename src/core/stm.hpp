@@ -1,13 +1,13 @@
 // Umbrella header for the z-linearizable transactional memory library.
 //
 // The library reproduces "From Causal to z-Linearizable Transactional
-// Memory" (Riegel, Sturzrehm, Felber, Fetzer — PODC 2007) and exposes six
+// Memory" (Riegel, Sturzrehm, Felber, Fetzer — PODC 2007) and exposes five
 // STM runtimes plus their shared substrates:
 //
 //   zstm::lsa::Runtime       — LSA-STM baseline (linearizable TBTM, §2/[8])
-//   zstm::cs::VcRuntime      — CS-STM, causal serializability, vector
-//                              clocks (Algorithm 1)
-//   zstm::cs::RevRuntime     — CS-STM over r-entry plausible clocks (§4.3)
+//   zstm::cs::Runtime        — CS-STM, causal serializability (Algorithm 1)
+//                              over r-entry REV clocks (§4.3); r = n is the
+//                              exact vector clock
 //   zstm::sstm::Runtime      — S-STM, serializability (§4.2)
 //   zstm::zl::Runtime        — Z-STM, z-linearizability (Algorithms 2 & 3)
 //   zstm::tl2::Runtime       — TL2, word-granularity strict

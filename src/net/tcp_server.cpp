@@ -22,6 +22,7 @@
 
 #include "fault/failpoint.hpp"
 #include "net/wire.hpp"
+#include "util/stats.hpp"
 
 namespace zstm::net {
 namespace {
@@ -44,13 +45,6 @@ static_assert(static_cast<int>(wire::Op::kTransfer) ==
 /// Widest multi_get the server will execute: a 4-byte field must not buy a
 /// four-billion-iteration transaction (torture-tested).
 constexpr std::uint32_t kMaxFanout = 1 << 16;
-
-std::uint64_t mono_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 }  // namespace
 
@@ -100,6 +94,22 @@ struct TcpServer::IoLoop {
   /// Bytes sitting in out-buffers, not yet written to the kernel — the
   /// flush gauge stop()'s drain phase watches.
   std::atomic<std::uint64_t> out_pending_bytes{0};
+
+  /// Adds the per-loop counters into `s` (stats(), and stop()'s fold).
+  void add_counters_to(NetStats& s) const {
+    const auto get = [](const std::atomic<std::uint64_t>& c) {
+      return c.load(std::memory_order_relaxed);
+    };
+    s.requests += get(requests);
+    s.responses += get(responses);
+    s.protocol_errors += get(protocol_errors);
+    s.idle_closed += get(idle_closed);
+    s.slow_consumer_closed += get(slow_consumer_closed);
+    s.killed_by_failpoint += get(killed_by_failpoint);
+    s.shed_backpressure += get(shed_backpressure);
+    s.shed_service += get(shed_service);
+    s.conns_closed += get(conns_closed);
+  }
 
   void post_new_fd(int fd) {
     {
@@ -182,7 +192,9 @@ void TcpServer::IoLoop::run() {
       if (flags & EPOLLOUT) try_flush(c);
     }
 
-    if (srv.cfg_.idle_timeout.count() > 0) idle_scan(mono_ns());
+    if (srv.cfg_.idle_timeout.count() > 0) {
+      idle_scan(util::ProgressTracker::now_ns());
+    }
   }
 
   // Teardown: every remaining connection closes abruptly; completions
@@ -228,7 +240,7 @@ void TcpServer::IoLoop::add_conn(int fd) {
   c->fd = fd;
   static std::atomic<std::uint64_t> next_id{1};
   c->id = next_id.fetch_add(1, std::memory_order_relaxed);
-  c->last_active_ns = mono_ns();
+  c->last_active_ns = util::ProgressTracker::now_ns();
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.fd = fd;
@@ -280,7 +292,7 @@ void TcpServer::IoLoop::handle_readable(Conn& c) {
     return;
   }
   c.in.resize(old + static_cast<std::size_t>(n));
-  c.last_active_ns = mono_ns();
+  c.last_active_ns = util::ProgressTracker::now_ns();
   parse(c);
 }
 
@@ -384,7 +396,7 @@ void TcpServer::IoLoop::respond(Conn& c, const wire::Response& resp) {
   c.out.insert(c.out.end(), buf, buf + len);
   out_pending_bytes.fetch_add(len, std::memory_order_relaxed);
   responses.fetch_add(1, std::memory_order_relaxed);
-  c.last_active_ns = mono_ns();
+  c.last_active_ns = util::ProgressTracker::now_ns();
   try_flush(c);
 }
 
@@ -614,22 +626,7 @@ void TcpServer::stop() {
   }
   // Fold the per-loop counters into retired_ so stats() keeps reporting
   // them after the loops are gone (the --net bench snapshots post-stop).
-  for (const auto& loop : loops_) {
-    retired_.requests += loop->requests.load(std::memory_order_relaxed);
-    retired_.responses += loop->responses.load(std::memory_order_relaxed);
-    retired_.protocol_errors +=
-        loop->protocol_errors.load(std::memory_order_relaxed);
-    retired_.idle_closed += loop->idle_closed.load(std::memory_order_relaxed);
-    retired_.slow_consumer_closed +=
-        loop->slow_consumer_closed.load(std::memory_order_relaxed);
-    retired_.killed_by_failpoint +=
-        loop->killed_by_failpoint.load(std::memory_order_relaxed);
-    retired_.shed_backpressure +=
-        loop->shed_backpressure.load(std::memory_order_relaxed);
-    retired_.shed_service +=
-        loop->shed_service.load(std::memory_order_relaxed);
-    retired_.conns_closed += loop->conns_closed.load(std::memory_order_relaxed);
-  }
+  for (const auto& loop : loops_) loop->add_counters_to(retired_);
   loops_.clear();
   ::close(stop_event_fd_);
   stop_event_fd_ = -1;
@@ -642,21 +639,7 @@ NetStats TcpServer::stats() const {
   s.conns_rejected = conns_rejected_.load(std::memory_order_relaxed);
   s.accept_failures = accept_failures_.load(std::memory_order_relaxed);
   s.conns_active = conns_active_.load(std::memory_order_relaxed);
-  for (const auto& loop : loops_) {
-    s.requests += loop->requests.load(std::memory_order_relaxed);
-    s.responses += loop->responses.load(std::memory_order_relaxed);
-    s.protocol_errors +=
-        loop->protocol_errors.load(std::memory_order_relaxed);
-    s.idle_closed += loop->idle_closed.load(std::memory_order_relaxed);
-    s.slow_consumer_closed +=
-        loop->slow_consumer_closed.load(std::memory_order_relaxed);
-    s.killed_by_failpoint +=
-        loop->killed_by_failpoint.load(std::memory_order_relaxed);
-    s.shed_backpressure +=
-        loop->shed_backpressure.load(std::memory_order_relaxed);
-    s.shed_service += loop->shed_service.load(std::memory_order_relaxed);
-    s.conns_closed += loop->conns_closed.load(std::memory_order_relaxed);
-  }
+  for (const auto& loop : loops_) loop->add_counters_to(s);
   return s;
 }
 

@@ -1,5 +1,5 @@
-// The one runtime configuration (DESIGN.md §8). Every runtime — lsa, cs
-// (vc and rev), sstm, tl2 and zl — is built from this struct, and each of
+// The one runtime configuration (DESIGN.md §8). Every runtime — lsa, cs,
+// sstm, tl2 and zl — is built from this struct, and each of
 // their `Config` names is an alias of it; the api façade's CommonConfig is
 // this struct plus its own retry ladder. Each knob is declared once, here;
 // a runtime reads the knobs it has a use for and ignores the rest (the
@@ -49,8 +49,8 @@ struct Config {
   timebase::TimeBaseKind time_base = timebase::TimeBaseKind::kCounter;
   std::chrono::nanoseconds clock_deviation{0};
   std::uint64_t seed = 1;
-  /// cs-r: r, the number of plausible-clock entries (§4.3), clamped to
-  /// [1, max_threads].
+  /// cs: r, the number of REV clock entries (§4.3), clamped to
+  /// [1, max_threads]; the name "cs-vc" sets it to max_threads.
   int plausible_entries = 4;
 };
 

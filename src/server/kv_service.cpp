@@ -23,7 +23,7 @@ const char* op_name(Op op) {
 
 namespace {
 
-/// The one place a variant name becomes a runtime type: the six
+/// The one place a variant name becomes a runtime type: the five
 /// KvStoreT<Stm<R>> instantiations live in this translation unit.
 std::unique_ptr<KvStore> make_store(const ServiceConfig& cfg) {
   return api::visit_variant(

@@ -5,6 +5,7 @@
 #include <thread>
 #include <utility>
 
+#include "cs/cs.hpp"
 #include "fault/failpoint.hpp"
 #include "util/backoff.hpp"
 
@@ -26,7 +27,7 @@ struct GateHold {
 // ---------------------------------------------------------------------------
 
 Runtime::Runtime(Config cfg)
-    : Core(cfg), domain_(cfg.max_threads), store_(*this) {}
+    : Core(cfg), domain_(cfg.max_threads, cfg.max_threads), store_(*this) {}
 
 // The store tears down the live objects; runtime-retained descriptors are
 // freed with descs_.
@@ -214,10 +215,7 @@ void ThreadCtx::finish_attempt(bool committed) {
     tx_.rec_.committed = committed;
     tx_.rec_.end_seq = rt_.recorder_.tick();
     if (committed) {
-      tx_.rec_.stamp.clear();
-      for (int k = 0; k < tx_.desc_->ct.dimension(); ++k) {
-        tx_.rec_.stamp.push_back(tx_.desc_->ct[k]);
-      }
+      tx_.rec_.stamp.assign(tx_.desc_->ct.begin(), tx_.desc_->ct.end());
     }
     rt_.recorder_.record(slot(), std::move(tx_.rec_));
   }
@@ -285,30 +283,7 @@ void ThreadCtx::commit() {
     for (TxDesc* p : tx.preds_) tx.note_predecessor(p);
 
     // CS-STM validation (Algorithm 1, lines 20-26) on the merged stamp.
-    bool valid = true;
-    for (const auto& r : tx.read_set_) {
-      Version* cur = rt_.store_.resolve(*r.obj, d, OnCommitting::kFail, s);
-      if (cur == nullptr) {
-        valid = false;
-        break;
-      }
-      if (cur == r.version) continue;
-      Version* succ = Store::successor_of(cur, r.version);
-      if (succ == nullptr) {
-        // Pruned: conservative abort.
-        rt_.stats_.add(s, util::Counter::kVersionPruned);
-        valid = false;
-        break;
-      }
-      // ≼, not ≺: see the matching comment in cs.hpp — equality means we
-      // observed the successor's effects through another object.
-      const timebase::Order ord = succ->ct.compare(d->ct);
-      if (ord == timebase::Order::kBefore || ord == timebase::Order::kEqual) {
-        valid = false;
-        break;
-      }
-    }
-    if (!valid) {
+    if (!cs::validate(rt_.store_, tx.read_set_, d, rt_.stats_, s)) {
       rt_.stats_.add(s, util::Counter::kValidationFails);
       abort_attempt();
       throw TxAborted{};
@@ -338,10 +313,7 @@ void ThreadCtx::commit() {
     }
 
     if (rt_.recorder_.enabled()) {
-      tx.rec_.vstamp.clear();
-      for (int k = 0; k < d->ct.dimension(); ++k) {
-        tx.rec_.vstamp.push_back(d->ct[k]);  // pre-bump stamp
-      }
+      tx.rec_.vstamp.assign(d->ct.begin(), d->ct.end());  // pre-advance stamp
     }
     if (!tx.write_set_.empty()) {
       rt_.domain_.advance(s, d->ct);

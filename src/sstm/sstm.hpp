@@ -17,11 +17,13 @@
 //  * A transaction that reads (or overwrites) a version merges the final
 //    timestamps of that version's committed past readers and records
 //    still-active ones as predecessors.
-//  * At commit, after merging, CS-STM's validation runs (a read version
-//    with a committed successor whose stamp strictly precedes T.ct ⇒
-//    abort), plus a cycle check over the active-transaction precedence
-//    graph: two active transactions that must each precede the other
-//    conflict, and one aborts.
+//  * At commit, after merging, CS-STM's validation runs — the same
+//    cs::validate (a read version with a committed successor whose stamp
+//    ≼ T.ct ⇒ abort) — plus a cycle check over the
+//    active-transaction precedence graph: two active transactions that
+//    must each precede the other conflict, and one aborts.
+//  * The clock is CS-STM's too: REV at r = max_threads, the exact vector
+//    clock.
 //
 // Deviations from the paper's (unpublished) implementation, recorded in
 // DESIGN.md §4: update-commit validation+publication runs under one global
@@ -52,7 +54,7 @@
 #include "runtime/payload.hpp"
 #include "runtime/run_result.hpp"
 #include "runtime/txdesc.hpp"
-#include "timebase/vector_clock.hpp"
+#include "timebase/plausible_clock.hpp"
 #include "util/align.hpp"
 #include "util/ebr.hpp"
 #include "util/spin_lock.hpp"
@@ -308,7 +310,8 @@ class Runtime : public runtime::Core {
   /// to free once it has reopened the gate; otherwise takes nothing.
   std::vector<TxDesc*> trim_closed();
 
-  timebase::VcDomain domain_;
+  /// REV at r = max_threads: the exact vector clock, one entry per slot.
+  timebase::RevDomain domain_;
 
   /// Read by every begin, written only by the gate's holder.
   struct alignas(util::kCacheLine) TrimGate {

@@ -1,46 +1,11 @@
 #include "timebase/plausible_clock.hpp"
 
-#include <sstream>
 #include <stdexcept>
 
 namespace zstm::timebase {
 
-void RevStamp::merge(const RevStamp& other) {
-  for (std::size_t k = 0; k < components_.size(); ++k) {
-    if (other.components_[k] > components_[k]) {
-      components_[k] = other.components_[k];
-    }
-  }
-}
-
-Order RevStamp::compare(const RevStamp& other) const {
-  bool le = true;
-  bool ge = true;
-  for (std::size_t k = 0; k < components_.size(); ++k) {
-    if (components_[k] > other.components_[k]) le = false;
-    if (components_[k] < other.components_[k]) ge = false;
-  }
-  if (le && ge) return Order::kEqual;
-  if (le) return Order::kBefore;
-  if (ge) return Order::kAfter;
-  return Order::kConcurrent;
-}
-
-std::string RevStamp::to_string() const {
-  std::ostringstream os;
-  os << "[";
-  for (std::size_t k = 0; k < components_.size(); ++k) {
-    if (k > 0) os << ",";
-    os << components_[k];
-  }
-  os << "]";
-  return os.str();
-}
-
 RevDomain::RevDomain(int entries, int dimension)
-    : entries_(entries),
-      dimension_(dimension),
-      shared_(static_cast<std::size_t>(entries)) {
+    : entries_(entries), shared_(static_cast<std::size_t>(entries)) {
   if (entries < 1) throw std::invalid_argument("REV needs at least 1 entry");
   if (dimension < entries) {
     // r ≤ n by definition; r == n is exactly a vector clock.
@@ -48,7 +13,7 @@ RevDomain::RevDomain(int entries, int dimension)
   }
 }
 
-void RevDomain::advance(int slot, RevStamp& stamp) {
+void RevDomain::advance(int slot, VcStamp& stamp) {
   const int e = entry_of(slot);
   auto& counter = shared_[static_cast<std::size_t>(e)].value;
   std::uint64_t cur = counter.load(std::memory_order_relaxed);

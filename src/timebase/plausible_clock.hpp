@@ -1,98 +1,58 @@
-// Plausible clocks (Torres-Rojas & Ahamad [12]) as r-entry vectors (REV),
-// per §4.3 of the paper.
+// The one causal clock domain: plausible clocks (Torres-Rojas & Ahamad
+// [12]) as r-entry vectors (REV), per §4.3 of the paper.
 //
-// A plausible timestamp is a vector of r ≤ n entries; thread slot i uses
-// entry i mod r (the paper's "modulo r mapping"). Because entries are shared
-// between threads, advancing an entry uses an atomic get-and-increment on a
-// shared per-entry counter "to avoid that two threads generate the same
-// timestamp".
+// A stamp is a VcStamp of r ≤ n entries; thread slot i uses entry i mod r
+// (the paper's "modulo r mapping"). Because entries may be shared between
+// threads, advancing an entry draws from a shared per-entry counter "to
+// avoid that two threads generate the same timestamp".
 //
 // Guarantees (§4.3): causally related events are always ordered correctly;
 // concurrent events may be *falsely* reported as ordered, which in an STM
 // manifests as unnecessary aborts — never as a consistency violation.
 // r = 1 degenerates to a single scalar clock (the plain TBTM of §2);
-// r = n gives exact vector clocks.
+// r = n gives exact vector clocks, where each slot owns its entry and its
+// counter. A slot outlives the threads that hold it in turn, so the
+// counter, not the thread's own stamp, is what keeps a later holder from
+// re-issuing an earlier holder's stamp (DESIGN.md §4).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "object/pool_allocator.hpp"
-#include "timebase/clock_order.hpp"
+#include "timebase/vector_clock.hpp"
 #include "util/align.hpp"
 
 namespace zstm::timebase {
 
-class RevStamp {
- public:
-  using Alloc = object::PoolAllocator<std::uint64_t>;
-
-  RevStamp() = default;
-  explicit RevStamp(int entries, const Alloc& alloc = Alloc())
-      : components_(static_cast<std::size_t>(entries), 0, alloc) {}
-
-  int entries() const { return static_cast<int>(components_.size()); }
-
-  std::uint64_t operator[](int i) const {
-    return components_[static_cast<std::size_t>(i)];
-  }
-  std::uint64_t& operator[](int i) {
-    return components_[static_cast<std::size_t>(i)];
-  }
-
-  void merge(const RevStamp& other);
-  Order compare(const RevStamp& other) const;
-
-  bool strictly_precedes(const RevStamp& other) const {
-    return compare(other) == Order::kBefore;
-  }
-  bool concurrent_with(const RevStamp& other) const {
-    return compare(other) == Order::kConcurrent;
-  }
-  bool operator==(const RevStamp& other) const {
-    return components_ == other.components_;
-  }
-
-  std::string to_string() const;
-
- private:
-  std::vector<std::uint64_t, Alloc> components_;
-};
-
-/// Shared state of an REV plausible-clock system: one atomic counter per
-/// entry (padded apart), from which threads draw unique increasing values.
+/// Shared state of an REV clock system: one atomic counter per entry
+/// (padded apart), from which threads draw unique increasing values.
 class RevDomain {
  public:
-  /// `entries` = r; `dimension` = n (number of thread slots), kept for
-  /// reporting only.
+  /// `entries` = r; `dimension` = n (number of thread slots), r ≤ n.
   RevDomain(int entries, int dimension);
 
   int entries() const { return entries_; }
-  int dimension() const { return dimension_; }
 
   /// The entry thread `slot` writes to: slot mod r.
   int entry_of(int slot) const { return slot % entries_; }
 
-  RevStamp zero() const { return RevStamp(entries_); }
+  VcStamp zero() const { return VcStamp(entries_); }
 
   /// zero() whose component storage draws from `pool` (slab-backed stamp
-  /// for pooled nodes). A null pool degrades to the plain heap.
-  RevStamp zero_in(object::NodePool* pool, int slot) const {
-    return RevStamp(entries_, RevStamp::Alloc(pool, slot));
+  /// for pooled nodes: written versions carry one of these per commit).
+  /// A null pool degrades to the plain heap, matching zero().
+  VcStamp zero_in(object::NodePool* pool, int slot) const {
+    return VcStamp(entries_, VcStamp::Alloc(pool, slot));
   }
 
   /// Advance thread `slot`'s entry inside `stamp` (commit step): draws a
   /// value strictly greater than both the shared entry counter and the
   /// stamp's current entry, and publishes it to the shared counter, so no
   /// two commits ever carry the same timestamp (get-and-increment of §4.3).
-  void advance(int slot, RevStamp& stamp);
+  void advance(int slot, VcStamp& stamp);
 
  private:
   int entries_;
-  int dimension_;
   std::vector<util::PaddedCounter> shared_;
 };
 

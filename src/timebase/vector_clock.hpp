@@ -1,10 +1,11 @@
-// Vector clocks (Fidge [3] / Mattern [6]) as an STM time base, per §4.
+// Vector timestamps (Fidge [3] / Mattern [6]) as an STM time base, per §4.
 //
-// A VcStamp is a value-type vector timestamp with one component per thread
-// slot. A VcDomain fixes the dimension for a runtime. Each thread owns its
-// component; perceived time is merged (element-wise max) whenever a
-// transaction accesses a shared object version, exactly as in Algorithm 1
-// line 8.
+// A VcStamp is a value-type vector timestamp. Its components are the
+// entries of the runtime's clock domain (timebase::RevDomain in
+// plausible_clock.hpp): one per thread slot for an exact vector clock,
+// r < n for §4.3's plausible clocks. Perceived time is merged (element-wise
+// max) whenever a transaction accesses a shared object version, exactly as
+// in Algorithm 1 line 8.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +34,11 @@ class VcStamp {
     return components_[static_cast<std::size_t>(i)];
   }
 
+  auto begin() const { return components_.begin(); }
+  auto end() const { return components_.end(); }
+
   /// Element-wise maximum (the ⊔ of Algorithm 1, line 8: "dmax").
   void merge(const VcStamp& other);
-
-  /// Increment this thread's own component (Algorithm 1, line 29).
-  void bump(int slot) { ++components_[static_cast<std::size_t>(slot)]; }
 
   Order compare(const VcStamp& other) const;
 
@@ -55,33 +56,6 @@ class VcStamp {
 
  private:
   std::vector<std::uint64_t, Alloc> components_;
-};
-
-/// Per-runtime shared configuration for plain vector clocks. Vector clocks
-/// need no shared mutable state — that is precisely their selling point in
-/// §4 ("do not suffer from contention on the time base") — so the domain
-/// only records the dimension.
-class VcDomain {
- public:
-  explicit VcDomain(int dimension) : dimension_(dimension) {}
-
-  int dimension() const { return dimension_; }
-
-  VcStamp zero() const { return VcStamp(dimension_); }
-
-  /// zero() whose component storage draws from `pool` (slab-backed stamp
-  /// for pooled nodes: written versions carry one of these per commit).
-  /// A null pool degrades to the plain heap, matching zero().
-  VcStamp zero_in(object::NodePool* pool, int slot) const {
-    return VcStamp(dimension_, VcStamp::Alloc(pool, slot));
-  }
-
-  /// Advance thread `slot`'s logical time within `stamp` (commit step).
-  /// Purely thread-local for true vector clocks.
-  void advance(int slot, VcStamp& stamp) const { stamp.bump(slot); }
-
- private:
-  int dimension_;
 };
 
 }  // namespace zstm::timebase

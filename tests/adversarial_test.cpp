@@ -170,22 +170,22 @@ TEST(Adversarial, CsRoundsSatisfyCausalConditions) {
     cfg.max_threads = 16;
     cfg.record_history = true;
     cfg.plausible_entries = 1 + round % 4;
-    auto rt = cs::make_rev_runtime(cfg);
+    cs::Runtime rt(cfg);
     constexpr int kObjects = 6;
-    std::vector<cs::RevRuntime::Var<std::uint64_t>> vars;
+    std::vector<cs::Var<std::uint64_t>> vars;
     for (int i = 0; i < kObjects; ++i) {
-      vars.push_back(rt->make_var<std::uint64_t>(0));
+      vars.push_back(rt.make_var<std::uint64_t>(0));
     }
     std::vector<std::thread> workers;
     for (int t = 0; t < 4; ++t) {
       workers.emplace_back([&, t] {
-        auto th = rt->attach();
+        auto th = rt.attach();
         util::Xorshift rng(static_cast<std::uint64_t>(t) + round * 53 + 11);
         for (int i = 0; i < 250; ++i) {
           const auto a = rng.next_below(kObjects);
           auto b = rng.next_below(kObjects);
           if (b == a) b = (b + 1) % kObjects;
-          rt->run(*th, [&](cs::RevRuntime::Tx& tx) {
+          rt.run(*th, [&](cs::Tx& tx) {
             if (rng.chance(0.4)) {
               (void)tx.read(vars[a]);
               (void)tx.read(vars[b]);
@@ -197,7 +197,7 @@ TEST(Adversarial, CsRoundsSatisfyCausalConditions) {
       });
     }
     for (auto& w : workers) w.join();
-    auto res = history::check_causal_conditions(rt->collect_history());
+    auto res = history::check_causal_conditions(rt.collect_history());
     ASSERT_TRUE(res) << "round " << round << " (r=" << 1 + round % 4
                      << "): " << res.reason;
   }

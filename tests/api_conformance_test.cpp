@@ -1,14 +1,14 @@
 // Cross-runtime conformance suite for the unified façade (api/stm_api.hpp):
-// one shared battery, TYPED_TEST'd across all six runtime variants through
-// api::Stm<R>, plus visit_variant's name resolution. Every variant must
-// agree on the observable semantics the façade promises — atomic updates,
-// consistent read-only snapshots, abort/retry visibility, budgeted-run
-// failure reporting, long-transaction progress under writer churn, pool
-// on/off equivalence — and on the implicit-attachment lifecycle (thread
-// churn must reclaim registry slots; this extends tests/node_pool_test.cpp's
-// slot-release pattern to the API layer). It also pins the attempt
-// contract: bodies receive each runtime's own handle, and begin(kind)
-// applies DESIGN.md §8's kind table.
+// one shared battery, TYPED_TEST'd across all five runtimes (both cs
+// clocks) through api::Stm<R>, plus visit_variant's name resolution. Every
+// variant must agree on the observable semantics the façade promises —
+// atomic updates, consistent read-only snapshots, abort/retry visibility,
+// budgeted-run failure reporting, long-transaction progress under writer
+// churn, pool on/off equivalence — and on the implicit-attachment
+// lifecycle (thread churn must reclaim registry slots; this extends
+// tests/node_pool_test.cpp's slot-release pattern to the API layer). It
+// also pins the attempt contract: bodies receive each runtime's own
+// handle, and begin(kind) applies DESIGN.md §8's kind table.
 //
 // CTest label: `conformance` (DESIGN.md §6/§8); rounds scale with
 // ZSTM_STRESS_ROUNDS and the suite runs under the TSan CI job.
@@ -26,6 +26,7 @@
 #include "api/stm_api.hpp"
 #include "stress_env.hpp"
 #include "util/rng.hpp"
+#include "variants.hpp"
 
 namespace zstm {
 namespace {
@@ -42,15 +43,13 @@ class ApiConformance : public ::testing::Test {
   static CommonConfig config() {
     CommonConfig cfg;
     cfg.max_threads = 12;
-    if constexpr (std::is_same_v<S, api::CsRevStm>) cfg.plausible_entries = 2;
+    if constexpr (std::is_same_v<S, api::CsStm>) cfg.plausible_entries = 2;
     return cfg;
   }
   static S make(CommonConfig cfg = config()) { return S(cfg); }
 };
 
-using Variants = ::testing::Types<api::LsaStm, api::CsVcStm, api::CsRevStm,
-                                  api::SStm, api::ZStm, api::Tl2Stm>;
-TYPED_TEST_SUITE(ApiConformance, Variants);
+TYPED_TEST_SUITE(ApiConformance, test_env::Variants);
 
 // --- basic semantics --------------------------------------------------------
 
@@ -331,8 +330,7 @@ TYPED_TEST(ApiConformance, TwoFacadeInstancesKeepSeparateState) {
 // --- bodies get the runtime's own handle; begin(kind) applies §8's table ----
 
 static_assert(std::is_same_v<api::LsaStm::Tx, lsa::Tx>);
-static_assert(std::is_same_v<api::CsVcStm::Tx, cs::VcRuntime::Tx>);
-static_assert(std::is_same_v<api::CsRevStm::Tx, cs::RevRuntime::Tx>);
+static_assert(std::is_same_v<api::CsStm::Tx, cs::Tx>);
 static_assert(std::is_same_v<api::SStm::Tx, sstm::Tx>);
 static_assert(std::is_same_v<api::Tl2Stm::Tx, tl2::Tx>);
 static_assert(std::is_same_v<api::ZStm::Tx, zl::Tx>);
@@ -367,6 +365,27 @@ TEST(VisitVariant, UnknownNameThrows) {
   const auto noop = [](auto, const char*, const CommonConfig&) {};
   EXPECT_THROW(api::visit_variant("tl3", {}, noop), std::invalid_argument);
   EXPECT_THROW(api::visit_variant("", {}, noop), std::invalid_argument);
+}
+
+TEST(VisitVariant, EachCsNameKeepsItsClock) {
+  // One runtime serves both names; the name picks the clock's width.
+  const auto entries = [](const char* name) {
+    CommonConfig cfg;
+    cfg.max_threads = 12;
+    return api::visit_variant(
+        name, cfg, [](auto tag, const char*, const CommonConfig& c) {
+          using S = typename decltype(tag)::type;
+          if constexpr (std::is_same_v<S, api::CsStm>) {
+            S stm(c);
+            return stm.runtime().domain().entries();
+          } else {
+            ADD_FAILURE() << "not the cs runtime";
+            return 0;
+          }
+        });
+  };
+  EXPECT_EQ(entries("cs-vc"), 12);  // r = max_threads: the vector clock
+  EXPECT_EQ(entries("cs-r"), 4);    // r = plausible_entries' default
 }
 
 TEST(VisitVariant, AliasNamesResolve) {

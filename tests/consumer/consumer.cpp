@@ -67,14 +67,9 @@ int main() {
     zstm::lsa::Runtime rt(Config{.max_threads = 4, .versions_kept = 4});
     ok = ok && commit_one(rt);
   }
-  {
-    auto rt = zstm::cs::make_vc_runtime({.max_threads = 4});
-    ok = ok && commit_one(*rt);
-  }
-  {
-    auto rt = zstm::cs::make_rev_runtime(
-        {.max_threads = 4, .plausible_entries = 2});
-    ok = ok && commit_one(*rt);
+  for (const int r : {4, 2}) {  // r = max_threads is cs-vc's vector clock
+    zstm::cs::Runtime rt(Config{.max_threads = 4, .plausible_entries = r});
+    ok = ok && commit_one(rt);
   }
   {
     zstm::sstm::Runtime rt(Config{.max_threads = 4, .versions_kept = 2});

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""scripts/coverage.py's merge and report on synthetic gcov JSON documents.
+"""scripts/coverage.py's merge, report and exit status on synthetic gcov
+JSON documents.
 
 Usage: coverage_test.py [PATH/TO/coverage.py]
 
@@ -7,6 +8,7 @@ Registered with CTest under the `tools` label when CMake finds Python 3.
 No compiler or gcov run is needed: the documents have gcov's JSON shape.
 """
 
+import contextlib
 import importlib.util
 import io
 import os
@@ -69,6 +71,40 @@ class CoverageMerge(unittest.TestCase):
     def test_a_root_does_not_match_a_sibling_prefix(self):
         hit, total, _ = self.run_report(["/proj/sr"])
         self.assertEqual((hit, total), (0, 0))
+
+
+class CoverageExitStatus(unittest.TestCase):
+    """main() exits 0 only when every measured line ran; the report is
+    printed either way."""
+
+    def run_main(self, roots):
+        docs = [document("a.gcda", {"/proj/src/h.hpp": {10: 3, 11: 0},
+                                    "/proj/src/c.cpp": {1: 2}})]
+        saved = SCRIPT_MODULE.gcov_documents
+        SCRIPT_MODULE.gcov_documents = lambda build_dir: docs
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out):
+                status = SCRIPT_MODULE.main(["coverage.py", "build", *roots])
+        finally:
+            SCRIPT_MODULE.gcov_documents = saved
+        return status, out.getvalue().splitlines()
+
+    def test_every_line_executed_exits_0(self):
+        status, lines = self.run_main(["/proj/src/c.cpp"])
+        self.assertEqual(status, 0)
+        self.assertEqual(lines, ["1 of 1 lines executed (100.0 %)"])
+
+    def test_an_unexecuted_line_exits_1_after_the_report(self):
+        status, lines = self.run_main(["/proj/src"])
+        self.assertEqual(status, 1)
+        self.assertEqual(lines, ["/proj/src/h.hpp:11",
+                                 "2 of 3 lines executed (66.7 %)"])
+
+    def test_no_measured_line_exits_1(self):
+        status, lines = self.run_main(["/proj/sr"])
+        self.assertEqual(status, 1)
+        self.assertEqual(lines, ["0 of 0 lines executed"])
 
 
 if __name__ == "__main__":

@@ -17,25 +17,28 @@
 namespace zstm::cs {
 namespace {
 
-template <typename RuntimePtr>
-void run_bank(RuntimePtr& rt, int threads, int transfers_per_thread) {
-  using R = typename std::remove_reference_t<decltype(*rt)>;
+/// Config{.max_threads = 16} with r clock entries; r = 16 is cs-vc.
+Config with_entries(int r) {
+  return Config{.max_threads = 16, .plausible_entries = r};
+}
+
+void run_bank(Runtime& rt, int threads, int transfers_per_thread) {
   constexpr int kAccounts = 16;
   constexpr long kInitial = 50;
-  std::vector<typename R::template Var<long>> accounts;
+  std::vector<Var<long>> accounts;
   for (int i = 0; i < kAccounts; ++i) {
-    accounts.push_back(rt->template make_var<long>(kInitial));
+    accounts.push_back(rt.make_var<long>(kInitial));
   }
   std::vector<std::thread> workers;
   for (int t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
-      auto th = rt->attach();
+      auto th = rt.attach();
       util::Xorshift rng(static_cast<std::uint64_t>(t) + 1);
       for (int i = 0; i < transfers_per_thread; ++i) {
         const auto from = rng.next_below(kAccounts);
         auto to = rng.next_below(kAccounts);
         if (to == from) to = (to + 1) % kAccounts;
-        rt->run(*th, [&](typename R::Tx& tx) {
+        rt.run(*th, [&](Tx& tx) {
           const long amount = 1 + static_cast<long>(rng.next_below(5));
           tx.write(accounts[from]) -= amount;
           tx.write(accounts[to]) += amount;
@@ -45,9 +48,9 @@ void run_bank(RuntimePtr& rt, int threads, int transfers_per_thread) {
   }
   for (auto& w : workers) w.join();
 
-  auto th = rt->attach();
+  auto th = rt.attach();
   long total = 0;
-  rt->run(*th, [&](typename R::Tx& tx) {
+  rt.run(*th, [&](Tx& tx) {
     total = 0;
     for (auto& a : accounts) total += tx.read(a);
   });
@@ -55,42 +58,41 @@ void run_bank(RuntimePtr& rt, int threads, int transfers_per_thread) {
 }
 
 TEST(CsStress, BankInvariantVectorClocks) {
-  auto rt = make_vc_runtime(Config{.max_threads = 16});
+  Runtime rt(with_entries(16));
   run_bank(rt, 4, test_env::stress_rounds(1500));
 }
 
 TEST(CsStress, BankInvariantRevTwoEntries) {
-  auto rt = make_rev_runtime(Config{.max_threads = 16, .plausible_entries = 2});
+  Runtime rt(with_entries(2));
   run_bank(rt, 4, test_env::stress_rounds(1500));
 }
 
 TEST(CsStress, BankInvariantRevScalar) {
-  auto rt = make_rev_runtime(Config{.max_threads = 16, .plausible_entries = 1});
+  Runtime rt(with_entries(1));
   run_bank(rt, 4, test_env::stress_rounds(1500));
 }
 
 TEST(CsStress, BankInvariantAggressiveCm) {
-  Config cfg{.max_threads = 16};
-  auto rt = make_vc_runtime(cfg);
+  Runtime rt(with_entries(16));
   run_bank(rt, 4, test_env::stress_rounds(1500));
 }
 
 TEST(CsStress, SingleChainReadersNeverSeeTornState) {
   // All updates form one write chain (every transfer writes both x and y),
   // so even causal serializability forces readers into consistency.
-  auto rt = make_vc_runtime(Config{.max_threads = 16});
-  auto x = rt->make_var<long>(0);
-  auto y = rt->make_var<long>(0);
+  Runtime rt(with_entries(16));
+  auto x = rt.make_var<long>(0);
+  auto y = rt.make_var<long>(0);
   std::atomic<bool> stop{false};
   std::atomic<long> violations{0};
 
   std::vector<std::thread> workers;
   for (int t = 0; t < 2; ++t) {
     workers.emplace_back([&, t] {
-      auto th = rt->attach();
+      auto th = rt.attach();
       util::Xorshift rng(static_cast<std::uint64_t>(t) + 5);
       for (int i = 0, n = test_env::stress_rounds(2500); i < n; ++i) {
-        rt->run(*th, [&](VcRuntime::Tx& tx) {
+        rt.run(*th, [&](Tx& tx) {
           const long d = 1 + static_cast<long>(rng.next_below(7));
           tx.write(x) += d;
           tx.write(y) -= d;
@@ -100,12 +102,12 @@ TEST(CsStress, SingleChainReadersNeverSeeTornState) {
     });
   }
   workers.emplace_back([&] {
-    auto th = rt->attach();
+    auto th = rt.attach();
     while (!stop.load(std::memory_order_acquire)) {
       // CS-STM detects read/write conflicts only at commit time (§4.1), so
       // only the attempt that actually commits must be consistent.
       long observed = 0;
-      rt->run(*th, [&](VcRuntime::Tx& tx) {
+      rt.run(*th, [&](Tx& tx) {
         observed = tx.read(x) + tx.read(y);
       });
       if (observed != 0) violations.fetch_add(1);
@@ -116,32 +118,32 @@ TEST(CsStress, SingleChainReadersNeverSeeTornState) {
 }
 
 TEST(CsStress, RecordedHistorySatisfiesCausalConditions) {
-  Config cfg{.max_threads = 16};
+  Config cfg = with_entries(16);
   cfg.record_history = true;
-  auto rt = make_vc_runtime(cfg);
+  Runtime rt(cfg);
   constexpr int kObjects = 6;
   // Unsigned: the checksum below grows without bound and must wrap.
-  std::vector<VcRuntime::Var<std::uint64_t>> vars;
+  std::vector<Var<std::uint64_t>> vars;
   for (int i = 0; i < kObjects; ++i) {
-    vars.push_back(rt->make_var<std::uint64_t>(0));
+    vars.push_back(rt.make_var<std::uint64_t>(0));
   }
 
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {
     workers.emplace_back([&, t] {
-      auto th = rt->attach();
+      auto th = rt.attach();
       util::Xorshift rng(static_cast<std::uint64_t>(t) + 11);
       for (int i = 0, n = test_env::stress_rounds(600); i < n; ++i) {
         const auto a = rng.next_below(kObjects);
         auto b = rng.next_below(kObjects);
         if (b == a) b = (b + 1) % kObjects;
         if (rng.chance(0.4)) {
-          rt->run(*th, [&](VcRuntime::Tx& tx) {
+          rt.run(*th, [&](Tx& tx) {
             (void)tx.read(vars[a]);
             (void)tx.read(vars[b]);
           });
         } else {
-          rt->run(*th, [&](VcRuntime::Tx& tx) {
+          rt.run(*th, [&](Tx& tx) {
             tx.write(vars[b]) += tx.read(vars[a]) + 1;
           });
         }
@@ -150,7 +152,7 @@ TEST(CsStress, RecordedHistorySatisfiesCausalConditions) {
   }
   for (auto& w : workers) w.join();
 
-  const auto h = rt->collect_history();
+  const auto h = rt.collect_history();
   ASSERT_GT(h.committed_count(), 0u);
   auto res = history::check_causal_conditions(h);
   EXPECT_TRUE(res) << res.reason;
@@ -161,16 +163,16 @@ TEST(CsStress, RevHistoriesSatisfyCausalConditionsForAllR) {
     Config cfg{.max_threads = 8};
     cfg.record_history = true;
     cfg.plausible_entries = r;
-    auto rt = make_rev_runtime(cfg);
-    auto x = rt->make_var<long>(0);
-    auto y = rt->make_var<long>(0);
+    Runtime rt(cfg);
+    auto x = rt.make_var<long>(0);
+    auto y = rt.make_var<long>(0);
     std::vector<std::thread> workers;
     for (int t = 0; t < 3; ++t) {
       workers.emplace_back([&, t] {
-        auto th = rt->attach();
+        auto th = rt.attach();
         util::Xorshift rng(static_cast<std::uint64_t>(t) + 3);
         for (int i = 0, n = test_env::stress_rounds(400); i < n; ++i) {
-          rt->run(*th, [&](RevRuntime::Tx& tx) {
+          rt.run(*th, [&](Tx& tx) {
             if (rng.chance(0.5)) {
               tx.write(x) += tx.read(y);
             } else {
@@ -181,7 +183,7 @@ TEST(CsStress, RevHistoriesSatisfyCausalConditionsForAllR) {
       });
     }
     for (auto& w : workers) w.join();
-    auto res = history::check_causal_conditions(rt->collect_history());
+    auto res = history::check_causal_conditions(rt.collect_history());
     EXPECT_TRUE(res) << "r=" << r << ": " << res.reason;
   }
 }
@@ -201,23 +203,24 @@ TEST(CsStress, FewerEntriesFalselyOrderMoreConcurrentCommits) {
   constexpr int kObjects = 6;
   constexpr int kSteps = 500;
 
+  // The exact oracle is computed here, each thread bumping its own
+  // component, not with the REV code under test.
   struct Event {
     timebase::VcStamp exact;
-    std::vector<timebase::RevStamp> rev;  // one per candidate r
+    std::vector<timebase::VcStamp> rev;  // one per candidate r
   };
   const std::vector<int> rs = {1, 2, 4, 8};
 
-  timebase::VcDomain vc_dom(kThreads);
   std::vector<timebase::RevDomain> rev_doms;
   for (int r : rs) rev_doms.emplace_back(r, kThreads);
 
   struct State {
     timebase::VcStamp exact;
-    std::vector<timebase::RevStamp> rev;
+    std::vector<timebase::VcStamp> rev;
   };
   auto zero_state = [&] {
     State s;
-    s.exact = vc_dom.zero();
+    s.exact = timebase::VcStamp(kThreads);
     for (auto& d : rev_doms) s.rev.push_back(d.zero());
     return s;
   };
@@ -232,7 +235,7 @@ TEST(CsStress, FewerEntriesFalselyOrderMoreConcurrentCommits) {
     auto& ts = threads_state[static_cast<std::size_t>(t)];
     auto& os = objects_state[static_cast<std::size_t>(o)];
     ts.exact.merge(os.exact);
-    vc_dom.advance(t, ts.exact);
+    ts.exact[t] += 1;
     for (std::size_t k = 0; k < rs.size(); ++k) {
       ts.rev[k].merge(os.rev[k]);
       rev_doms[k].advance(t, ts.rev[k]);

@@ -23,6 +23,7 @@
 #include "sstm/sstm.hpp"
 #include "tl2/tl2.hpp"
 #include "util/rng.hpp"
+#include "variants.hpp"
 #include "zstm/auto_class.hpp"
 #include "zstm/zstm.hpp"
 
@@ -48,9 +49,7 @@ class ApiExceptionSafety : public ::testing::Test {
   }
 };
 
-using Variants = ::testing::Types<api::LsaStm, api::CsVcStm, api::CsRevStm,
-                                  api::SStm, api::ZStm, api::Tl2Stm>;
-TYPED_TEST_SUITE(ApiExceptionSafety, Variants);
+TYPED_TEST_SUITE(ApiExceptionSafety, test_env::Variants);
 
 TYPED_TEST(ApiExceptionSafety, ThrowAtRandomPointReleasesOwnership) {
   TypeParam stm(this->config());
@@ -161,10 +160,10 @@ TEST(RawExceptionSafety, Lsa) {
 TEST(RawExceptionSafety, Cs) {
   cs::Config cfg;
   cfg.max_threads = 4;
-  auto rt = cs::make_vc_runtime(cfg);
-  auto th = rt->attach();
-  raw_round_trip(*rt, *th, [&](auto& ctx, auto&& body) {
-    return rt->run(ctx, std::forward<decltype(body)>(body));
+  cs::Runtime rt(cfg);
+  auto th = rt.attach();
+  raw_round_trip(rt, *th, [&](auto& ctx, auto&& body) {
+    return rt.run(ctx, std::forward<decltype(body)>(body));
   });
 }
 

@@ -26,6 +26,7 @@
 #include "lsa/lsa.hpp"
 #include "sstm/sstm.hpp"
 #include "tl2/tl2.hpp"
+#include "variants.hpp"
 
 namespace zstm {
 namespace {
@@ -310,21 +311,18 @@ struct LsaRig {
     return std::make_unique<lsa::Runtime>(small_lsa());
   }
 };
-struct CsVcRig {
+/// cs with r clock entries; r = max_threads (4) is cs-vc.
+template <int kEntries>
+struct CsRig {
   using Aborted = cs::TxAborted;
   static constexpr Site kAcquire = Site::kCsAcquire;
-  static std::unique_ptr<cs::VcRuntime> make() {
-    return cs::make_vc_runtime(cs::Config{.max_threads = 4});
+  static std::unique_ptr<cs::Runtime> make() {
+    return std::make_unique<cs::Runtime>(
+        cs::Config{.max_threads = 4, .plausible_entries = kEntries});
   }
 };
-struct CsRevRig {
-  using Aborted = cs::TxAborted;
-  static constexpr Site kAcquire = Site::kCsAcquire;
-  static std::unique_ptr<cs::RevRuntime> make() {
-    return cs::make_rev_runtime(
-        cs::Config{.max_threads = 4, .plausible_entries = 2});
-  }
-};
+using CsVcRig = CsRig<4>;
+using CsRevRig = CsRig<2>;
 struct SstmRig {
   using Aborted = sstm::TxAborted;
   static constexpr Site kAcquire = Site::kSstmAcquire;
@@ -411,9 +409,7 @@ TEST(FaultEffects, Tl2RevalidationAbortsOnAStripeAnotherCommitterHolds) {
 template <typename S>
 class FaultSerialFallback : public ::testing::Test {};
 
-using Variants = ::testing::Types<api::LsaStm, api::CsVcStm, api::CsRevStm,
-                                  api::SStm, api::ZStm, api::Tl2Stm>;
-TYPED_TEST_SUITE(FaultSerialFallback, Variants);
+TYPED_TEST_SUITE(FaultSerialFallback, test_env::Variants);
 
 TYPED_TEST(FaultSerialFallback, EveryTransactionCommitsUnder100PctAborts) {
   Clean c;

@@ -37,33 +37,22 @@ struct LsaBackend {
   }
 };
 
-struct CsVcBackend {
-  std::unique_ptr<cs::VcRuntime> rt =
-      cs::make_vc_runtime(cs::Config{.max_threads = 16});
+/// cs with r clock entries; r = max_threads (16) is cs-vc.
+template <int kEntries>
+struct CsBackend {
+  cs::Runtime rt{cs::Config{.max_threads = 16, .plausible_entries = kEntries}};
   template <typename T>
   auto make_var(T v) {
-    return rt->template make_var<T>(std::move(v));
+    return rt.make_var<T>(std::move(v));
   }
-  auto attach() { return rt->attach(); }
+  auto attach() { return rt.attach(); }
   template <typename Ctx, typename F>
   void run(Ctx& ctx, F&& f) {
-    rt->run(ctx, std::forward<F>(f));
+    rt.run(ctx, std::forward<F>(f));
   }
 };
-
-struct CsRevBackend {
-  std::unique_ptr<cs::RevRuntime> rt = cs::make_rev_runtime(
-      cs::Config{.max_threads = 16, .plausible_entries = 2});
-  template <typename T>
-  auto make_var(T v) {
-    return rt->template make_var<T>(std::move(v));
-  }
-  auto attach() { return rt->attach(); }
-  template <typename Ctx, typename F>
-  void run(Ctx& ctx, F&& f) {
-    rt->run(ctx, std::forward<F>(f));
-  }
-};
+using CsVcBackend = CsBackend<16>;
+using CsRevBackend = CsBackend<2>;
 
 struct SstmBackend {
   sstm::Runtime rt{sstm::Config{.max_threads = 16}};

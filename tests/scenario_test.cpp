@@ -54,24 +54,25 @@ TEST(Figure1, LsaAbortsTheLongTransaction) {
 }
 
 TEST(Figure1, CsStmAdmitsTheLongTransaction) {
-  auto rt = cs::make_vc_runtime(cs::Config{.max_threads = 8});
-  auto o1 = rt->make_var<int>(0);
-  auto o2 = rt->make_var<int>(0);
-  auto o3 = rt->make_var<int>(0);
-  auto o4 = rt->make_var<int>(0);
-  auto p1 = rt->attach();
-  auto p2 = rt->attach();
-  auto pl = rt->attach();
+  // r = max_threads: the exact vector clock (cs-vc).
+  cs::Runtime rt(cs::Config{.max_threads = 8, .plausible_entries = 8});
+  auto o1 = rt.make_var<int>(0);
+  auto o2 = rt.make_var<int>(0);
+  auto o3 = rt.make_var<int>(0);
+  auto o4 = rt.make_var<int>(0);
+  auto p1 = rt.attach();
+  auto p2 = rt.attach();
+  auto pl = rt.attach();
 
-  cs::VcRuntime::Tx& tl = pl->begin();
+  cs::Tx& tl = pl->begin();
   (void)tl.read(o1);
   (void)tl.read(o2);
 
-  rt->run(*p1, [&](cs::VcRuntime::Tx& tx) {
+  rt.run(*p1, [&](cs::Tx& tx) {
     tx.write(o1, 1);
     tx.write(o2, 1);
   });
-  rt->run(*p2, [&](cs::VcRuntime::Tx& tx) {
+  rt.run(*p2, [&](cs::Tx& tx) {
     tx.write(o3, 1);
     tx.write(o3, 2);
   });

@@ -1,6 +1,6 @@
 // Smoke canary: commit one transaction on every runtime variant through
 // the façade — statically via api::Stm<R> (native handles) and by name
-// via api::visit_variant (all seven variant names, covering the six
+// via api::visit_variant (all seven variant names, covering the five
 // runtimes). CTest labels this suite `smoke` so CI can gate on it before
 // the slow stress suites run.
 #include <gtest/gtest.h>
@@ -28,14 +28,16 @@ TEST(Smoke, LsaCommitsThroughFacade) {
 }
 
 TEST(Smoke, CsVectorClockCommitsThroughFacade) {
-  api::CsVcStm stm;
+  api::CommonConfig cfg;
+  cfg.plausible_entries = cfg.max_threads;
+  api::CsStm stm(cfg);
   commit_one(stm);
 }
 
 TEST(Smoke, CsPlausibleClockCommitsThroughFacade) {
   api::CommonConfig cfg;
   cfg.plausible_entries = 2;
-  api::CsRevStm stm(cfg);
+  api::CsStm stm(cfg);
   commit_one(stm);
 }
 

@@ -60,6 +60,29 @@ TEST(Sstm, AbortDiscardsWrites) {
   rt.run(*th, [&](Tx& t) { EXPECT_EQ(t.read(x), 3); });
 }
 
+TEST(Sstm, ReusedSlotNeverRepeatsAStamp) {
+  // As for CS-STM (cs_test): the next thread on slot 0 starts from a zero
+  // VCp, so only the entry's counter keeps its first commit from carrying
+  // the stamp the previous holder's commit carried.
+  Runtime rt(quiet_config());
+  auto x = rt.make_var<int>(0);
+  auto y = rt.make_var<int>(0);
+  std::uint64_t first = 0;
+  std::thread([&] {
+    auto th = rt.attach();
+    ASSERT_EQ(th->slot(), 0);
+    rt.run(*th, [&](Tx& tx) { tx.write(x, 1); });
+    first = th->last_committed()[0];
+  }).join();
+  ASSERT_GT(first, 0u);
+  std::thread([&] {
+    auto th = rt.attach();
+    ASSERT_EQ(th->slot(), 0);
+    rt.run(*th, [&](Tx& tx) { tx.write(y, 1); });
+    EXPECT_GT(th->last_committed()[0], first);
+  }).join();
+}
+
 // Verify stamp domination through behaviour: after a committed-reader
 // merge, the overwriting transaction's stamp strictly dominates the
 // committed reader's final stamp.
